@@ -1,14 +1,11 @@
-//! Criterion bench for the NoC simulator's cycle rate: active-set vs
-//! reference vs tile-sharded vs event-driven kernel across mesh sizes
-//! and VC counts, ungated and with the in-loop sleep FSM enabled. The
-//! active-set kernel must win big at the low injection rates the
+//! Criterion bench for the NoC simulator's cycle rate: the engine vs
+//! the dense reference across mesh sizes and VC counts, ungated and
+//! with the in-loop sleep FSM enabled, plus the engine on eight pinned
+//! tiles. The engine must win big at the low injection rates the
 //! leakage study sweeps, the gating bookkeeping must stay cheap, the
-//! VC generalization must not tax the single-VC fast path, the
-//! sharded kernel's tiling must pay at the 64×64 scale (cache
-//! locality even on one thread; parallel scaling on real cores), and
-//! the event kernel's time wheel must beat the active set wherever
-//! the network quiesces — the low-rate rows — while staying merely
-//! comparable at saturation.
+//! VC generalization must not tax the single-VC fast path, and tiling
+//! must pay at the 64×64 scale (cache locality even on one thread;
+//! parallel scaling on real cores).
 //!
 //! Set `NETSIM_BENCH_QUICK=1` (CI) to shrink the grid and sample count
 //! to a smoke run.
@@ -28,31 +25,27 @@ fn bench_mesh_cycles(c: &mut Criterion) {
         policy: GatingPolicy::IdleThreshold(4),
         wake_latency: 1,
     });
-    const SERIAL: &[SimKernel] = &[
-        SimKernel::ActiveSet,
-        SimKernel::Reference,
-        SimKernel::EventDriven,
-    ];
-    const ALL: &[SimKernel] = &[
-        SimKernel::ActiveSet,
-        SimKernel::Reference,
-        SimKernel::Sharded,
-        SimKernel::EventDriven,
+    /// (kernel, shards): `0` is the simulator's default geometry; the
+    /// engine also runs on eight pinned tiles so the label means the
+    /// same thing on every host (threads stay auto — an execution
+    /// detail only).
+    type Variant = (SimKernel, usize);
+    const SERIAL: &[Variant] = &[(SimKernel::Engine, 0), (SimKernel::Reference, 0)];
+    const ALL: &[Variant] = &[
+        (SimKernel::Engine, 0),
+        (SimKernel::Reference, 0),
+        (SimKernel::Engine, 8),
     ];
     /// Big meshes skip the dense reference kernel (it would dominate
     /// bench wall time without adding information).
-    const FAST: &[SimKernel] = &[
-        SimKernel::ActiveSet,
-        SimKernel::Sharded,
-        SimKernel::EventDriven,
-    ];
+    const FAST: &[Variant] = &[(SimKernel::Engine, 0), (SimKernel::Engine, 8)];
     type Entry = (
         usize,
         usize,
         f64,
         usize,
         Option<SleepConfig>,
-        &'static [SimKernel],
+        &'static [Variant],
     );
     let sizes: &[Entry] = if quick {
         &[
@@ -81,12 +74,16 @@ fn bench_mesh_cycles(c: &mut Criterion) {
     };
     let cycles = if quick { 300 } else { 1000 };
 
-    for &(w, h, rate, vcs, gating, kernels) in sizes {
-        for &kernel in kernels {
+    let name = |(kernel, shards): Variant| match shards {
+        0 => kernel.name().to_string(),
+        s => format!("{}-{s}tiles", kernel.name()),
+    };
+    for &(w, h, rate, vcs, gating, variants) in sizes {
+        for &(kernel, shards) in variants {
             let label = format!(
                 "{w}x{h}_r{rate}_v{vcs}{}_{}_{}cy",
                 if gating.is_some() { "_gated" } else { "" },
-                kernel.name(),
+                name((kernel, shards)),
                 cycles
             );
             group.bench_function(label, |b| {
@@ -102,10 +99,7 @@ fn bench_mesh_cycles(c: &mut Criterion) {
                         seed: 7,
                         gating,
                         kernel,
-                        // Pinned tile geometry so the committed bench
-                        // labels mean the same thing on every host;
-                        // threads stay auto (execution detail only).
-                        shards: 8,
+                        shards,
                         ..MeshConfig::default()
                     });
                     black_box(sim.run(0, cycles))
@@ -120,8 +114,12 @@ fn bench_mesh_cycles(c: &mut Criterion) {
     // the FaultMap's BFS tables and every epoch boundary pays the
     // three-pass reap, so this row vs its healthy twin above is the
     // price of graceful degradation.
-    for &kernel in ALL {
-        let label = format!("16x16_r0.005_v1_faulted_{}_{}cy", kernel.name(), cycles);
+    for &(kernel, shards) in ALL {
+        let label = format!(
+            "16x16_r0.005_v1_faulted_{}_{}cy",
+            name((kernel, shards)),
+            cycles
+        );
         group.bench_function(label, |b| {
             b.iter(|| {
                 let mut sim = Simulation::new(MeshConfig {
@@ -133,7 +131,7 @@ fn bench_mesh_cycles(c: &mut Criterion) {
                     buffer_depth: 4,
                     seed: 7,
                     kernel,
-                    shards: 8,
+                    shards,
                     faults: Some(FaultPlan {
                         seed: 17,
                         link_faults: 2,

@@ -1,16 +1,15 @@
 //! Experiment X3: in-loop gating sweep. Runs the mesh simulator with
 //! the sleep FSM live in the cycle loop over a mesh-size ×
 //! injection-rate × policy × scheme × VC-count grid and emits the
-//! committed `BENCH_noc.json` baseline (schema 8): energy saved, the
+//! committed `BENCH_noc.json` baseline (schema 9): energy saved, the
 //! latency/throughput penalty the offline model cannot see, the
 //! in-loop vs offline agreement on every point — and, per grid point,
-//! the wall time, cycle rate, tile geometry and speedup of **every
-//! simulation kernel**, so the active-set win over the dense
-//! reference, the sharded win over the serial active-set, and the
-//! event-driven kernel's leap win at low rate are all tracked in-repo
-//! alongside the energy numbers. Event-kernel rows additionally carry
-//! `cycles_leapt` / `events_processed` / `leap_fraction` — how much of
-//! the run the time wheel let the clock skip.
+//! the wall time, cycle rate and tile geometry of both simulation
+//! kernels, so the engine's win over the dense reference and its
+//! thread scaling are tracked in-repo alongside the energy numbers.
+//! Rows also carry `cycles_leapt` / `events_processed` /
+//! `leap_fraction` — how much of the run the time wheel let the clock
+//! skip.
 //!
 //! Gating runs at the simulator's native granularity, the output VC
 //! lane: each point's `GatingParams` are
@@ -19,14 +18,13 @@
 //! dimension directly measures how finer gating granularity moves the
 //! energy/latency frontier. A saturated Tornado point on a wrapped
 //! 16×16 with dateline VCs exercises deadlock-free torus operation
-//! under the armed watchdog; the 64×64 and 128×128 rows are the scale
-//! the tile-sharded kernel exists for (the dense reference kernel is
+//! under the armed watchdog; the 64×64 and larger rows are the scale
+//! tiling and leaping exist for (the dense reference kernel is
 //! excluded from those rows — it would dominate the sweep's wall time
-//! without adding information; the serial active-set kernel still runs
-//! them at full length as the speedup baseline, and kernel equality is
-//! asserted per point exactly as everywhere else).
+//! without adding information; kernel equality is asserted per point
+//! wherever both run).
 //!
-//! **Supervision** (schema 8): every grid point × kernel executes as an
+//! **Supervision** (schema 9): every grid point × kernel executes as an
 //! isolated job on the checkpointed [`lnoc_bench::runner`] — panic
 //! capture, an optional wall-clock deadline plus the engine's
 //! deterministic cycle budget (`--deadline-cycles`), bounded retry with
@@ -40,9 +38,9 @@
 //! `attempts`/`panics`/`deadline_hits` supervision counters.
 //!
 //! Grid points run serially (characterization is still parallel) so
-//! the per-kernel timings are not distorted by core contention. All
-//! kernels that run a point are asserted bit-identical; each kernel
-//! writes a deterministic per-point stats digest to
+//! the per-kernel timings are not distorted by core contention. Both
+//! kernels are asserted bit-identical on every point they share; each
+//! kernel writes a deterministic per-point stats digest to
 //! `out/x3_sweep_stats_<kernel>.json` so CI can diff the kernels as
 //! files.
 //!
@@ -59,7 +57,7 @@
 //! ```sh
 //! cargo run --release -p lnoc-bench --bin gating_sweep                  # full grid → BENCH_noc.json
 //! cargo run --release -p lnoc-bench --bin gating_sweep -- --smoke       # CI smoke grid → out/
-//! cargo run --release -p lnoc-bench --bin gating_sweep -- --smoke --faults --kernel sharded --shards 4
+//! cargo run --release -p lnoc-bench --bin gating_sweep -- --smoke --faults --kernel engine --shards 4
 //! cargo run --release -p lnoc-bench --bin gating_sweep -- --smoke --deterministic --fuse 5   # simulated kill
 //! cargo run --release -p lnoc-bench --bin gating_sweep -- --smoke --deterministic --resume   # finish it
 //! ```
@@ -89,7 +87,7 @@ const DEPTH_PER_VC: usize = 4;
 
 /// Cache-key domain: versions the job payload encoding. Bump whenever
 /// the payload format or the digested field set changes.
-const DIGEST_DOMAIN: &str = "x3.schema8.v1";
+const DIGEST_DOMAIN: &str = "x3.schema9.v1";
 
 /// One point of the sweep grid (kernel-independent).
 #[derive(Clone)]
@@ -114,18 +112,15 @@ impl GridPoint {
     /// Whether the dense reference kernel is excluded from this point
     /// in the *full* sweep (meshes beyond the 32×32 route-table cap,
     /// where dense stepping would dominate the sweep's wall time).
-    /// Smoke grids keep every kernel on every point so CI can diff all
+    /// Smoke grids keep both kernels on every point so CI can diff all
     /// digest files row-for-row.
     fn too_big_for_reference(&self) -> bool {
         self.mesh.0 * self.mesh.1 > 1024
     }
 
-    /// Whether only the serial active-set baseline and the event
-    /// kernel run this point in the *full* sweep: the 1024×1024
-    /// event-kernel showcase row, where even per-cycle tile scans are
-    /// prohibitive — the active-set kernel runs it (slowly) purely as
-    /// the speedup denominator.
-    fn huge_event_showcase(&self) -> bool {
+    /// The 512×512 and 1024×1024 leap showcase rows, which skip the
+    /// untimed warm-up run (doubling their cost buys nothing).
+    fn huge_showcase(&self) -> bool {
         self.mesh.0 * self.mesh.1 > 16384
     }
 }
@@ -220,6 +215,10 @@ struct PointPayload {
     threads: u64,
     wall_s: f64,
     cycles_per_sec: f64,
+    /// Cycle rate of the same geometry at two worker threads — the
+    /// thread-scaling measurement, taken on engine rows with at least
+    /// two shards (0 when not measured).
+    cycles_per_sec_2t: f64,
     avg_latency: f64,
     throughput: f64,
     wake_stall_cycles: u64,
@@ -233,12 +232,12 @@ struct PointPayload {
     packets_unroutable: u64,
     min_reachable: f64,
     avg_latency_post_fault: f64,
-    /// Cycles the event kernel's time wheel let the clock skip
-    /// (0 for the stepping kernels). Telemetry, not statistics: kept
-    /// out of [`Self::stats_fingerprint`] by construction.
+    /// Cycles the engine's time wheel let the clock skip (0 for the
+    /// reference). Telemetry, not statistics: kept out of
+    /// [`Self::stats_fingerprint`] by construction.
     cycles_leapt: u64,
-    /// Injection arrivals replayed from the wheel (0 for the stepping
-    /// kernels). Telemetry like `cycles_leapt`.
+    /// Injection arrivals fired from the wheel (0 for the reference).
+    /// Telemetry like `cycles_leapt`.
     events_processed: u64,
     /// Routers whose settlement debt was paid during the run —
     /// on-touch and at close-out combined (0 for the eager reference
@@ -262,6 +261,7 @@ impl PointPayload {
             .raw("threads", self.threads)
             .f64_bits("wall_s_bits", self.wall_s)
             .f64_bits("cycles_per_sec_bits", self.cycles_per_sec)
+            .f64_bits("cycles_per_sec_2t_bits", self.cycles_per_sec_2t)
             .f64_bits("avg_latency_bits", self.avg_latency)
             .f64_bits("throughput_bits", self.throughput)
             .raw("wake_stall_cycles", self.wake_stall_cycles)
@@ -292,6 +292,7 @@ impl PointPayload {
             threads: json::field_u64(scalars, "threads")?,
             wall_s: json::field_f64_bits(scalars, "wall_s_bits")?,
             cycles_per_sec: json::field_f64_bits(scalars, "cycles_per_sec_bits")?,
+            cycles_per_sec_2t: json::field_f64_bits(scalars, "cycles_per_sec_2t_bits")?,
             avg_latency: json::field_f64_bits(scalars, "avg_latency_bits")?,
             throughput: json::field_f64_bits(scalars, "throughput_bits")?,
             wake_stall_cycles: json::field_u64(scalars, "wake_stall_cycles")?,
@@ -315,7 +316,7 @@ impl PointPayload {
     }
 
     /// Every stats-derived field — everything except the timing
-    /// fields, the kernel geometry and the kernel-specific telemetry
+    /// fields, the kernel geometry and the engine-only telemetry
     /// counters (`cycles_leapt` / `events_processed` legitimately
     /// differ across kernels) — for the cross-kernel bit-identity
     /// assertion.
@@ -338,6 +339,19 @@ impl PointPayload {
             self.avg_latency_post_fault.to_bits(),
         )
     }
+}
+
+/// Renders an optional ratio with two decimals, `null` when absent.
+fn fmt_opt(v: Option<f64>) -> String {
+    v.map(|v| format!("{v:.2}"))
+        .unwrap_or_else(|| "null".into())
+}
+
+/// The engine's two-thread over one-thread cycle rate, when both were
+/// timed (engine rows with at least two shards, timings not pinned).
+fn thread_scaling(p: &PointPayload) -> Option<f64> {
+    (p.cycles_per_sec > 0.0 && p.cycles_per_sec_2t > 0.0)
+        .then(|| p.cycles_per_sec_2t / p.cycles_per_sec)
 }
 
 /// Replicates [`lnoc_power::gating::GatingOutcome::savings_fraction`]
@@ -386,18 +400,19 @@ fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 }
 
 const USAGE: &str = "\
-gating_sweep — X3 in-loop gating sweep (schema 8)
+gating_sweep — X3 in-loop gating sweep (schema 9)
 
 Grid flags:
   --smoke            CI smoke grid (writes out/x3_gating_sweep_smoke.json
                      instead of the committed BENCH_noc.json)
   --faults           include the fault dimension in smoke grids
                      (the full grid always carries it)
-  --kernel <k>       active-set | reference | sharded | event | both | all
-                     (default all)
+  --kernel <k>       reference | engine | all (default all)
   --seed <n>         sweep seed (default 2005)
-  --shards <n>       sharded-kernel tile count (default 8; 0 = one per core)
-  --threads <n>      sharded-kernel worker threads (default 0 = auto)
+  --shards <n>       engine tile count (default 0 = the simulator's
+                     size-derived default)
+  --threads <n>      engine worker threads (default 1; engine rows with
+                     two or more shards are also timed at 2 threads)
   --vcs <list>       VC counts, e.g. 1,2,4
   --inject-panic     append a job that always panics (supervision demo:
                      retried per policy, then isolated in the manifest)
@@ -418,36 +433,25 @@ fn main() {
     // with `--faults` so the plain CI smoke run stays minimal.
     let with_faults = !smoke || args.iter().any(|a| a == "--faults");
     let kernels: Vec<SimKernel> = match arg_value(&args, "--kernel") {
-        None | Some("all") => vec![
-            SimKernel::ActiveSet,
-            SimKernel::Reference,
-            SimKernel::Sharded,
-            SimKernel::EventDriven,
-        ],
-        Some("both") => vec![SimKernel::ActiveSet, SimKernel::Reference],
-        Some("active-set") => vec![SimKernel::ActiveSet],
+        None | Some("all") => vec![SimKernel::Reference, SimKernel::Engine],
         Some("reference") => vec![SimKernel::Reference],
-        Some("sharded") => vec![SimKernel::Sharded],
-        Some("event") => vec![SimKernel::EventDriven],
-        Some(other) => {
-            panic!(
-                "unknown --kernel {other} (active-set | reference | sharded | event | both | all)"
-            )
-        }
+        Some("engine") => vec![SimKernel::Engine],
+        Some(other) => panic!("unknown --kernel {other} (reference | engine | all)"),
     };
     let seed: u64 = arg_value(&args, "--seed")
         .map(|s| s.parse().expect("--seed takes an integer"))
         .unwrap_or(2005);
-    // Tile geometry for the sharded kernel. `--shards 0` lets the
-    // simulator pick one tile per core; the committed baseline pins 8
-    // so the recorded geometry does not depend on the host. Thread
-    // count never changes results — only wall time.
+    // Engine tile geometry. `--shards 0` keeps the simulator's
+    // size-derived default (one tile per core from 64×64 up), which is
+    // what the committed baseline records; rows carry the resolved
+    // geometry. Shard and thread counts never change results — only
+    // wall time.
     let shards: usize = arg_value(&args, "--shards")
         .map(|s| s.parse().expect("--shards takes an integer"))
-        .unwrap_or(8);
+        .unwrap_or(0);
     let threads: usize = arg_value(&args, "--threads")
         .map(|s| s.parse().expect("--threads takes an integer"))
-        .unwrap_or(0);
+        .unwrap_or(1);
     let vc_list: Vec<usize> = arg_value(&args, "--vcs")
         .map(|s| {
             s.split(',')
@@ -498,10 +502,10 @@ fn main() {
     // Time). The 4×4 grid carries the full scheme × policy matrix at
     // V = 1; the VC dimension re-runs the interesting schemes across
     // granularities; the larger meshes probe the low-rate regime where
-    // the fast kernels matter most; the wrapped Tornado point
-    // exercises dateline deadlock freedom at saturation; the 32×32
-    // medium-rate, 64×64 and 128×128 rows are the sharded kernel's
-    // scaling showcase.
+    // the engine's worklist and leaps matter most; the wrapped Tornado
+    // point exercises dateline deadlock freedom at saturation; the
+    // 32×32 medium-rate, 64×64 and 128×128 rows are the tiling
+    // showcase.
     let mut grid: Vec<GridPoint> = Vec::new();
     let mut push = |scheme: Scheme,
                     mesh: (usize, usize),
@@ -550,11 +554,10 @@ fn main() {
                 }
             }
         }
-        // One larger-mesh point keeps the active-set fast path under
-        // CI, a short 64×64 point keeps the sharded tile/mailbox path
-        // (and its digest) alive under every kernel, and one saturated
-        // dateline-torus point keeps the deadlock-freedom path alive
-        // (needs vcs >= 2).
+        // One larger-mesh point keeps the worklist fast path under CI,
+        // a short 64×64 point keeps the tile/mailbox path (and its
+        // digest) alive, and one saturated dateline-torus point keeps
+        // the deadlock-freedom path alive (needs vcs >= 2).
         let scheme = *schemes.last().expect("smoke characterizes two schemes");
         let mit = mit_of(scheme, 1);
         for policy in [GatingPolicy::Never, GatingPolicy::IdleThreshold(mit)] {
@@ -585,10 +588,10 @@ fn main() {
                 1,
             );
         }
-        // One large near-dead mesh keeps the event kernel's leap path
-        // — and the lazy settlement debts it leaves behind — under
-        // CI's cross-kernel digest diff, with the dense reference as
-        // the independent oracle. Both policies run so the gated and
+        // One large near-dead mesh keeps the engine's leap path — and
+        // the lazy settlement debts it leaves behind — under CI's
+        // cross-kernel digest diff, with the dense reference as the
+        // independent oracle. Both policies run so the gated and
         // ungated close-out templates are each exercised.
         for policy in [GatingPolicy::Never, GatingPolicy::IdleThreshold(mit)] {
             push(
@@ -694,7 +697,7 @@ fn main() {
         }
         // Scaling points: low-rate large meshes — the ultra-low
         // utilization regime the paper's leakage argument (and the
-        // fast kernels) target.
+        // engine) target.
         for &scheme in schemes
             .iter()
             .filter(|s| matches!(s, Scheme::Sc | Scheme::Dpc))
@@ -735,9 +738,8 @@ fn main() {
                     );
                 }
             }
-            // The sharded-kernel acceptance row: 32×32 at medium rate,
-            // where the active set is large and the serial kernels
-            // have no quiescence to skip.
+            // The loaded 32×32 row: at medium rate the active set is
+            // large and there is no quiescence to skip.
             for policy in [GatingPolicy::Never, GatingPolicy::IdleThreshold(mit)] {
                 push(
                     scheme,
@@ -752,10 +754,8 @@ fn main() {
                     2,
                 );
             }
-            // The scales the sharded kernel exists for. The reference
-            // kernel is excluded (too_big_for_reference); the serial
-            // active-set kernel runs full length as the speedup
-            // baseline.
+            // The scales tiling exists for. The reference kernel is
+            // excluded (too_big_for_reference).
             for policy in [GatingPolicy::Never, GatingPolicy::IdleThreshold(mit)] {
                 push(
                     scheme,
@@ -784,12 +784,10 @@ fn main() {
                     1,
                 );
             }
-            // Event-kernel acceptance rows: mid-size meshes at
-            // vanishing rates with local (nearest-neighbour, 1-hop)
-            // traffic, so the network quiesces between arrivals and
-            // the wheel leaps the dead windows. These are the rows the
-            // ">= 10x over active-set" acceptance number is measured
-            // on (see `event_low_rate_10x_rows` below).
+            // Leap rows: mid-size meshes at vanishing rates with local
+            // (nearest-neighbour, 1-hop) traffic, so the network
+            // quiesces between arrivals and the wheel leaps the dead
+            // windows.
             for (mesh, rate, warmup, measure) in [
                 ((64, 64), 1e-5, 500, 4000),
                 ((64, 64), 2e-6, 500, 4000),
@@ -812,16 +810,14 @@ fn main() {
             }
             // The scale showcase rows: quarter-million- and
             // million-router meshes at vanishing rates with
-            // nearest-neighbour traffic. Stepping kernels pay an O(n)
-            // injection scan per cycle here; the wheel leaps those
-            // scans away, and with lazy per-router settlement each
-            // leap pays only for the routers actually touched —
-            // quiescent routers carry settlement debt that the run-end
-            // close-out pays once, so the whole run is O(touched) plus
-            // one O(n) walk (`routers_settled` / `settle_ops_per_leap`
-            // / `max_debt_span` report that machinery per row;
-            // huge_event_showcase keeps the other kernels off these
-            // rows).
+            // nearest-neighbour traffic. A per-cycle scan would pay
+            // O(n) per cycle here; the wheel leaps those cycles away,
+            // and with lazy per-router settlement each leap pays only
+            // for the routers actually touched — quiescent routers
+            // carry settlement debt that the run-end close-out pays
+            // once, so the whole run is O(touched) plus one O(n) walk
+            // (`routers_settled` / `settle_ops_per_leap` /
+            // `max_debt_span` report that machinery per row).
             for (mesh, rate, warmup, measure) in
                 [((512, 512), 2e-7, 100, 500), ((1024, 1024), 5e-8, 50, 250)]
             {
@@ -962,24 +958,14 @@ fn main() {
     );
 
     // Which kernels run a given point: the full sweep excludes the
-    // dense reference from the big meshes and runs the 1024×1024
-    // event-showcase row on the active-set/event pair only; smoke
-    // grids (which carry neither) keep every kernel everywhere so the
-    // per-kernel digest files stay row-aligned for CI's diff.
+    // dense reference from the big meshes; smoke grids keep both
+    // kernels everywhere so the per-kernel digest files stay
+    // row-aligned for CI's diff.
     let kernels_for = |point: &GridPoint| -> Vec<SimKernel> {
         kernels
             .iter()
             .copied()
-            .filter(|&k| {
-                if smoke {
-                    return true;
-                }
-                match k {
-                    SimKernel::Reference => !point.too_big_for_reference(),
-                    SimKernel::Sharded => !point.huge_event_showcase(),
-                    _ => true,
-                }
-            })
+            .filter(|&k| smoke || k == SimKernel::Engine || !point.too_big_for_reference())
             .collect()
     };
 
@@ -1030,16 +1016,16 @@ fn main() {
                     // Huge showcase rows skip the throwaway: at
                     // minutes per stepping run the page-fault warm-up
                     // is noise, and doubling the row's cost is not.
-                    if first_at_this_size && !point.huge_event_showcase() {
+                    if first_at_this_size && !point.huge_showcase() {
                         let mut sim = Simulation::new(sim_cfg.clone());
                         let _ = sim.try_run(point.warmup, point.measure);
                     }
                 }
-                // Construction (including the active-set kernel's
-                // route-table build) stays outside the timer: cycle
-                // rate measures the loop. Best-of-`reps` wall time —
-                // the repeats are identical simulations, so the
-                // minimum is the least-noise estimate.
+                // Construction (including the engine's route-table
+                // build) stays outside the timer: cycle rate measures
+                // the loop. Best-of-`reps` wall time — the repeats are
+                // identical simulations, so the minimum is the
+                // least-noise estimate.
                 let mut best: Option<(NetworkStats, f64, usize, usize, [u64; 6])> = None;
                 for _ in 0..reps {
                     let mut sim = Simulation::new(sim_cfg.clone());
@@ -1068,11 +1054,32 @@ fn main() {
                 let (stats, wall_s, shards, threads, telemetry) = best.expect("at least one rep");
                 let [cycles_leapt, events_processed, routers_settled, settle_ops, leaps, max_debt_span] =
                     telemetry;
+                let cycles = (point.warmup + point.measure) as f64;
                 let (wall_s, cycles_per_sec) = if deterministic {
                     (0.0, 0.0)
                 } else {
-                    (wall_s, (point.warmup + point.measure) as f64 / wall_s)
+                    (wall_s, cycles / wall_s)
                 };
+                // Thread scaling: the same geometry re-timed at two
+                // worker threads (best of `reps`), on engine rows that
+                // have two tiles to run concurrently.
+                let mut cycles_per_sec_2t = 0.0;
+                if !deterministic && shards >= 2 && sim_cfg.kernel == SimKernel::Engine {
+                    let cfg_2t = MeshConfig {
+                        shards,
+                        threads: 2,
+                        ..sim_cfg.clone()
+                    };
+                    let mut best_2t = f64::INFINITY;
+                    for _ in 0..reps {
+                        let mut sim = Simulation::new(cfg_2t.clone());
+                        let start = Instant::now();
+                        sim.try_run(point.warmup, point.measure)
+                            .map_err(JobAbort::from_sim)?;
+                        best_2t = best_2t.min(start.elapsed().as_secs_f64());
+                    }
+                    cycles_per_sec_2t = cycles / best_2t;
+                }
                 let counters = stats.total_gating_counters();
                 let in_loop = energy_from_counters(&counters, &point.params, clock);
                 let offline = evaluate_policy(
@@ -1087,6 +1094,7 @@ fn main() {
                     threads: threads as u64,
                     wall_s,
                     cycles_per_sec,
+                    cycles_per_sec_2t,
                     avg_latency: stats.avg_latency(),
                     throughput: stats.throughput(),
                     wake_stall_cycles: stats.wake_stall_cycles(),
@@ -1204,7 +1212,7 @@ fn main() {
         });
     }
     // Kernel bit-identity, asserted on the serialized stats (digest
-    // line + every stats-derived scalar): all kernels that ran a point
+    // line + every stats-derived scalar): both kernels, where both ran a point,
     // must agree exactly, wherever their payloads came from.
     for (point_idx, point) in grid.iter().enumerate() {
         let fps: Vec<(&str, String)> = rows
@@ -1251,7 +1259,7 @@ fn main() {
     };
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": 8,\n");
+    json.push_str("{\n  \"schema\": 9,\n");
     let _ = writeln!(
         json,
         "  \"note\": \"in-loop per-VC-lane sleep-FSM gating sweep; gating params are one output \
@@ -1260,20 +1268,20 @@ fn main() {
          deadline, bounded retry) whose result is cached under its canonical config digest — a \
          killed sweep resumed with --resume regenerates this file byte-identically; attempts / \
          panics / deadline_hits are each row's supervision counters; agreement = |in_loop - \
-         offline| / offline on the same run's histograms; all kernels that run a point are \
-         asserted bit-identical before timing is reported; speedup_vs_active_set = cycle rate of \
-         the row's kernel over the serial active-set kernel on the same point (the sharded rows' \
-         tile geometry is in shards/threads; threads_available records the host's cores — on a \
-         single-core host the sharded speedup measures tile cache locality only, not parallel \
-         scaling); the wrapped tornado points run dateline VCs at saturation under the armed \
-         watchdog; cycles_leapt / events_processed / leap_fraction are the event kernel's \
-         time-wheel telemetry (how much of the run the clock skipped; identically zero for the \
-         stepping kernels and excluded from the bit-identity assertion); routers_settled / \
-         settle_ops_per_leap / max_debt_span are the lazy-settlement counters (debts paid over \
-         the run, touch-paid settlements per leap, longest span replayed at once; telemetry, \
-         excluded like cycles_leapt); the 64x64/128x128 rows \
-         exclude the dense reference kernel and the 512x512/1024x1024 event-showcase rows run \
-         only the active-set/event pair; faults > 0 rows \
+         offline| / offline on the same run's histograms; both kernels are asserted \
+         bit-identical on every point they share before timing is reported; \
+         speedup_vs_reference = cycle rate of the row's kernel over the dense reference on the \
+         same point; shards/threads are the row's resolved tile geometry (the simulator's \
+         size-derived default: one tile per core from 64x64 up, so it depends on \
+         threads_available, the host's cores); thread_scaling = the engine's cycle rate at two \
+         worker threads over one on the same geometry (engine rows with at least two shards); \
+         the wrapped tornado points run dateline VCs at saturation under the armed watchdog; \
+         cycles_leapt / events_processed / leap_fraction are the engine's time-wheel telemetry \
+         (how much of the run the clock skipped; identically zero for the reference and \
+         excluded from the bit-identity assertion); routers_settled / settle_ops_per_leap / \
+         max_debt_span are the lazy-settlement counters (debts paid over the run, touch-paid \
+         settlements per leap, longest span replayed at once; telemetry, excluded like \
+         cycles_leapt); the rows above 32x32 exclude the dense reference kernel; faults > 0 rows \
          run a seeded FaultPlan (permanent + transient link/router kills) with fault-aware \
          rerouting — their latency penalty is against their own faulted Never baseline, and \
          min_reachable_pct / dropped_by_fault / packets_unroutable / avg_latency_post_fault \
@@ -1317,9 +1325,10 @@ fn main() {
         if point.policy != GatingPolicy::Never {
             worst_disagreement = worst_disagreement.max(agreement);
         }
-        let speedup_vs_active = cps_of(r.point_idx, SimKernel::ActiveSet)
+        let speedup_vs_reference = cps_of(r.point_idx, SimKernel::Reference)
             .map(|base| format!("{:.2}", p.cycles_per_sec / base))
             .unwrap_or_else(|| "null".to_string());
+        let thread_scaling = fmt_opt(thread_scaling(p));
         let fault_count = point
             .faults
             .as_ref()
@@ -1329,7 +1338,8 @@ fn main() {
             "{{\"scheme\": \"{}\", \"mesh\": \"{}x{}\", \"pattern\": \"{}\", \"wrap\": {}, \
              \"vcs\": {}, \"seed\": {}, \"rate\": {}, \"policy\": \"{}\", \
              \"kernel\": \"{}\", \"shards\": {}, \"threads\": {}, \
-             \"speedup_vs_active_set\": {}, \"cycles_leapt\": {}, \"events_processed\": {}, \
+             \"speedup_vs_reference\": {}, \"thread_scaling\": {}, \
+             \"cycles_leapt\": {}, \"events_processed\": {}, \
              \"leap_fraction\": {:.4}, \"routers_settled\": {}, \"settle_ops_per_leap\": {:.2}, \
              \"max_debt_span\": {}, \"mit_cycles\": {}, \"cycles\": {}, \
              \"wall_s\": {:.4}, \"cycles_per_sec\": {:.0}, \"avg_latency_cy\": {:.3}, \
@@ -1352,7 +1362,8 @@ fn main() {
             p.kernel,
             p.shards,
             p.threads,
-            speedup_vs_active,
+            speedup_vs_reference,
+            thread_scaling,
             p.cycles_leapt,
             p.events_processed,
             p.cycles_leapt as f64 / (point.warmup + point.measure) as f64,
@@ -1391,57 +1402,34 @@ fn main() {
         json::array(&result_rows, "    ", "  ")
     );
 
-    // Per-point kernel speedups: active-set over reference (the PR 3
-    // baseline), sharded over active-set (the tiling win) and event
-    // over active-set (the time-wheel leap win — the low-rate
-    // acceptance number, honestly below 1.0 at saturation) — the
-    // numbers the README performance table quotes.
+    // Per-point kernel speedups: the engine over the reference, and
+    // the engine's thread scaling — the numbers the README quotes.
     let mut speedups: Vec<String> = Vec::new();
     let mut min_16x16_low_rate: f64 = f64::INFINITY;
-    let mut min_sharded_32x32_medium: f64 = f64::INFINITY;
-    let mut min_event_low_rate: f64 = f64::INFINITY;
-    let mut event_low_rate_10x_rows: u32 = 0;
+    let mut scaling_range = (f64::INFINITY, 0.0f64);
     for (i, point) in grid.iter().enumerate() {
-        let active = cps_of(i, SimKernel::ActiveSet);
-        let reference = cps_of(i, SimKernel::Reference);
-        let sharded = cps_of(i, SimKernel::Sharded);
-        let event = cps_of(i, SimKernel::EventDriven);
-        let (Some(active), reference, sharded, event) = (active, reference, sharded, event) else {
+        let Some(engine) = rows
+            .iter()
+            .find(|r| r.point_idx == i && r.payload.kernel == SimKernel::Engine.name())
+        else {
             continue;
         };
-        let vs_ref = reference.map(|r| active / r);
-        let sharded_vs_active = sharded.map(|s| s / active);
-        let event_vs_active = event.map(|e| e / active);
+        let vs_ref = cps_of(i, SimKernel::Engine)
+            .zip(cps_of(i, SimKernel::Reference))
+            .map(|(e, r)| e / r);
+        let scaling = thread_scaling(&engine.payload);
         if let Some(r) = vs_ref {
             if point.mesh == (16, 16) && point.rate <= 0.02 {
                 min_16x16_low_rate = min_16x16_low_rate.min(r);
             }
         }
-        if let Some(s) = sharded_vs_active {
-            if point.mesh == (32, 32) && point.rate >= 0.05 {
-                min_sharded_32x32_medium = min_sharded_32x32_medium.min(s);
-            }
+        if let Some(t) = scaling {
+            scaling_range = (scaling_range.0.min(t), scaling_range.1.max(t));
         }
-        if let Some(e) = event_vs_active {
-            // The event kernel's target regime: the low-rate rows
-            // (the same ultra-low-utilization regime the leakage
-            // argument sweeps).
-            if point.rate <= 0.005 {
-                min_event_low_rate = min_event_low_rate.min(e);
-                if e >= 10.0 {
-                    event_low_rate_10x_rows += 1;
-                }
-            }
-        }
-        let fmt_opt = |v: Option<f64>| {
-            v.map(|v| format!("{v:.2}"))
-                .unwrap_or_else(|| "null".into())
-        };
         speedups.push(format!(
             "{{\"scheme\": \"{}\", \"mesh\": \"{}x{}\", \"pattern\": \"{}\", \
              \"vcs\": {}, \"rate\": {}, \"policy\": \"{}\", \
-             \"active_set_vs_reference\": {}, \"sharded_vs_active_set\": {}, \
-             \"event_vs_active_set\": {}}}",
+             \"engine_vs_reference\": {}, \"engine_2t_vs_1t\": {}}}",
             point.scheme.name(),
             point.mesh.0,
             point.mesh.1,
@@ -1450,8 +1438,7 @@ fn main() {
             point.rate,
             point.policy,
             fmt_opt(vs_ref),
-            fmt_opt(sharded_vs_active),
-            fmt_opt(event_vs_active),
+            fmt_opt(scaling),
         ));
     }
     let _ = write!(
@@ -1470,18 +1457,15 @@ fn main() {
         "in-loop energy must agree with the offline model within 5%"
     );
     if min_16x16_low_rate.is_finite() {
-        println!("minimum active-set speedup on 16x16, rate <= 0.02: {min_16x16_low_rate:.2}x");
-    }
-    if min_sharded_32x32_medium.is_finite() {
         println!(
-            "minimum sharded speedup vs active-set on 32x32, rate >= 0.05 \
-             (threads_available = {threads_available}): {min_sharded_32x32_medium:.2}x"
+            "minimum engine speedup vs reference on 16x16, rate <= 0.02: {min_16x16_low_rate:.2}x"
         );
     }
-    if min_event_low_rate.is_finite() {
+    if scaling_range.0.is_finite() {
         println!(
-            "minimum event-kernel speedup vs active-set on rate <= 0.005 rows: \
-             {min_event_low_rate:.2}x ({event_low_rate_10x_rows} rows at >= 10x)"
+            "engine thread scaling, 2 vs 1 threads (threads_available = {threads_available}): \
+             {:.2}x..{:.2}x",
+            scaling_range.0, scaling_range.1
         );
     }
 

@@ -20,11 +20,6 @@ const DIGEST_DOMAIN: &str = "x1.v1";
 
 const USAGE: &str = "\
 idle_sweep — X1 minimum idle time vs clock frequency per scheme
-
-Sweep flags:
-  --kernel <k>       accepted for CLI uniformity with the other sweeps
-                     and validated, but X1 runs no network simulations,
-                     so the choice of simulation kernel changes nothing
 ";
 
 fn main() {
@@ -32,16 +27,6 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}\n{FLAGS_HELP}");
         return;
-    }
-    // X1 is pure circuit characterization — there is no cycle loop to
-    // pick a kernel for — but the shared sweep harness passes the same
-    // flag set to every binary, so validate it rather than erroring.
-    if let Some(i) = args.iter().position(|a| a == "--kernel") {
-        let k = args.get(i + 1).map(String::as_str).unwrap_or("");
-        assert!(
-            matches!(k, "auto" | "active-set" | "reference" | "sharded" | "event"),
-            "unknown --kernel {k} (auto | active-set | reference | sharded | event)"
-        );
     }
     let flags = SweepFlags::parse(&args);
     let cfg = CrossbarConfig::paper();

@@ -14,7 +14,7 @@ use lnoc_bench::runner::{failure_manifest, run_jobs, Job, JobAbort, SweepFlags, 
 use lnoc_core::characterize::Characterizer;
 use lnoc_core::config::CrossbarConfig;
 use lnoc_core::scheme::Scheme;
-use lnoc_netsim::{MeshConfig, NetworkStats, SimKernel, Simulation, TrafficPattern};
+use lnoc_netsim::{MeshConfig, NetworkStats, Simulation, TrafficPattern};
 use lnoc_power::gating::{evaluate_policy, GatingParams, GatingPolicy};
 use lnoc_power::report::TextTable;
 use lnoc_power::router::RouterPowerModel;
@@ -24,21 +24,7 @@ const DIGEST_DOMAIN: &str = "x2.v1";
 
 const USAGE: &str = "\
 noc_sweep — X2 network-level gating savings across patterns and loads
-
-Sweep flags:
-  --kernel <k>       simulation kernel: auto | active-set | reference |
-                     sharded | event (default auto; results are
-                     bit-identical across kernels — the flag only picks
-                     which engine produces them)
 ";
-
-/// Parses `--flag value` style arguments.
-fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -47,16 +33,6 @@ fn main() {
         return;
     }
     let flags = SweepFlags::parse(&args);
-    let kernel = match arg_value(&args, "--kernel") {
-        None | Some("auto") => SimKernel::Auto,
-        Some("active-set") => SimKernel::ActiveSet,
-        Some("reference") => SimKernel::Reference,
-        Some("sharded") => SimKernel::Sharded,
-        Some("event") => SimKernel::EventDriven,
-        Some(other) => {
-            panic!("unknown --kernel {other} (auto | active-set | reference | sharded | event)")
-        }
-    };
     let cfg = CrossbarConfig::paper();
     let ch = Characterizer::new(&cfg);
 
@@ -90,7 +66,6 @@ fn main() {
                 packet_len_flits: 4,
                 buffer_depth: 4,
                 seed: 2005,
-                kernel,
                 cycle_budget: flags.deadline_cycles,
                 ..MeshConfig::default()
             };

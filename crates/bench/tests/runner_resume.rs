@@ -16,7 +16,7 @@ const BASE_ARGS: &[&str] = &[
     "--smoke",
     "--deterministic",
     "--kernel",
-    "active-set",
+    "engine",
     "--vcs",
     "1",
 ];
@@ -76,10 +76,7 @@ fn killed_sweep_resumed_is_byte_identical_to_uninterrupted() {
         "the interrupted run's fuse trip stays in the journal"
     );
     // The acceptance criterion: byte-identical artifacts.
-    for artifact in [
-        "x3_gating_sweep_smoke.json",
-        "x3_sweep_stats_active-set.json",
-    ] {
+    for artifact in ["x3_gating_sweep_smoke.json", "x3_sweep_stats_engine.json"] {
         assert_eq!(
             read(&a, artifact),
             read(&b, artifact),

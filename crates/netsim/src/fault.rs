@@ -8,9 +8,8 @@
 //! [`FaultMap`] describing the network from that cycle on. The
 //! expansion is a pure function of `(plan, mesh)`, keyed like the
 //! per-router RNG streams (a private salt XOR'd into the plan seed), so
-//! the same plan produces bit-identical fault timelines under the
-//! `Reference`, `ActiveSet` and `Sharded` kernels and every
-//! shards×threads count.
+//! the same plan produces bit-identical fault timelines under both
+//! kernels and every shards×threads count.
 //!
 //! The simulation applies each epoch at a cycle boundary (between the
 //! exchange phase of one cycle and the compute phase of the next), so

@@ -15,25 +15,20 @@
 //! a worm. The offline policy models in [`lnoc_power::gating`] are
 //! cross-validated against these in-loop measurements.
 //!
-//! The cycle loop itself runs on one of four result-identical kernels
-//! ([`SimKernel`]): the dense `Reference` oracle; the `ActiveSet`
-//! kernel that skips quiescent routers entirely and bulk-accounts
-//! their idleness — a multiple-× cycle-rate win exactly in the
-//! low-injection-rate regime the leakage study sweeps; the `Sharded`
-//! kernel, which partitions the mesh into row-band tiles
-//! ([`topology::TileMap`]) stepped by parallel workers exchanging
-//! boundary traffic through double-buffered mailboxes — deterministic
-//! by construction, bit-identical to the serial kernels for every
-//! shard and thread count, and the way 64×64/128×128 sweeps stay
-//! tractable; and the `EventDriven` kernel, which predicts each
-//! source's next injection arrival ([`InjectionProcess::next_arrival`])
-//! on a calendar-queue time wheel and **leaps the global clock over
-//! dead windows**, bulk-replaying the skipped span with the same
-//! closed-form idle machinery — the raw-speed lever that makes huge
-//! low-rate sweeps routine. `Auto` (the default) picks between them by
-//! mesh size and offered load ([`SimKernel::AUTO_SHARD_MIN_ROUTERS`],
-//! [`SimKernel::AUTO_EVENT_MAX_RATE`],
-//! [`SimKernel::AUTO_EVENT_MIN_ROUTERS`]). A
+//! The cycle loop runs on one production engine beside one oracle
+//! ([`SimKernel`]), result-identical by construction and by test. The
+//! engine ([`SimKernel::Engine`], the default) steps only the routers
+//! that can do work and bulk-accounts everyone else's idleness in
+//! closed form; it parks each source's next injection arrival
+//! ([`InjectionProcess::next_arrival`]) on a per-tile time wheel and
+//! **leaps the global clock over dead windows** whenever the whole
+//! network holds no flit; and it partitions the mesh into row-band
+//! tiles ([`topology::TileMap`]) stepped by parallel workers that
+//! exchange boundary traffic through double-buffered mailboxes —
+//! deterministic for every shard and thread count
+//! ([`MeshConfig::shards`] / [`MeshConfig::threads`] are pure
+//! geometry). The dense `Reference` kernel steps every router every
+//! cycle and is kept as the oracle the engine is tested against. A
 //! zero-progress watchdog ([`MeshConfig::watchdog_cycles`]) turns any
 //! routing-deadlock regression into a fast, named failure instead of a
 //! hung run — a panic from [`Simulation::run`], or a typed
@@ -72,9 +67,8 @@
 //!         policy: GatingPolicy::IdleThreshold(3),
 //!         wake_latency: 1,
 //!     }),
-//!     // kernel: SimKernel::{Auto, ActiveSet, Reference, Sharded,
-//!     // EventDriven} — Auto picks by mesh size and load (active-set
-//!     // here); all kernels produce bit-identical statistics.
+//!     // kernel: SimKernel::{Engine, Reference} — both produce
+//!     // bit-identical statistics; shards/threads only set geometry.
 //!     // faults: Some(FaultPlan { .. }) arms a seeded fault scenario.
 //!     ..MeshConfig::default()
 //! };

@@ -322,7 +322,7 @@ impl Router {
     }
 
     /// Whether the router holds no flits and no output lane is held
-    /// mid-packet — the buffer/crossbar half of the active-set kernel's
+    /// mid-packet — the buffer/crossbar half of the engine's
     /// quiescence predicate. A quiet router's [`Router::step`] can only
     /// tick idle counters, so it may be skipped and bulk-accounted.
     pub fn is_quiet(&self) -> bool {
@@ -469,7 +469,7 @@ impl Router {
     }
 
     /// [`Router::step`] with departures streamed through `on_depart`
-    /// instead of returned by value — the active-set kernel's hot path.
+    /// instead of returned by value — the engine's hot path.
     /// Monomorphized on gating so ungated runs never touch the FSM
     /// lanes (or their cache lines) at all.
     pub fn step_fast(

@@ -1,4 +1,4 @@
-//! Boundary-message plumbing for the tile-sharded kernel: what crosses
+//! Boundary-message plumbing for the engine's tiles: what crosses
 //! a tile edge, and how the per-edge mailboxes are wired up.
 //!
 //! A sharded cycle has exactly two phases per shard (see the module

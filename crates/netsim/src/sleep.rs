@@ -218,7 +218,7 @@ impl SleepFsm {
 
     /// Whether this controller's future under continued idleness is a
     /// closed-form function of the skipped cycle count — the
-    /// active-set kernel's per-port precondition for bulk settling.
+    /// engine's per-port precondition for bulk settling.
     ///
     /// Every state except `Waking` qualifies:
     ///

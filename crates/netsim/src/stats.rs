@@ -100,81 +100,36 @@ impl NetworkStats {
         }
     }
 
-    /// Merges another stats record of the **same network dimensions**
-    /// into this one. Equivalent to [`NetworkStats::merge_shard`] with
-    /// a zero router offset and a full-network record.
+    /// Appends the record of the tile covering the routers right after
+    /// this one's: the reduction the tiled engine applies in ascending
+    /// shard order (each shard records only its own routers, so its
+    /// record stays proportional to the tile, not the network). Scalar
+    /// counters add up (`measured_cycles` and `latency_max` take the
+    /// maximum, `min_reachable_fraction` the minimum); per-router
+    /// vectors and histogram rows are moved, not copied (see
+    /// [`IdleBank::append`]).
     ///
     /// # Panics
     ///
-    /// Panics when the two records describe different network shapes
-    /// (router count or VC count).
-    pub fn merge(&mut self, other: &NetworkStats) {
-        assert_eq!(
-            self.router_activity.len(),
-            other.router_activity.len(),
-            "merging stats of different networks"
-        );
-        self.merge_shard(other, 0);
-    }
-
-    /// Merges a tile's stats record — covering the contiguous router
-    /// range `base_router ..` — into this network-wide record: the
-    /// reduction the sharded kernel uses to combine per-shard
-    /// statistics (each shard records only its own routers, so its
-    /// record stays proportional to the tile, not the network).
-    ///
-    /// Merge semantics per field:
-    ///
-    /// * scalar counters (packets, flits, drops, latency sum) — added;
-    /// * `latency_max` / `measured_cycles` — maximum;
-    /// * per-router activity, gating counters — element-wise addition
-    ///   at the offset;
-    /// * idle histograms — bin-wise [`IdleHistogram::merge`] (open runs
-    ///   appended in the other record's order).
-    ///
-    /// **Deterministic merge order.** The sharded runner merges shard
-    /// records in ascending shard id. Every field is an integer sum or
-    /// maximum — and each router's histograms and counters are touched
-    /// by exactly one shard — so the result is in fact independent of
-    /// merge order; the fixed order pins the byte layout (notably
-    /// open-run vectors) without relying on that argument.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the VC counts differ or the offset record does not
-    /// fit inside this one.
-    pub fn merge_shard(&mut self, other: &NetworkStats, base_router: usize) {
-        assert!(
-            base_router + other.router_activity.len() <= self.router_activity.len(),
-            "merged tile exceeds the network"
-        );
-        assert_eq!(self.vcs, other.vcs, "merging stats of different VC counts");
-        self.measured_cycles = self.measured_cycles.max(other.measured_cycles);
-        self.packets_injected += other.packets_injected;
-        self.packets_dropped_at_source += other.packets_dropped_at_source;
-        self.packets_delivered += other.packets_delivered;
-        self.flits_delivered += other.flits_delivered;
-        self.latency_sum += other.latency_sum;
-        self.latency_max = self.latency_max.max(other.latency_max);
-        self.flits_dropped_by_fault += other.flits_dropped_by_fault;
-        self.packets_dropped_by_fault += other.packets_dropped_by_fault;
-        self.packets_unroutable += other.packets_unroutable;
-        self.packets_delivered_post_fault += other.packets_delivered_post_fault;
-        self.latency_sum_post_fault += other.latency_sum_post_fault;
-        self.min_reachable_fraction = self
-            .min_reachable_fraction
-            .min(other.min_reachable_fraction);
-        for (mine, theirs) in self.router_activity[base_router..]
-            .iter_mut()
-            .zip(&other.router_activity)
-        {
-            mine.add(theirs);
-        }
-        self.idle_histograms
-            .merge_from(&other.idle_histograms, base_router);
-        for (mine, theirs) in self.gating[base_router..].iter_mut().zip(&other.gating) {
-            mine.add(theirs);
-        }
+    /// Panics when the VC counts differ.
+    pub fn append(&mut self, tile: NetworkStats) {
+        assert_eq!(self.vcs, tile.vcs, "joining stats of different VC counts");
+        self.measured_cycles = self.measured_cycles.max(tile.measured_cycles);
+        self.packets_injected += tile.packets_injected;
+        self.packets_dropped_at_source += tile.packets_dropped_at_source;
+        self.packets_delivered += tile.packets_delivered;
+        self.flits_delivered += tile.flits_delivered;
+        self.latency_sum += tile.latency_sum;
+        self.latency_max = self.latency_max.max(tile.latency_max);
+        self.flits_dropped_by_fault += tile.flits_dropped_by_fault;
+        self.packets_dropped_by_fault += tile.packets_dropped_by_fault;
+        self.packets_unroutable += tile.packets_unroutable;
+        self.packets_delivered_post_fault += tile.packets_delivered_post_fault;
+        self.latency_sum_post_fault += tile.latency_sum_post_fault;
+        self.min_reachable_fraction = self.min_reachable_fraction.min(tile.min_reachable_fraction);
+        self.router_activity.extend(tile.router_activity);
+        self.gating.extend(tile.gating);
+        self.idle_histograms.append(tile.idle_histograms);
     }
 
     /// Mean packet latency in cycles.
@@ -363,42 +318,49 @@ impl IdleBank {
         self.default_row.iter().any(|h| h.interval_count() > 0)
     }
 
-    /// Merges another bank — covering routers `base ..` of this one —
-    /// lane-wise into this bank, exactly like the old per-histogram
-    /// [`IdleHistogram::merge`] loop. Routers that are unmaterialized
-    /// in `other` merge their default-row content (skipped entirely
-    /// when that row is pristine, so merging an untouched tile stays
-    /// O(1) per router).
+    /// Appends a bank covering the routers right after this one's.
+    /// Materialized rows are moved. Routers `bank` never materialized
+    /// stay unmaterialized when the two default rows agree — a run's
+    /// tiles close out their untouched routers over the same span, so
+    /// every non-pristine default is the same row — and otherwise the
+    /// side whose default changes materializes its untouched routers
+    /// first, so no router's content changes.
     ///
     /// # Panics
     ///
-    /// Panics when lane counts or caps differ, or `other` overhangs.
-    pub fn merge_from(&mut self, other: &IdleBank, base: usize) {
+    /// Panics when lane counts or caps differ.
+    pub fn append(&mut self, mut bank: IdleBank) {
         assert_eq!(
-            self.lanes, other.lanes,
-            "merging banks of different lane counts"
+            self.lanes, bank.lanes,
+            "joining banks of different lane counts"
         );
-        assert_eq!(self.cap, other.cap, "merging banks of different caps");
-        assert!(
-            base + other.routers() <= self.routers(),
-            "merged tile exceeds the network"
+        assert_eq!(self.cap, bank.cap, "joining banks of different caps");
+        if bank.default_dirty() && !self.default_dirty() {
+            self.adopt_default(bank.default_row.clone());
+        }
+        bank.adopt_default(self.default_row.clone());
+        let offset = u32::try_from(self.rows.len() / self.lanes).expect("row index fits u32");
+        self.rows.extend(bank.rows);
+        self.idx.extend(
+            bank.idx
+                .into_iter()
+                .map(|i| if i == u32::MAX { i } else { offset + i }),
         );
-        let dirty = other.default_dirty();
-        for r in 0..other.routers() {
-            match other.row(r) {
-                Some(row) => {
-                    for (l, h) in row.iter().enumerate() {
-                        self.lane_mut(base + r, l).merge(h);
-                    }
-                }
-                None if dirty => {
-                    for (l, h) in other.default_row.iter().enumerate() {
-                        self.lane_mut(base + r, l).merge(h);
-                    }
-                }
-                None => {}
+    }
+
+    /// Makes `default_row` this bank's shared default without changing
+    /// any router's content: routers still showing the old default are
+    /// materialized first. A no-op when the rows already agree.
+    fn adopt_default(&mut self, default_row: Vec<IdleHistogram>) {
+        if self.default_row == default_row {
+            return;
+        }
+        for r in 0..self.routers() {
+            if self.idx[r] == u32::MAX {
+                let _ = self.lane_mut(r, 0);
             }
         }
+        self.default_row = default_row;
     }
 }
 
@@ -466,11 +428,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_shard_places_tiles_and_merge_matches_whole_network() {
+    fn append_places_tiles_like_one_whole_network() {
         // Two tile records (routers 0..2 and 2..4 of a 4-router
-        // network) reduced at their offsets must equal the same events
-        // recorded into one full-size record — and `merge` must be
-        // exactly `merge_shard` at offset 0 with a full-size record.
+        // network) joined in order must equal the same events recorded
+        // into one full-size record.
         let mut tile0 = NetworkStats::new(2, 1, 64);
         tile0.packets_injected = 3;
         tile0.packets_delivered = 2;
@@ -491,9 +452,8 @@ mod tests {
         tile1.router_activity[0].cycles = 50;
         tile1.idle_histograms.lane_mut(1, 0).record_open(9);
 
-        let mut reduced = NetworkStats::new(4, 1, 64);
-        reduced.merge_shard(&tile0, 0);
-        reduced.merge_shard(&tile1, 2);
+        let mut joined = tile0;
+        joined.append(tile1);
 
         let mut whole = NetworkStats::new(4, 1, 64);
         whole.packets_injected = 4;
@@ -507,20 +467,13 @@ mod tests {
         whole.idle_histograms.lane_mut(0, 2).record(5);
         whole.idle_histograms.lane_mut(3, 0).record_open(9);
         whole.gating[1].sleep_entries = 7;
-        assert_eq!(reduced, whole);
-
-        // Same-size merge is the offset-0 special case.
-        let mut via_merge = NetworkStats::new(4, 1, 64);
-        via_merge.merge(&whole);
-        assert_eq!(via_merge, whole);
+        assert_eq!(joined, whole);
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the network")]
-    fn merge_shard_rejects_overhanging_tiles() {
-        let mut net = NetworkStats::new(4, 1, 64);
-        let tile = NetworkStats::new(2, 1, 64);
-        net.merge_shard(&tile, 3);
+    #[should_panic(expected = "different VC counts")]
+    fn append_rejects_mixed_vc_counts() {
+        NetworkStats::new(2, 1, 64).append(NetworkStats::new(2, 2, 64));
     }
 
     #[test]
@@ -562,18 +515,22 @@ mod tests {
     }
 
     #[test]
-    fn bank_merge_carries_default_content() {
+    fn bank_append_carries_default_content() {
         // A tile whose routers are all untouched except one, with a
-        // bulk open run applied: merging it at an offset must land the
-        // private row and the shared default content alike.
+        // bulk open run applied, joined after an untouched tile: the
+        // private row and the shared default content land alike, and
+        // the untouched tile's routers stay empty even though the
+        // joined bank's default row is not.
         let mut tile = IdleBank::new(2, 1, 16);
         tile.lane_mut(0, 0).record(3);
         tile.record_open_untouched(9);
-        let mut net = IdleBank::new(4, 1, 16);
-        net.merge_from(&tile, 2);
+        let mut net = IdleBank::new(2, 1, 16);
+        net.append(tile);
+        assert_eq!(net.routers(), 4);
         assert_eq!(net.lane(2, 0).interval_count(), 1);
         assert_eq!(net.lane(2, 0).total_idle_cycles(), 3);
         assert_eq!(net.lane(3, 0).open_runs(), &[9]);
         assert_eq!(net.lane(0, 0).interval_count(), 0);
+        assert_eq!(net.lane(1, 0).interval_count(), 0);
     }
 }

@@ -1,4 +1,4 @@
-//! Synchronization facade for the sharded kernel.
+//! Synchronization facade for the sharded engine.
 //!
 //! Every atomic the simulator owns lives behind this module — that is
 //! a workspace lint rule (`atomic-outside-facade`, see
@@ -133,16 +133,36 @@ impl<T> Mailboxes<T> {
     }
 }
 
-/// Per-shard, parity-indexed progress slots: written by each shard at
+/// One shard's compute-phase outcome, published through
+/// [`ShardSlots`] and read by every shard after the barrier.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlotReport {
+    /// `Some(buffered)` when the shard made no progress this cycle (no
+    /// transfer, no source-queue drain), with the flits buffered in its
+    /// routers; `None` when it made progress. The watchdog fires only
+    /// when every shard is stalled with flits buffered somewhere.
+    pub stalled: Option<u64>,
+    /// The earliest cycle at which this shard may next have work: the
+    /// next cycle while it still holds any flit — buffered, waiting in
+    /// a source queue, or staged in an outgoing mailbox (already
+    /// subtracted from the sender's buffers, not yet added to the
+    /// receiver's) — otherwise its next scheduled arrival. The network
+    /// may leap to the minimum over every shard.
+    pub wake_at: u64,
+}
+
+/// Per-shard, parity-indexed report slots: written by each shard at
 /// the end of its compute phase, read by every shard after the barrier
-/// to take the *same* global watchdog decision. Parity indexing keeps
-/// a shard's cycle-`c + 1` store from racing a peer's cycle-`c` read.
+/// to take the *same* global watchdog and leap decisions. Parity
+/// indexing keeps a shard's next-step store from racing a peer's
+/// current-step read.
 #[derive(Debug, Default)]
 pub struct ShardSlots {
-    /// Transfers applied plus source-queue flits drained this cycle.
-    progress: [AtomicU64; 2],
-    /// Flits buffered in this shard's routers at the end of compute.
-    buffered: [AtomicU64; 2],
+    /// [`SlotReport::stalled`] per parity (`u64::MAX` = `None`; no
+    /// shard can buffer that many flits).
+    stalled: [AtomicU64; 2],
+    /// [`SlotReport::wake_at`] per parity.
+    wake_at: [AtomicU64; 2],
 }
 
 impl ShardSlots {
@@ -155,28 +175,28 @@ impl ShardSlots {
     /// of their own; the model checker's `slots_publish_*` tests fail
     /// the moment the barrier edge is weakened, proving it is the
     /// barrier — not these stores — carrying the synchronization.
-    pub fn publish(&self, parity: usize, progress: u64, buffered: u64) {
+    pub fn publish(&self, parity: usize, report: SlotReport) {
+        let stalled = report.stalled.unwrap_or(u64::MAX);
         // lint:allow(relaxed-needs-waiver) -- ordered by the phase
         // barrier's release/acquire edge; model-checked in
         // slots_publish_visible_after_barrier.
-        self.progress[parity].store(progress, Ordering::Relaxed);
+        self.stalled[parity].store(stalled, Ordering::Relaxed);
         // lint:allow(relaxed-needs-waiver) -- same barrier edge as the
-        // progress store above.
-        self.buffered[parity].store(buffered, Ordering::Relaxed);
+        // stalled store above.
+        self.wake_at[parity].store(report.wake_at, Ordering::Relaxed);
     }
 
-    /// Reads a shard's published progress for `parity`.
-    pub fn read_progress(&self, parity: usize) -> u64 {
+    /// Reads a shard's published report for `parity`.
+    pub fn read(&self, parity: usize) -> SlotReport {
         // lint:allow(relaxed-needs-waiver) -- reader side of the
         // barrier-ordered publish; see ShardSlots::publish.
-        self.progress[parity].load(Ordering::Relaxed)
-    }
-
-    /// Reads a shard's published buffered-flit count for `parity`.
-    pub fn read_buffered(&self, parity: usize) -> u64 {
-        // lint:allow(relaxed-needs-waiver) -- reader side of the
-        // barrier-ordered publish; see ShardSlots::publish.
-        self.buffered[parity].load(Ordering::Relaxed)
+        let stalled = self.stalled[parity].load(Ordering::Relaxed);
+        SlotReport {
+            stalled: (stalled != u64::MAX).then_some(stalled),
+            // lint:allow(relaxed-needs-waiver) -- reader side of the
+            // barrier-ordered publish; see ShardSlots::publish.
+            wake_at: self.wake_at[parity].load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -218,7 +238,7 @@ pub enum BarrierMutation {
 ///
 /// # Ordering audit
 ///
-/// The barrier is the only release/acquire edge the sharded kernel
+/// The barrier is the only release/acquire edge the sharded engine
 /// has; everything else (`ShardSlots`, the mailbox parity discipline)
 /// is ordered *through* a crossing. A crossing works like this:
 ///

@@ -254,7 +254,7 @@ impl Mesh {
     }
 
     /// [`Mesh::dateline_class`] with both routers' coordinates already
-    /// in hand — the active-set kernel caches every router's `(x, y)`
+    /// in hand — the engine caches every router's `(x, y)`
     /// so its per-flit route closure performs no divisions.
     pub fn dateline_class_at(
         &self,
@@ -346,7 +346,7 @@ impl Mesh {
 
 /// Flat, cache-linear neighbour lookup: `ids[router * 4 + dir]` holds
 /// the neighbour in each cardinal direction (`u32::MAX` when the edge
-/// has no link). The active-set kernel's hot downstream-readiness check
+/// has no link). The engine's hot downstream-readiness check
 /// reads this instead of recomputing coordinates through
 /// [`Mesh::neighbor`] every cycle.
 #[derive(Debug, Clone)]
@@ -663,7 +663,7 @@ impl FaultMap {
 }
 
 /// A partition of the mesh into horizontal **tile bands** for the
-/// sharded kernel: shard `s` owns the full-width rectangle of rows
+/// tiled engine: shard `s` owns the full-width rectangle of rows
 /// `row0[s] .. row0[s + 1]`.
 ///
 /// Full-width bands are the partition shape that keeps the sharded

@@ -155,8 +155,8 @@ impl InjectionProcess {
     ///   loop never scanned it); each missed arrival consumes its gap
     ///   draw — and nothing else — in the catch-up loop here, which
     ///   makes this lazy catch-up land on the same `(rng, next_offer)`
-    ///   state as the event kernel's eager per-arrival rescheduling,
-    ///   draw for draw.
+    ///   state as the engine's eager per-arrival rescheduling, draw
+    ///   for draw.
     /// - **Bursty ON–OFF** sources replay their per-cycle draws — the
     ///   dwell flip and the offer coin — for every cycle of the span,
     ///   in exactly the per-cycle loop's order, advancing `on` and
@@ -165,9 +165,10 @@ impl InjectionProcess {
     /// Either way, alternating `next_arrival` with single-cycle spans
     /// (or with the destination draw that follows a hit) reads one
     /// seamless stream. This is the determinism keystone of the
-    /// event-driven kernel ([`crate::SimKernel::EventDriven`]): leaping
-    /// the clock over dead windows is only sound because the arrivals
-    /// predicted here match what the cycle loop scans out, bit for bit.
+    /// engine's time wheel ([`crate::SimKernel::Engine`]): leaping the
+    /// clock over dead windows is only sound because the arrivals
+    /// predicted here match what the reference's cycle loop scans out,
+    /// bit for bit.
     ///
     /// `rate` must already be the boosted ON rate (see
     /// [`InjectionProcess::on_rate`]); `from` is the last cycle whose
@@ -246,7 +247,7 @@ impl InjectionProcess {
 /// `P(G = k) = (1 − p)^(k−1) · p` for `k ≥ 1`. Sampling `G` directly —
 /// one RNG draw per *arrival* — replaces the one-coin-per-cycle scan
 /// whose draws dominated every kernel at low rates and put a hard
-/// `O(routers × cycles)` floor under the event kernel. All kernels
+/// `O(routers × cycles)` floor under the leaping engine. Both kernels
 /// share this sampler (and the renewal state it drives), so the
 /// arrival streams — and therefore [`crate::NetworkStats`] — stay bit
 /// identical across them by construction.
@@ -636,7 +637,7 @@ mod tests {
     #[test]
     fn next_arrival_interleaves_with_ticking() {
         // Alternate prediction spans with manual ticks: the stream must
-        // stay seamless (the event kernel re-arms predictions after
+        // stay seamless (the engine re-arms predictions after
         // every fired event and at every fault-epoch boundary).
         let process = InjectionProcess::BurstyOnOff {
             mean_burst: 5,
@@ -698,8 +699,8 @@ mod tests {
     #[test]
     fn bernoulli_missed_offers_catch_up_identically() {
         // A router dead over some window misses the offers that fell
-        // inside it. The per-cycle kernels catch up lazily at the first
-        // alive scan; the event kernel catches up eagerly, one gap draw
+        // inside it. The reference's per-cycle scan catches up lazily at
+        // the first alive scan; the engine catches up eagerly, one gap draw
         // per fired-while-dead wheel event. Both must land on the same
         // (rng, next_offer) state and the same post-revival arrivals.
         let rate = 0.2;

@@ -1,13 +1,18 @@
-//! Calendar-queue time wheel for the event-driven kernel.
+//! Calendar-queue time wheel for the engine's injection scheduler.
 //!
 //! [`TimeWheel`] holds at most one pending wake per router — the next
 //! predicted injection arrival — keyed by absolute cycle. The hot
 //! operations are O(1): scheduling into the slot ring, draining the
 //! events due at the current cycle, and (via an occupancy bitmap)
-//! finding the next scheduled cycle so the kernel knows how far it may
+//! finding the next scheduled cycle so the engine knows how far it may
 //! leap. Events beyond the ring's window park in an overflow list and
 //! are folded back in when the window advances — the classic calendar
 //! queue, sized so overflow is the rare case at simulation rates.
+//!
+//! Slots are **intrusive lists**: one `head` entry per slot plus one
+//! `next` link per event id. Because an id is scheduled at most once at
+//! a time, the links never alias, and scheduling or draining never
+//! allocates — the wheel's memory is fixed at construction.
 //!
 //! Everything here is deterministic: slot order is canonicalized by
 //! sorting drained ids, there is no hashing and no wall clock, so the
@@ -16,30 +21,38 @@
 use std::fmt;
 
 /// Slot-ring length (cycles representable without overflow). A power
-/// of two so slot arithmetic is a mask. At the low injection rates the
-/// event kernel targets, mean arrival gaps are `1/rate` cycles —
+/// of two so slot arithmetic is a mask. At the low injection rates
+/// where the engine leaps, mean arrival gaps are `1/rate` cycles —
 /// 4096 covers rates down to ~2.5e-4 without touching overflow.
 const SLOTS: usize = 4096;
 
-/// A calendar queue over absolute cycles, holding `u32` event ids
-/// (local router indices for the event kernel).
+/// End-of-list marker for the intrusive slot lists.
+const NIL: u32 = u32::MAX;
+
+/// A calendar queue over absolute cycles, holding `u32` event ids in
+/// `0..ids` (local router indices), each scheduled at most once at a
+/// time.
 pub(crate) struct TimeWheel {
     /// Cycle of slot 0. Advances monotonically on rebase.
     base: u64,
     /// Lower bound on schedulable cycles: everything below has been
     /// drained. Draining cycle `c` raises the floor to `c + 1`.
     floor: u64,
-    /// Event lists, slot `i` holding cycle `base + i`.
-    slots: Vec<Vec<u32>>,
+    /// First id of each slot's list (`NIL` = empty), slot `i` holding
+    /// cycle `base + i`.
+    head: Vec<u32>,
+    /// Per-id link to the next id in the same slot.
+    next: Vec<u32>,
     /// Occupancy bitmap over slots (bit set ⇔ slot non-empty), so
-    /// next-event queries scan 64 slots per word instead of one Vec
-    /// emptiness check per slot.
+    /// next-event queries scan 64 slots per word.
     occ: Vec<u64>,
     /// Events at cycles `≥ base + SLOTS`, folded in on rebase.
     overflow: Vec<(u64, u32)>,
     /// Earliest overflow cycle (`u64::MAX` when empty), so the
     /// next-event query never scans the overflow list.
     overflow_min: u64,
+    /// Reused rebase buffer.
+    spill: Vec<(u64, u32)>,
     /// Total events currently scheduled.
     scheduled: usize,
 }
@@ -56,18 +69,37 @@ impl fmt::Debug for TimeWheel {
 }
 
 impl TimeWheel {
-    /// An empty wheel whose window starts at `now` (the first
-    /// schedulable cycle).
-    pub(crate) fn new(now: u64) -> Self {
+    /// An empty wheel for ids `0..ids` whose window starts at `now`
+    /// (the first schedulable cycle).
+    pub(crate) fn new(now: u64, ids: usize) -> Self {
         TimeWheel {
             base: now,
             floor: now,
-            slots: vec![Vec::new(); SLOTS],
+            head: vec![NIL; SLOTS],
+            next: vec![NIL; ids],
             occ: vec![0; SLOTS / 64],
             overflow: Vec::new(),
             overflow_min: u64::MAX,
+            spill: Vec::new(),
             scheduled: 0,
         }
+    }
+
+    /// Empties the wheel and restarts its window at `now`, keeping
+    /// every allocation. O(occupied words + overflow).
+    pub(crate) fn reset(&mut self, now: u64) {
+        for w in 0..self.occ.len() {
+            let mut word = std::mem::take(&mut self.occ[w]);
+            while word != 0 {
+                self.head[w * 64 + word.trailing_zeros() as usize] = NIL;
+                word &= word - 1;
+            }
+        }
+        self.overflow.clear();
+        self.overflow_min = u64::MAX;
+        self.scheduled = 0;
+        self.base = now;
+        self.floor = now;
     }
 
     /// Events currently scheduled.
@@ -78,7 +110,7 @@ impl TimeWheel {
     /// Schedules event `id` at absolute `cycle`.
     ///
     /// `cycle` must be at or above the floor (nothing may be scheduled
-    /// into the drained past).
+    /// into the drained past), and `id` must not already be scheduled.
     pub(crate) fn schedule(&mut self, cycle: u64, id: u32) {
         debug_assert!(
             cycle >= self.floor,
@@ -88,13 +120,25 @@ impl TimeWheel {
         self.scheduled += 1;
         match usize::try_from(cycle - self.base) {
             Ok(i) if i < SLOTS => {
-                self.slots[i].push(id);
+                self.next[id as usize] = self.head[i];
+                self.head[i] = id;
                 self.occ[i / 64] |= 1u64 << (i % 64);
             }
             _ => {
                 self.overflow.push((cycle, id));
                 self.overflow_min = self.overflow_min.min(cycle);
             }
+        }
+    }
+
+    /// Unlinks slot `i`'s whole list, handing each id to `push`.
+    fn take_slot(&mut self, i: usize, mut push: impl FnMut(u32)) {
+        self.occ[i / 64] &= !(1u64 << (i % 64));
+        let mut id = std::mem::replace(&mut self.head[i], NIL);
+        while id != NIL {
+            push(id);
+            self.scheduled -= 1;
+            id = self.next[id as usize];
         }
     }
 
@@ -115,16 +159,13 @@ impl TimeWheel {
         self.floor = cycle + 1;
         if let Ok(i) = usize::try_from(cycle - self.base) {
             if i < SLOTS && self.occ[i / 64] & (1u64 << (i % 64)) != 0 {
-                self.occ[i / 64] &= !(1u64 << (i % 64));
                 let start = out.len();
-                out.append(&mut self.slots[i]);
-                self.scheduled -= out.len() - start;
+                self.take_slot(i, |id| out.push(id));
                 // Canonical firing order regardless of insertion order.
                 out[start..].sort_unstable();
             }
         }
     }
-
     /// The earliest scheduled cycle at or after `from`, if any.
     pub(crate) fn next_event(&self, from: u64) -> Option<u64> {
         if self.scheduled == 0 {
@@ -170,27 +211,29 @@ impl TimeWheel {
 
     /// Moves the window so slot 0 is `new_base`, re-slotting every live
     /// event. O(live events + SLOTS); called only when the schedule
-    /// outruns the window, which the event kernel's horizon caps make
-    /// rare.
+    /// outruns the window, which the horizon caps make rare.
     fn rebase(&mut self, new_base: u64) {
         debug_assert!(new_base >= self.base, "the window only moves forward");
-        let mut live: Vec<(u64, u32)> = std::mem::take(&mut self.overflow);
+        let mut live = std::mem::take(&mut self.spill);
+        self.scheduled -= self.overflow.len();
+        live.append(&mut self.overflow);
         for w in 0..self.occ.len() {
-            let mut word = std::mem::take(&mut self.occ[w]);
+            let mut word = self.occ[w];
             while word != 0 {
                 let i = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
                 let cy = self.base + i as u64;
                 debug_assert!(cy >= new_base, "rebasing past a live event");
-                live.extend(self.slots[i].drain(..).map(|id| (cy, id)));
+                self.take_slot(i, |id| live.push((cy, id)));
             }
         }
         self.base = new_base;
         self.overflow_min = u64::MAX;
-        self.scheduled -= live.len();
-        for (cy, id) in live {
+        for &(cy, id) in &live {
             self.schedule(cy, id);
         }
+        live.clear();
+        self.spill = live;
     }
 }
 
@@ -230,7 +273,7 @@ mod tests {
 
     #[test]
     fn drains_in_ascending_id_order() {
-        let mut w = TimeWheel::new(0);
+        let mut w = TimeWheel::new(0, 16);
         w.schedule(5, 9);
         w.schedule(5, 2);
         w.schedule(5, 7);
@@ -242,7 +285,7 @@ mod tests {
 
     #[test]
     fn next_event_scans_past_empty_slots() {
-        let mut w = TimeWheel::new(100);
+        let mut w = TimeWheel::new(100, 16);
         w.schedule(100, 1);
         w.schedule(103, 2);
         w.schedule(4000, 3);
@@ -258,7 +301,7 @@ mod tests {
 
     #[test]
     fn overflow_events_come_back_on_rebase() {
-        let mut w = TimeWheel::new(0);
+        let mut w = TimeWheel::new(0, 16);
         // Far beyond the slot window: must park in overflow…
         w.schedule(3 * SLOTS as u64, 7);
         w.schedule(10 * SLOTS as u64 + 5, 8);
@@ -280,10 +323,26 @@ mod tests {
     }
 
     #[test]
+    fn reset_empties_and_rebases_the_window() {
+        let mut w = TimeWheel::new(0, 16);
+        w.schedule(3, 1);
+        w.schedule(SLOTS as u64 * 2, 2);
+        w.reset(50);
+        assert_eq!(w.len(), 0);
+        assert_eq!(w.next_event(50), None);
+        w.schedule(50, 1);
+        w.schedule(52, 2);
+        let mut out = Vec::new();
+        w.drain_due(50, &mut out);
+        assert_eq!(out, vec![1]);
+        assert_eq!(w.next_event(51), Some(52));
+    }
+
+    #[test]
     fn drain_through_overflow_without_query() {
         // A drain may land directly on an overflow cycle (the kernel
         // steps cycle by cycle through a congested span).
-        let mut w = TimeWheel::new(0);
+        let mut w = TimeWheel::new(0, 16);
         let far = SLOTS as u64 + 17;
         w.schedule(far, 4);
         let mut out = Vec::new();
@@ -297,7 +356,7 @@ mod tests {
         // Deterministic pseudo-random workload (LCG — no wall clocks,
         // no external entropy) interleaving schedules, drains and
         // queries, checked against the sorted-list oracle.
-        let mut w = TimeWheel::new(0);
+        let mut w = TimeWheel::new(0, 20_000);
         let mut m = Model::default();
         let mut state = 0x2545f4914f6cdd1du64;
         let mut lcg = move || {

@@ -12,11 +12,11 @@
 #![cfg(feature = "model")]
 
 use lnoc_netsim::sync::model::Explorer;
-use lnoc_netsim::sync::{BarrierMutation, Mailboxes, ShardSlots, SpinBarrier};
+use lnoc_netsim::sync::{BarrierMutation, Mailboxes, ShardSlots, SlotReport, SpinBarrier};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// A barrier plus per-shard watchdog slots — the exact shape of the
-/// sharded kernel's compute→exchange handoff.
+/// A barrier plus per-shard report slots — the exact shape of the
+/// engine's compute→exchange handoff.
 struct BarrierRig {
     barrier: SpinBarrier,
     slots: Vec<ShardSlots>,
@@ -29,28 +29,38 @@ fn rig(n: usize, mutation: BarrierMutation) -> BarrierRig {
     }
 }
 
-/// One watchdog round: publish, cross the barrier, check that every
-/// *peer* shard's publication is visible — the invariant the global
-/// watchdog decision rests on. (A shard's own slots are trivially
-/// fresh, so reading them back would only inflate the schedule space
-/// without adding coverage.) Any stale read fails the round.
+/// The report shard `tid` publishes in `round`: every field distinct
+/// per shard and round, so any stale or torn read is caught.
+fn report(tid: usize, round: u64) -> SlotReport {
+    SlotReport {
+        stalled: Some(round * 10 + tid as u64 + 7),
+        wake_at: 1_000 + round * 10 + tid as u64,
+    }
+}
+
+/// One watchdog/leap round: publish the whole report, cross the
+/// barrier, check that every *peer* shard's publication is visible —
+/// the invariant the global watchdog and leap decisions rest on. (A
+/// shard's own slots are trivially fresh, so reading them back would
+/// only inflate the schedule space without adding coverage.) Any stale
+/// read fails the round.
 fn watchdog_round(state: &BarrierRig, tid: usize, round: u64) {
     let parity = (round % 2) as usize;
-    state.slots[tid].publish(parity, round * 10 + tid as u64 + 7, tid as u64 + 1);
+    state.slots[tid].publish(parity, report(tid, round));
     state.barrier.wait();
     for (peer, slots) in state.slots.iter().enumerate() {
         if peer == tid {
             continue;
         }
+        let got = slots.read(parity);
+        let want = report(peer, round);
         assert_eq!(
-            slots.read_progress(parity),
-            round * 10 + peer as u64 + 7,
-            "stale progress slot crossed the barrier"
+            got.stalled, want.stalled,
+            "stale stall slot crossed the barrier"
         );
         assert_eq!(
-            slots.read_buffered(parity),
-            peer as u64 + 1,
-            "stale buffered slot crossed the barrier"
+            got.wake_at, want.wake_at,
+            "stale wake slot crossed the barrier"
         );
     }
 }
@@ -252,4 +262,49 @@ fn detects_relaxed_arrival() {
         |state, tid| watchdog_round(state, tid, 0),
     );
     report.assert_failed("stale");
+}
+
+/// One engine step's leap decision, as every worker takes it: the
+/// earliest wake cycle over all shards' reports (own slot included),
+/// read after the barrier.
+fn leap_decision(state: &BarrierRig, parity: usize) -> u64 {
+    state
+        .slots
+        .iter()
+        .map(|s| s.read(parity).wake_at)
+        .min()
+        .expect("at least one shard")
+}
+
+#[test]
+fn leap_decision_is_global_across_consecutive_steps() {
+    // Two consecutive executed steps, parity flipping per step (as the
+    // engine does across a leap): each round every shard publishes a
+    // different wake cycle, and every shard must reduce them to the
+    // same decision. A stale slot from the previous step, or a store
+    // racing a peer's read through a reused parity, would split it.
+    let wake = |tid: usize, round: u64| 50 + round * 20 - tid as u64;
+    let report = Explorer::with_preemption_bound(2).check(
+        2,
+        || rig(2, BarrierMutation::None),
+        move |state, tid| {
+            for round in 0..2u64 {
+                let parity = (round % 2) as usize;
+                state.slots[tid].publish(
+                    parity,
+                    SlotReport {
+                        wake_at: wake(tid, round),
+                        ..SlotReport::default()
+                    },
+                );
+                state.barrier.wait();
+                assert_eq!(
+                    leap_decision(state, parity),
+                    wake(1, round),
+                    "shards disagree on the leap decision"
+                );
+            }
+        },
+    );
+    report.assert_passed();
 }

@@ -44,7 +44,7 @@ const META_RULES: &[&str] = &[
 ///   the *modeled* orderings are what the checker exercises.
 /// * `unsafe-needs-safety` — everywhere.
 /// * `float-into-stats` — `netsim` except `stats.rs`, whose
-///   `NetworkStats::merge` is the one sanctioned (explicitly ordered)
+///   `NetworkStats::append` is the one sanctioned (explicitly ordered)
 ///   reduction path.
 pub fn rule_scope(rule: &str, rel: &str) -> bool {
     let netsim = rel.starts_with("crates/netsim/src");

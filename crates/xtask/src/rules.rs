@@ -407,7 +407,7 @@ fn unsafe_needs_safety(lexed: &Lexed, out: &mut Vec<Finding>) {
 /// `x = x + …`) in simulation paths. Float addition is not
 /// associative, so accumulation order changes results across kernels
 /// and shard counts — statistics must accumulate in integers (or via
-/// the explicitly-ordered `NetworkStats::merge` reduction).
+/// the explicitly-ordered `NetworkStats::append` reduction).
 /// Detection: names annotated `f32`/`f64` in this file, flagged at
 /// compound-assignment sites.
 fn float_into_stats(lexed: &Lexed, out: &mut Vec<Finding>) {

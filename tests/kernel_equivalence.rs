@@ -1,18 +1,17 @@
-//! The active-set, sharded and event-driven kernels are
-//! optimizations, not model changes: for any configuration and seed
-//! they must produce **bit-identical** [`NetworkStats`] to the dense
-//! reference kernel — every counter, every idle-interval histogram
-//! bin, every gating counter. These tests pin that across the full
-//! four-kernel × shard-count scenario matrix
-//! (`tests/sharded_equivalence.rs` adds the dedicated shard/thread
-//! dimension), including the points that stress the event kernel's
-//! leap machinery: fault epochs landing mid-leap, and saturated
-//! dateline-torus traffic where leaping degrades to ~per-cycle
-//! stepping.
+//! The engine is an optimization, not a model change: for any
+//! configuration and seed — at every shard and thread count — it must
+//! produce **bit-identical** [`NetworkStats`] to the dense reference
+//! kernel: every counter, every idle-interval histogram bin, every
+//! gating counter. These tests pin that across the full scenario
+//! matrix (`tests/sharded_equivalence.rs` adds the dedicated
+//! shard/thread dimension), including the points that stress the
+//! leap machinery: near-dead meshes that leap across tile boundaries,
+//! fault epochs landing mid-leap, and saturated dateline-torus traffic
+//! where the engine steps every cycle.
 
 use leakage_noc::netsim::{
-    FaultPlan, GatingPolicy, InjectionProcess, MeshConfig, NetworkStats, SimKernel, Simulation,
-    SleepConfig, TrafficPattern,
+    FaultPlan, GatingPolicy, InjectionProcess, MeshConfig, NetworkStats, SimAbort, SimKernel,
+    Simulation, SleepConfig, TrafficPattern,
 };
 use proptest::prelude::*;
 
@@ -26,74 +25,64 @@ fn vcs_override() -> Option<usize> {
     })
 }
 
-/// Runs one config under all four kernels — the sharded kernel at a
-/// shard count derived from the seed, so the proptest matrix sweeps
-/// shard geometries too — and asserts exact equality of stats and
-/// conservation state.
+/// Runs one config under the reference, the engine on one tile, and
+/// the engine at a shard × thread geometry derived from the seed (so
+/// the proptest matrix sweeps geometries too), and asserts exact
+/// equality of stats and conservation state.
 fn assert_kernels_agree(cfg: MeshConfig, warmup: u64, measure: u64, reversed: bool) {
     let shards = [1usize, 2, 4, 8][(cfg.seed % 4) as usize];
-    let mut active = Simulation::new(MeshConfig {
-        kernel: SimKernel::ActiveSet,
+    let threads = 1 + (cfg.seed / 4 % 2) as usize;
+    let mut reference = Simulation::new(MeshConfig {
+        kernel: SimKernel::Reference,
         ..cfg.clone()
     });
-    let mut sharded = Simulation::new(MeshConfig {
-        kernel: SimKernel::Sharded,
-        shards,
+    let mut serial = Simulation::new(MeshConfig {
+        kernel: SimKernel::Engine,
+        shards: 1,
         threads: 1,
         ..cfg.clone()
     });
-    let mut event = Simulation::new(MeshConfig {
-        kernel: SimKernel::EventDriven,
-        ..cfg.clone()
-    });
-    let mut reference = Simulation::new(MeshConfig {
-        kernel: SimKernel::Reference,
+    let mut tiled = Simulation::new(MeshConfig {
+        kernel: SimKernel::Engine,
+        shards,
+        threads,
         ..cfg
     });
-    active.set_visit_reversed(reversed);
-    sharded.set_visit_reversed(reversed);
-    event.set_visit_reversed(reversed);
     reference.set_visit_reversed(reversed);
-    let sa = active.run(warmup, measure);
+    serial.set_visit_reversed(reversed);
+    tiled.set_visit_reversed(reversed);
     let sr = reference.run(warmup, measure);
-    let ss = sharded.run(warmup, measure);
-    let se = event.run(warmup, measure);
-    assert_eq!(sa, sr, "NetworkStats diverged between serial kernels");
+    let ss = serial.run(warmup, measure);
+    let st = tiled.run(warmup, measure);
+    assert_eq!(sr, ss, "NetworkStats diverged between reference and engine");
     assert_eq!(
-        sa,
-        ss,
-        "NetworkStats diverged between active-set and sharded ({} shards)",
-        sharded.shards()
+        sr,
+        st,
+        "NetworkStats diverged between reference and engine ({} shards x {} threads)",
+        tiled.shards(),
+        tiled.threads()
     );
-    assert_eq!(
-        sa, se,
-        "NetworkStats diverged between active-set and event-driven"
-    );
-    for (name, other) in [
-        ("reference", &reference),
-        ("sharded", &sharded),
-        ("event", &event),
-    ] {
+    for (name, other) in [("engine", &serial), ("tiled engine", &tiled)] {
         assert_eq!(
-            active.flits_injected_total(),
+            reference.flits_injected_total(),
             other.flits_injected_total(),
             "flits_injected diverged vs {name}"
         );
         assert_eq!(
-            active.in_flight_flits(),
+            reference.in_flight_flits(),
             other.in_flight_flits(),
             "in-flight flits diverged vs {name}"
         );
         assert_eq!(
-            active.flits_dropped_by_fault_total(),
+            reference.flits_dropped_by_fault_total(),
             other.flits_dropped_by_fault_total(),
             "fault drops diverged vs {name}"
         );
     }
-    // Leap telemetry is exclusive to the event kernel; it never leaks
-    // into the others and never perturbs the stats compared above.
-    assert_eq!(active.cycles_leapt_total(), 0);
-    assert_eq!(sharded.cycles_leapt_total(), 0);
+    // The leap decision is global, so geometry cannot change it; leap
+    // telemetry never leaks into the reference.
+    assert_eq!(serial.cycles_leapt_total(), tiled.cycles_leapt_total());
+    assert_eq!(reference.cycles_leapt_total(), 0);
     assert_eq!(reference.events_processed_total(), 0);
 }
 
@@ -104,7 +93,7 @@ proptest! {
     /// mesh/torus × VC counts × gating policies × visit order × packet
     /// lengths.
     #[test]
-    fn active_set_matches_reference(
+    fn engine_matches_reference(
         pattern_idx in 0usize..TrafficPattern::ALL.len(),
         rate in 0.005f64..0.12,
         seed in 0u64..10_000,
@@ -232,6 +221,81 @@ proptest! {
         );
         sim.check_credit_conservation();
     }
+
+    /// Near-dead meshes leap at every shard count × thread count and
+    /// still match the reference — with fault epochs landing inside
+    /// leaps and cycle budgets cutting runs short mid-leap.
+    #[test]
+    fn near_dead_engine_leaps_like_reference(
+        rate in 0.0002f64..0.004,
+        seed in 0u64..10_000,
+        wrap_sel in 0u8..2,
+        len in 1usize..4,
+        faulted in 0u8..2,
+        pattern_sel in 0usize..3,
+        fault_seed in 0u64..1_000,
+        budget_sel in 0u8..3,
+        warmup in 0u64..200,
+    ) {
+        let wrap = wrap_sel == 1;
+        let cfg = MeshConfig {
+            width: 8,
+            height: 8,
+            injection_rate: rate,
+            // Row-crossing patterns put boundary crossings right
+            // before leap decisions.
+            pattern: [
+                TrafficPattern::NearestNeighbor,
+                TrafficPattern::UniformRandom,
+                TrafficPattern::Transpose,
+            ][pattern_sel],
+            seed,
+            wrap,
+            vcs: if wrap { 2 } else { 1 },
+            packet_len_flits: len,
+            gating: Some(SleepConfig {
+                policy: GatingPolicy::IdleThreshold(3),
+                wake_latency: 1,
+            }),
+            faults: (faulted == 1).then(|| FaultPlan {
+                seed: fault_seed,
+                link_faults: 1,
+                router_faults: 1,
+                transient_link_faults: 1,
+                transient_duration: 300,
+                start_cycle: 200,
+                window: 900,
+                ..FaultPlan::default()
+            }),
+            // A third of the cases abort on the budget, mid-run.
+            cycle_budget: if budget_sel == 0 { warmup + 700 } else { 0 },
+            ..MeshConfig::default()
+        };
+        let measure = 1500;
+        let expected = Simulation::new(MeshConfig {
+            kernel: SimKernel::Reference,
+            ..cfg.clone()
+        })
+        .try_run(warmup, measure);
+        let mut leapt = Vec::new();
+        for shards in [1usize, 2, 4, 8] {
+            for threads in [1usize, 2] {
+                let mut sim = Simulation::new(MeshConfig {
+                    shards,
+                    threads,
+                    ..cfg.clone()
+                });
+                let got = sim.try_run(warmup, measure);
+                prop_assert!(expected == got, "diverged at {} shards x {} threads", shards, threads);
+                if let Err(abort) = &got {
+                    prop_assert!(matches!(abort, SimAbort::CycleBudgetExceeded { .. }));
+                }
+                leapt.push(sim.cycles_leapt_total());
+            }
+        }
+        prop_assert!(leapt[0] > 0, "a near-dead mesh must leap");
+        prop_assert!(leapt.iter().all(|&l| l == leapt[0]), "leaps depend on geometry: {:?}", leapt);
+    }
 }
 
 #[test]
@@ -294,8 +358,8 @@ fn kernels_agree_on_larger_meshes() {
 fn kernels_agree_on_faulted_grid() {
     // Deterministic faulted spot checks: permanent link kills, a
     // router death and a transient heal, on mesh and torus, at the
-    // sweep's sizes — each run under all three kernels (the sharded
-    // one at a seed-derived shard count via `assert_kernels_agree`).
+    // sweep's sizes — each run under both kernels (the engine also at
+    // a seed-derived geometry via `assert_kernels_agree`).
     for (wrap, vcs, links, routers, transients, seed) in [
         (false, 1, 1, 0, 0, 0u64),
         (false, 2, 2, 1, 0, 1),
@@ -355,9 +419,9 @@ fn kernels_agree_on_saturated_dateline_torus() {
 
 #[test]
 fn kernels_agree_on_faulted_saturated_torus() {
-    // The event kernel's worst case, both stressors at once: a
-    // saturated dateline torus (the wheel never empties, leaping
-    // degrades to ~per-cycle stepping) that loses a link mid-run (the
+    // The leap machinery's worst case, both stressors at once: a
+    // saturated dateline torus (the network never empties, so the
+    // engine steps every cycle) that loses a link mid-run (the
     // prediction horizon must stop exactly at the epoch boundary and
     // re-arm against the detoured, smaller alive set).
     assert_kernels_agree(
@@ -399,18 +463,15 @@ fn kernels_agree_under_source_saturation() {
         seed: 77,
         ..MeshConfig::default()
     };
-    let mut active = Simulation::new(MeshConfig {
-        kernel: SimKernel::ActiveSet,
-        ..cfg.clone()
-    });
+    let mut engine = Simulation::new(cfg.clone());
     let mut reference = Simulation::new(MeshConfig {
         kernel: SimKernel::Reference,
         ..cfg
     });
-    let sa = active.run(100, 1500);
+    let se = engine.run(100, 1500);
     let sr = reference.run(100, 1500);
-    assert!(sa.packets_dropped_at_source > 0, "cap must bite");
-    assert_eq!(sa, sr);
+    assert!(se.packets_dropped_at_source > 0, "cap must bite");
+    assert_eq!(se, sr);
 }
 
 #[test]
@@ -425,17 +486,13 @@ fn zero_injection_quiesces_the_whole_network() {
             vcs,
             ..MeshConfig::default()
         });
-        assert_eq!(
-            sim.kernel(),
-            SimKernel::EventDriven,
-            "Auto resolves to EventDriven at zero load"
-        );
+        assert_eq!(sim.kernel(), SimKernel::Engine, "the engine is the default");
         let stats = sim.run(0, measure);
         assert_eq!(sim.active_router_count(), 0, "no router may stay active");
         assert_eq!(
-            sim.cycles_leapt_total(),
-            measure,
-            "a dead network is one single leap"
+            (sim.leaps_total(), sim.cycles_leapt_total()),
+            (1, measure - 1),
+            "a dead network is one stepped cycle, then one single leap"
         );
         let n = sim.mesh().len() as u64;
         let lanes = 5 * vcs as u64;

@@ -9,8 +9,9 @@
 //! **bit-identical** in every observable way:
 //!
 //! * final [`NetworkStats`] (counters, gating, every histogram bin),
-//!   across gating policies, traffic patterns, VC counts and fault
-//!   plans — wakes and fault reaps interleave with leaps freely;
+//!   across gating policies, traffic patterns, VC counts, fault plans
+//!   and shard × thread geometries (one tile, and 2–8 tiles at one or
+//!   two threads) — wakes and fault reaps interleave with leaps freely;
 //! * typed [`SimAbort`] values when a cycle budget cuts the run short
 //!   mid-measurement, **and** the post-abort engine state: a second
 //!   run from the aborted state must also produce identical stats,
@@ -18,22 +19,20 @@
 //!   span at the abort boundary.
 
 use leakage_noc::netsim::{
-    FaultPlan, GatingPolicy, InjectionProcess, MeshConfig, SimKernel, Simulation, SleepConfig,
-    TrafficPattern,
+    FaultPlan, GatingPolicy, InjectionProcess, MeshConfig, Simulation, SleepConfig, TrafficPattern,
 };
 use proptest::prelude::*;
 
-/// Runs `cfg` under one kernel with deferred settlement and with the
+/// Runs `cfg` on the engine with deferred settlement and with the
 /// eager oracle, asserting identical outcomes — including, on a
 /// deadline abort, a follow-up run that observes the post-abort slabs.
-fn assert_lazy_matches_eager(kernel: SimKernel, cfg: &MeshConfig, warmup: u64, measure: u64) {
+fn assert_lazy_matches_eager(cfg: &MeshConfig, warmup: u64, measure: u64) {
+    let geometry = (cfg.shards, cfg.threads);
     let mut lazy = Simulation::new(MeshConfig {
-        kernel,
         eager_settlement: false,
         ..cfg.clone()
     });
     let mut eager = Simulation::new(MeshConfig {
-        kernel,
         eager_settlement: true,
         ..cfg.clone()
     });
@@ -41,10 +40,10 @@ fn assert_lazy_matches_eager(kernel: SimKernel, cfg: &MeshConfig, warmup: u64, m
     let re = eager.try_run(warmup, measure);
     match (rl, re) {
         (Ok(sl), Ok(se)) => {
-            assert_eq!(sl, se, "stats diverged from the eager oracle ({kernel:?})");
+            assert_eq!(sl, se, "stats diverged from the eager oracle {geometry:?}");
         }
         (Err(al), Err(ae)) => {
-            assert_eq!(al, ae, "aborts diverged from the eager oracle ({kernel:?})");
+            assert_eq!(al, ae, "aborts diverged from the eager oracle {geometry:?}");
             // The abort froze the run with debts outstanding; the only
             // way a later run agrees is if the lazy engine settled
             // every debtor's *partial* span (boundary → abort cycle)
@@ -58,23 +57,23 @@ fn assert_lazy_matches_eager(kernel: SimKernel, cfg: &MeshConfig, warmup: u64, m
                 .expect("follow-up within budget must complete");
             assert_eq!(
                 sl, se,
-                "post-abort stats diverged from the eager oracle ({kernel:?})"
+                "post-abort stats diverged from the eager oracle {geometry:?}"
             );
         }
-        (rl, re) => panic!("outcome diverged for {kernel:?}: lazy {rl:?} vs eager {re:?}"),
+        (rl, re) => panic!("outcome diverged {geometry:?}: lazy {rl:?} vs eager {re:?}"),
     }
 }
 
-fn all_kernels_lazy_match_eager(cfg: MeshConfig, warmup: u64, measure: u64) {
-    for kernel in [SimKernel::ActiveSet, SimKernel::EventDriven] {
-        assert_lazy_matches_eager(kernel, &cfg, warmup, measure);
-    }
-    let sharded = MeshConfig {
-        shards: [2, 4][(cfg.seed % 2) as usize],
-        threads: 1,
+/// Lazy vs eager on one tile and at a seed-derived shard × thread
+/// geometry.
+fn all_geometries_lazy_match_eager(cfg: MeshConfig, warmup: u64, measure: u64) {
+    assert_lazy_matches_eager(&cfg, warmup, measure);
+    let tiled = MeshConfig {
+        shards: [2, 4, 8][(cfg.seed % 3) as usize],
+        threads: 1 + (cfg.seed / 3 % 2) as usize,
         ..cfg
     };
-    assert_lazy_matches_eager(SimKernel::Sharded, &sharded, warmup, measure);
+    assert_lazy_matches_eager(&tiled, warmup, measure);
 }
 
 proptest! {
@@ -122,11 +121,11 @@ proptest! {
             gating,
             ..MeshConfig::default()
         };
-        all_kernels_lazy_match_eager(cfg, warmup, measure);
+        all_geometries_lazy_match_eager(cfg, warmup, measure);
     }
 
     /// Fault reaps interleave with outstanding debt: epochs land
-    /// mid-window (often mid-leap for the event kernel), reaping worms
+    /// mid-window (often mid-leap), reaping worms
     /// and rerouting — none of which may disturb deferred gating state.
     #[test]
     fn deferred_settlement_survives_fault_reaps(
@@ -165,7 +164,7 @@ proptest! {
             }),
             ..MeshConfig::default()
         };
-        all_kernels_lazy_match_eager(cfg, warmup, 400);
+        all_geometries_lazy_match_eager(cfg, warmup, 400);
     }
 
     /// Deadline aborts cut debtors mid-span: budgets land before,
@@ -198,6 +197,6 @@ proptest! {
             cycle_budget: budget,
             ..MeshConfig::default()
         };
-        all_kernels_lazy_match_eager(cfg, warmup, measure);
+        all_geometries_lazy_match_eager(cfg, warmup, measure);
     }
 }

@@ -294,12 +294,14 @@ proptest! {
         }
     }
 
-    /// The event kernel's arrival prediction is draw-for-draw identical
-    /// to per-cycle scanning — the invariant that makes `EventDriven`
-    /// bit-exact. Predicts over a random prefix of the run, hands the
-    /// stream back to tick-by-tick stepping for the remainder (the
-    /// kernel-handoff case `SimKernel::Auto` relies on), and requires
-    /// the same arrivals, source state and RNG position throughout.
+    /// The engine's arrival prediction is draw-for-draw identical to
+    /// the reference's per-cycle scan — the invariant that makes the
+    /// engine's time wheel bit-exact. Predicts over a random prefix of
+    /// the run, then hands the stream back to tick-by-tick stepping for
+    /// the remainder (a prediction window that ends at a fault-epoch
+    /// boundary or at the end of a run, with the stream resumed from
+    /// wherever the window left it), and requires the same arrivals,
+    /// source state and RNG position throughout.
     #[test]
     fn next_arrival_matches_per_cycle_oracle(
         seed in 0u64..1_000_000,

@@ -1,21 +1,22 @@
-//! The sharded kernel is a parallelization, not a model change: for
-//! any configuration and seed it must produce **byte-identical**
-//! [`NetworkStats`] to the serial active-set kernel — every counter,
-//! every idle-interval histogram bin, every gating counter — for every
-//! shard count *and* every thread count. These tests pin that across
-//! the scenario matrix the issue names: `shards ∈ {1, 2, 4, 8}` ×
-//! {mesh, torus} × {uniform, tornado, bursty} × `vcs ∈ {1, 2}` ×
-//! gating on/off.
+//! Tiling is a parallelization, not a model change: for any
+//! configuration and seed the engine must produce **byte-identical**
+//! [`NetworkStats`] on one tile and on many — every counter, every
+//! idle-interval histogram bin, every gating counter — for every shard
+//! count *and* every thread count. These tests pin that across
+//! `shards ∈ {1, 2, 4, 8}` × {mesh, torus} × {uniform, tornado,
+//! bursty} × `vcs ∈ {1, 2}` × gating on/off, near-dead meshes
+//! included: their global leap decision must not depend on the
+//! geometry either.
 
 use leakage_noc::netsim::{
-    FaultPlan, GatingPolicy, InjectionProcess, MeshConfig, NetworkStats, SimKernel, Simulation,
-    SleepConfig, TrafficPattern,
+    FaultPlan, GatingPolicy, InjectionProcess, MeshConfig, NetworkStats, Simulation, SleepConfig,
+    TrafficPattern,
 };
 use proptest::prelude::*;
 
-/// Runs one config under the serial active-set kernel and under the
-/// sharded kernel at every requested shard count, asserting exact
-/// equality of statistics and conservation state.
+/// Runs one config on a single tile and at every requested shard
+/// count (each at one and two worker threads), asserting exact
+/// equality of statistics, conservation state and leap telemetry.
 fn assert_sharded_matches_serial(
     cfg: MeshConfig,
     shard_counts: &[usize],
@@ -23,31 +24,35 @@ fn assert_sharded_matches_serial(
     measure: u64,
 ) {
     let mut serial = Simulation::new(MeshConfig {
-        kernel: SimKernel::ActiveSet,
+        shards: 1,
+        threads: 1,
         ..cfg.clone()
     });
     let expected = serial.run(warmup, measure);
     for &shards in shard_counts {
-        let mut sim = Simulation::new(MeshConfig {
-            kernel: SimKernel::Sharded,
-            shards,
-            threads: 1,
-            ..cfg.clone()
-        });
-        let got = sim.run(warmup, measure);
-        assert_eq!(
-            expected,
-            got,
-            "NetworkStats diverged at shards={shards} (resolved {})",
-            sim.shards()
-        );
-        assert_eq!(serial.flits_injected_total(), sim.flits_injected_total());
-        assert_eq!(serial.in_flight_flits(), sim.in_flight_flits());
-        assert_eq!(
-            serial.flits_dropped_by_fault_total(),
-            sim.flits_dropped_by_fault_total()
-        );
-        sim.check_credit_conservation();
+        for threads in [1, 2] {
+            let mut sim = Simulation::new(MeshConfig {
+                shards,
+                threads,
+                ..cfg.clone()
+            });
+            let got = sim.run(warmup, measure);
+            assert_eq!(
+                expected,
+                got,
+                "NetworkStats diverged at shards={shards} threads={threads} (resolved {})",
+                sim.shards()
+            );
+            assert_eq!(serial.flits_injected_total(), sim.flits_injected_total());
+            assert_eq!(serial.in_flight_flits(), sim.in_flight_flits());
+            assert_eq!(
+                serial.flits_dropped_by_fault_total(),
+                sim.flits_dropped_by_fault_total()
+            );
+            assert_eq!(serial.cycles_leapt_total(), sim.cycles_leapt_total());
+            assert_eq!(serial.leaps_total(), sim.leaps_total());
+            sim.check_credit_conservation();
+        }
     }
 }
 
@@ -57,8 +62,9 @@ proptest! {
     /// Byte-identical stats across shard counts × mesh/torus ×
     /// {uniform, tornado, bursty} × VC counts × gating on/off.
     #[test]
-    fn sharded_matches_active_set(
+    fn sharded_matches_serial(
         seed in 0u64..10_000,
+        rate_sel in 0u8..2,
         rate in 0.005f64..0.10,
         wrap_sel in 0u8..2,
         traffic_sel in 0u8..3,
@@ -78,7 +84,9 @@ proptest! {
         let cfg = MeshConfig {
             width: 8,
             height: 8,
-            injection_rate: rate,
+            // Half the cases are near-dead, so the global leap decision
+            // runs with packets crossing tile boundaries right before it.
+            injection_rate: if rate_sel == 0 { rate * 0.05 } else { rate },
             pattern,
             injection,
             wrap: wrap_sel == 1,
@@ -114,7 +122,6 @@ fn thread_count_never_changes_results() {
             wake_latency: 1,
         }),
         seed: 99,
-        kernel: SimKernel::Sharded,
         shards: 8,
         ..MeshConfig::default()
     };
@@ -143,7 +150,6 @@ fn visit_order_is_irrelevant_in_tiles() {
         injection_rate: 0.08,
         vcs: 2,
         seed: 5,
-        kernel: SimKernel::Sharded,
         shards: 4,
         threads: 1,
         ..MeshConfig::default()
@@ -156,17 +162,17 @@ fn visit_order_is_irrelevant_in_tiles() {
 
 #[test]
 fn sharded_64x64_all_idle_settles_in_bulk() {
-    // The quiescence acceptance test: an all-idle 64×64 sharded run
+    // The quiescence acceptance test: an all-idle 64×64 tiled run
     // must settle every tile's worklist immediately — no router is
-    // ever stepped, and the bulk accounting reproduces the exact idle
-    // totals (one open interval of `measure` cycles per output VC
-    // lane), across every tile and the merge.
+    // ever stepped, the clock leaps after the first cycle, and the bulk
+    // accounting reproduces the exact idle totals (one open interval
+    // of `measure` cycles per output VC lane), across every tile and
+    // the merge.
     let measure = 2000u64;
     let mut sim = Simulation::new(MeshConfig {
         width: 64,
         height: 64,
         injection_rate: 0.0,
-        kernel: SimKernel::Sharded,
         shards: 8,
         ..MeshConfig::default()
     });
@@ -178,6 +184,7 @@ fn sharded_64x64_all_idle_settles_in_bulk() {
         0,
         "an all-idle network must never wake a worker to step a router"
     );
+    assert_eq!(sim.cycles_leapt_total(), measure - 1);
     let n = sim.mesh().len() as u64;
     let lanes = 5;
     let merged = stats.merged_idle_histogram(NetworkStats::DEFAULT_IDLE_BINS);
@@ -194,9 +201,9 @@ fn sharded_64x64_all_idle_settles_in_bulk() {
 
 #[test]
 fn sharded_64x64_spot_check_matches_serial() {
-    // One deterministic large-mesh point: the scale the sharded kernel
-    // exists for, checked against the serial kernel at a short length
-    // so the suite stays fast.
+    // One deterministic large-mesh point: the scale tiling exists for,
+    // checked against one tile at a short length so the suite stays
+    // fast.
     let cfg = MeshConfig {
         width: 64,
         height: 64,
@@ -218,7 +225,6 @@ fn shard_count_is_clamped_to_mesh_height() {
     let mut sim = Simulation::new(MeshConfig {
         width: 4,
         height: 4,
-        kernel: SimKernel::Sharded,
         shards: 64,
         threads: 16,
         ..MeshConfig::default()
@@ -282,7 +288,6 @@ fn faulted_sharded_survives_threads() {
         wrap: true,
         vcs: 2,
         seed: 42,
-        kernel: SimKernel::Sharded,
         shards: 8,
         faults: Some(FaultPlan {
             seed: 17,
@@ -342,7 +347,7 @@ fn sharded_saturated_dateline_torus_drains_around_dead_link() {
 
 #[test]
 fn sharded_saturated_dateline_torus_drains() {
-    // The deadlock-freedom showcase under the sharded kernel: Tornado
+    // The deadlock-freedom showcase on tiles: Tornado
     // at saturation on a wrapped 16×16 with dateline VCs, watchdog
     // armed, boundary mailboxes carrying wrap traffic between the
     // first and last band.

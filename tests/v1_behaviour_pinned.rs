@@ -43,7 +43,9 @@
 //!   kept the per-cycle flip/coin replay — reproduced its v2 digest
 //!   bit-for-bit, pinning that the network model itself is untouched.
 //!   The kernel-equivalence suite again holds bit-for-bit across all
-//!   four kernels under the new discipline.
+//!   four kernels under the new discipline, and the digests stayed
+//!   unchanged when those kernels were folded into one engine beside
+//!   the reference.
 
 use leakage_noc::netsim::{
     GatingPolicy, InjectionProcess, MeshConfig, NetworkStats, SimKernel, Simulation, SleepConfig,
@@ -206,10 +208,10 @@ fn vcs_1_reproduces_pinned_baseline_stats() {
         ),
     ];
     for (label, cfg, warmup, measure, expected) in cases {
-        // Pinned against the v2 baseline; the ActiveSet kernel is
-        // pinned to Reference by the kernel-equivalence suite, so
-        // checking both here closes the triangle.
-        for kernel in [SimKernel::Reference, SimKernel::ActiveSet] {
+        // Pinned against the v3 baseline; the engine is pinned to
+        // Reference by the kernel-equivalence suite, so checking both
+        // here closes the triangle.
+        for kernel in [SimKernel::Reference, SimKernel::Engine] {
             let got = digest(
                 MeshConfig {
                     kernel,

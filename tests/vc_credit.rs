@@ -5,8 +5,8 @@
 //! torus-stressing Tornado pattern at saturation.
 //!
 //! Conservation is asserted on **every cycle of every debug-build
-//! simulation**: the active-set kernel re-checks the invariant at the
-//! end of each cycle via a `debug_assert`, so the runs below verify it
+//! simulation**: the engine re-checks the invariant at the end of
+//! each single-worker cycle via a `debug_assert`, so the runs below verify it
 //! continuously; the explicit `check_credit_conservation` calls pin it
 //! at the observation points in release builds too.
 
@@ -45,7 +45,7 @@ proptest! {
                 policy: GatingPolicy::IdleThreshold(3),
                 wake_latency: 1,
             }),
-            kernel: SimKernel::ActiveSet,
+            kernel: SimKernel::Engine,
             ..MeshConfig::default()
         });
         // Two windows: the invariant must hold mid-stream (with worms
@@ -118,15 +118,15 @@ fn torus_tornado_saturation_16x16_acceptance() {
         seed: 2005,
         ..MeshConfig::default()
     };
-    let mut active = Simulation::new(MeshConfig {
-        kernel: SimKernel::ActiveSet,
+    let mut engine = Simulation::new(MeshConfig {
+        kernel: SimKernel::Engine,
         ..cfg.clone()
     });
     let mut reference = Simulation::new(MeshConfig {
         kernel: SimKernel::Reference,
         ..cfg
     });
-    let sa = active.run(200, 4_000);
+    let sa = engine.run(200, 4_000);
     let sr = reference.run(200, 4_000);
     assert_eq!(sa, sr, "kernels diverged on the saturated dateline torus");
     assert!(
@@ -134,5 +134,5 @@ fn torus_tornado_saturation_16x16_acceptance() {
         "saturated 16×16 torus must stream packets, got {}",
         sa.packets_delivered
     );
-    active.check_credit_conservation();
+    engine.check_credit_conservation();
 }
