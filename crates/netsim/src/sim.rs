@@ -1106,36 +1106,15 @@ impl Simulation {
         if self.kernel == SimKernel::Reference {
             return;
         }
-        let v = self.cfg.vcs;
         let lanes = self.lanes();
-        let depth = self.cfg.buffer_depth as u32;
-        for rid in 0..self.mesh.len() {
-            for d in &Direction::ALL[..4] {
-                match self.neighbors.get(rid, *d) {
-                    Some(next) => {
-                        for vc in 0..v {
-                            let held = self.credits[rid * lanes + d.index() * v + vc];
-                            let buffered = self.routers[next].occupancy(d.opposite(), vc) as u32;
-                            assert_eq!(
-                                held + buffered,
-                                depth,
-                                "credit conservation broken: router {rid} {d} vc {vc}: \
-                                 {held} credits + {buffered} buffered != depth {depth}"
-                            );
-                        }
-                    }
-                    None => {
-                        for vc in 0..v {
-                            assert_eq!(
-                                self.credits[rid * lanes + d.index() * v + vc],
-                                0,
-                                "edge lane must hold no credits"
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        assert_credits(
+            &self.neighbors,
+            self.mesh.len(),
+            self.cfg.vcs,
+            self.cfg.buffer_depth as u32,
+            |rid, lane| self.credits[rid * lanes + lane],
+            |rid, d, vc| self.routers[rid].occupancy(d, vc) as u32,
+        );
     }
 
     /// Runs `warmup` cycles unmeasured, then `measure` cycles with
@@ -1444,7 +1423,18 @@ fn run_worker(group: &mut [ShardView<'_>], ctx: &RunCtx<'_>) {
             abort |= v.phase_exchange(ctx, cycle, parity, &net);
         }
         if cfg!(debug_assertions) && ctx.workers == 1 && ctx.kernel == SimKernel::Engine {
-            assert_credit_sync(group, ctx);
+            // Debug oracle for the incremental credit counters after
+            // every cycle. It reads across tiles, so it only runs when
+            // one worker owns every view.
+            let view = |rid: usize| &group[ctx.tiles.shard_of(rid)];
+            assert_credits(
+                ctx.neighbors,
+                ctx.mesh.len(),
+                ctx.vcs,
+                ctx.cfg.buffer_depth as u32,
+                |rid, lane| view(rid).credits[(rid - view(rid).base) * ctx.lanes + lane],
+                |rid, d, vc| view(rid).routers[rid - view(rid).base].occupancy(d, vc) as u32,
+            );
         }
         if abort {
             // The watchdog fired network-wide; the designated shard
@@ -1509,33 +1499,33 @@ fn leap_target(ctx: &RunCtx<'_>, net: &SlotReport, i: u64) -> Option<u64> {
     (target > i).then_some(target)
 }
 
-/// Debug oracle for the incremental credit counters, run after every
-/// serial cycle: every lane's credits plus the downstream buffer
-/// occupancy must equal the depth. Reads across tiles, so it only runs
-/// when one worker owns every view.
-fn assert_credit_sync(views: &[ShardView<'_>], ctx: &RunCtx<'_>) {
-    let depth = ctx.cfg.buffer_depth as u32;
-    let v = ctx.vcs;
-    let lanes = ctx.lanes;
-    for view in views {
-        for lr in 0..view.len {
-            let rid = view.base + lr;
-            for d in &Direction::ALL[..4] {
-                for vc in 0..v {
-                    let held = view.credits[lr * lanes + d.index() * v + vc];
-                    match ctx.neighbors.get(rid, *d) {
-                        Some(next) => {
-                            let owner = &views[ctx.tiles.shard_of(next)];
-                            let buffered =
-                                owner.routers[next - owner.base].occupancy(d.opposite(), vc) as u32;
-                            assert_eq!(
-                                held + buffered,
-                                depth,
-                                "credit conservation broken: router {rid} {d} vc {vc}"
-                            );
-                        }
-                        None => assert_eq!(held, 0, "edge lane must hold no credits"),
+/// Asserts the credit-conservation invariant over routers
+/// `0..routers`: every link lane's credits (`credit(router, lane)`)
+/// plus the downstream input VC's occupancy (`occupancy(router, port,
+/// vc)`) equal the per-VC depth, and edge lanes hold none.
+fn assert_credits(
+    neighbors: &NeighborTable,
+    routers: usize,
+    vcs: usize,
+    depth: u32,
+    credit: impl Fn(usize, usize) -> u32,
+    occupancy: impl Fn(usize, Direction, usize) -> u32,
+) {
+    for rid in 0..routers {
+        for d in &Direction::ALL[..4] {
+            for vc in 0..vcs {
+                let held = credit(rid, d.index() * vcs + vc);
+                match neighbors.get(rid, *d) {
+                    Some(next) => {
+                        let buffered = occupancy(next, d.opposite(), vc);
+                        assert_eq!(
+                            held + buffered,
+                            depth,
+                            "credit conservation broken: router {rid} {d} vc {vc}: \
+                             {held} credits + {buffered} buffered != depth {depth}"
+                        );
                     }
+                    None => assert_eq!(held, 0, "edge lane must hold no credits"),
                 }
             }
         }

@@ -11,8 +11,9 @@
 //!
 //! Slots are **intrusive lists**: one `head` entry per slot plus one
 //! `next` link per event id. Because an id is scheduled at most once at
-//! a time, the links never alias, and scheduling or draining never
-//! allocates — the wheel's memory is fixed at construction.
+//! a time, the links never alias, so the slot ring's memory is fixed at
+//! construction; only the overflow list and its rebase buffer grow, and
+//! they keep their capacity across runs.
 //!
 //! Everything here is deterministic: slot order is canonicalized by
 //! sorting drained ids, there is no hashing and no wall clock, so the
