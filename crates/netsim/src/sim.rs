@@ -404,8 +404,8 @@ struct EjectProgress {
 
 /// One flit crossing a link (or ejecting) this cycle, recorded during
 /// router stepping and applied afterwards so a flit moves one hop per
-/// cycle. Carries the input lane it was popped from so the active-set
-/// engine can return the freed slot's credit to the upstream router.
+/// cycle. Carries the input lane it was popped from so the engine can
+/// return the freed slot's credit to the upstream router.
 #[derive(Debug, Clone, Copy)]
 struct Transfer {
     from: u32,

@@ -335,10 +335,13 @@ impl IdleBank {
             "joining banks of different lane counts"
         );
         assert_eq!(self.cap, bank.cap, "joining banks of different caps");
-        if bank.default_dirty() && !self.default_dirty() {
-            self.adopt_default(bank.default_row.clone());
+        if bank.default_row != self.default_row {
+            if bank.default_dirty() && !self.default_dirty() {
+                self.adopt_default(bank.default_row.clone());
+            } else {
+                bank.adopt_default(self.default_row.clone());
+            }
         }
-        bank.adopt_default(self.default_row.clone());
         let offset = u32::try_from(self.rows.len() / self.lanes).expect("row index fits u32");
         self.rows.extend(bank.rows);
         self.idx.extend(
@@ -350,11 +353,8 @@ impl IdleBank {
 
     /// Makes `default_row` this bank's shared default without changing
     /// any router's content: routers still showing the old default are
-    /// materialized first. A no-op when the rows already agree.
+    /// materialized first.
     fn adopt_default(&mut self, default_row: Vec<IdleHistogram>) {
-        if self.default_row == default_row {
-            return;
-        }
         for r in 0..self.routers() {
             if self.idx[r] == u32::MAX {
                 let _ = self.lane_mut(r, 0);
@@ -525,12 +525,19 @@ mod tests {
         tile.lane_mut(0, 0).record(3);
         tile.record_open_untouched(9);
         let mut net = IdleBank::new(2, 1, 16);
-        net.append(tile);
+        net.append(tile.clone());
         assert_eq!(net.routers(), 4);
         assert_eq!(net.lane(2, 0).interval_count(), 1);
         assert_eq!(net.lane(2, 0).total_idle_cycles(), 3);
         assert_eq!(net.lane(3, 0).open_runs(), &[9]);
         assert_eq!(net.lane(0, 0).interval_count(), 0);
         assert_eq!(net.lane(1, 0).interval_count(), 0);
+        // And in the other order: the untouched tile after the dirty
+        // one keeps its empty content too.
+        let mut rev = tile;
+        rev.append(IdleBank::new(2, 1, 16));
+        assert_eq!(rev.lane(1, 0).open_runs(), &[9]);
+        assert_eq!(rev.lane(2, 0).interval_count(), 0);
+        assert_eq!(rev.lane(3, 0).interval_count(), 0);
     }
 }
