@@ -61,8 +61,10 @@
 //! pop per downstream input port), and every statistics update is an
 //! integer add or max. So *when* within the cycle a boundary effect is
 //! applied cannot change the cycle's outcome — the same argument that
-//! makes a serial run independent of router visit order. Per-shard
-//! statistics are joined with [`NetworkStats::append`] in ascending
+//! makes a serial run independent of router visit order. Each tile
+//! writes its per-router activity and gating rows into its own slice
+//! of the run result; the per-shard scalar counters and idle
+//! histograms are joined with [`NetworkStats::append`] in ascending
 //! shard order. A leap needs every shard's report to name a
 //! wake cycle past the next one, which no shard holding a flit —
 //! buffered, queued or staged in a mailbox — ever does. The result:
@@ -121,12 +123,13 @@ use crate::fault::{FaultPlan, FaultSchedule};
 use crate::router::{PortLane, RouteTarget, Router, MAX_VCS};
 use crate::shard::{boundary_mailboxes, BoundaryMsg};
 use crate::sleep::{SleepConfig, SleepFsm};
-use crate::stats::NetworkStats;
+use crate::stats::{IdleBank, NetworkStats};
 use crate::sync::{Mailboxes, PoisonGuard, ShardSlots, SlotReport, SpinBarrier};
 use crate::topology::{Direction, FaultMap, Mesh, NeighborTable, RouteTable, TileMap};
 use crate::traffic::{Flit, GapSampler, InjectionProcess, SourcePacket, TrafficPattern};
 use crate::wheel::TimeWheel;
 use lnoc_power::gating::{GatingCounters, GatingPolicy};
+use lnoc_power::router::RouterActivity;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -548,8 +551,9 @@ struct ShardScratch {
     /// dropped).
     flits_dropped: u64,
     /// This tile's statistics for the current measurement window —
-    /// tile-sized, locally indexed — merged into the run result in
-    /// ascending shard order via [`NetworkStats::append`].
+    /// scalar counters and tile-sized, locally indexed idle histograms
+    /// (see [`tile_stats`]) — merged into the run result in ascending
+    /// shard order via [`NetworkStats::append`].
     stats: Option<NetworkStats>,
     /// The engine's injection schedule (`None` on the reference).
     events: Option<Box<EventState>>,
@@ -669,6 +673,11 @@ struct ShardView<'a> {
     fsm: &'a mut [SleepFsm],
     counters: &'a mut [GatingCounters],
     last_stepped: &'a mut [u64],
+    /// This tile's rows of the run result's per-router activity and
+    /// gating counters, written only while the measurement window is
+    /// open (`scratch.stats` is `Some`).
+    activity: &'a mut [RouterActivity],
+    window_gating: &'a mut [GatingCounters],
 }
 
 /// One shard's contribution to a fault-epoch boundary, exchanged
@@ -1172,6 +1181,12 @@ impl Simulation {
             (0..shard_count).map(|_| Mutex::default()).collect();
         let barrier = SpinBarrier::new(workers);
         let abort_slot: Mutex<Option<SimAbort>> = Mutex::new(None);
+        // The result's per-router rows, carved into tile slices below:
+        // tiles write their own rows in place, so joining the tiles
+        // never copies a per-router record.
+        let n = self.mesh.len();
+        let mut activity = vec![RouterActivity::default(); n];
+        let mut window_gating = vec![GatingCounters::default(); n];
 
         let merged = {
             let Simulation {
@@ -1243,6 +1258,8 @@ impl Simulation {
                 let mut fsm = fsm.as_mut_slice();
                 let mut counters = counters.as_mut_slice();
                 let mut last_stepped = last_stepped.as_mut_slice();
+                let mut activity = activity.as_mut_slice();
+                let mut window_gating = window_gating.as_mut_slice();
                 macro_rules! take {
                     ($rest:ident, $n:expr) => {{
                         let (head, tail) = $rest.split_at_mut($n);
@@ -1267,6 +1284,8 @@ impl Simulation {
                         fsm: take!(fsm, len * lanes),
                         counters: take!(counters, len),
                         last_stepped: take!(last_stepped, len),
+                        activity: take!(activity, len),
+                        window_gating: take!(window_gating, len),
                         scratch: sc,
                     });
                 }
@@ -1303,19 +1322,18 @@ impl Simulation {
             }
             *cycle += warmup + measure;
 
-            // Deterministic reduction: the tiles' records are appended
-            // in ascending shard order, moving rather than copying them
-            // — at a million routers a copy-and-merge here would cost
-            // more than the entire leaping cycle loop.
-            let mut tiles = scratch.iter_mut().map(|sc| {
-                sc.stats.take().unwrap_or_else(|| {
-                    NetworkStats::new(sc.len, vcs, NetworkStats::DEFAULT_IDLE_BINS)
-                })
-            });
+            // Deterministic reduction: the tiles' records (scalars and
+            // idle histograms) are appended in ascending shard order,
+            // then take the per-router rows the tiles filled in place.
+            let mut tiles = scratch
+                .iter_mut()
+                .map(|sc| sc.stats.take().unwrap_or_else(|| tile_stats(sc.len, vcs)));
             let mut merged = tiles.next().expect("at least one tile");
             for tile in tiles {
                 merged.append(tile);
             }
+            merged.router_activity = activity;
+            merged.gating = window_gating;
             merged.measured_cycles = measure;
             // The per-tile stats cannot see the whole mesh, so the
             // network-wide degradation floor is stamped here, once.
@@ -1499,6 +1517,18 @@ fn leap_target(ctx: &RunCtx<'_>, net: &SlotReport, i: u64) -> Option<u64> {
     (target > i).then_some(target)
 }
 
+/// A tile's record for one measurement window: the scalar counters
+/// and the tile's idle-histogram rows (local indices). Its per-router
+/// activity and gating vectors stay empty — the tile writes those rows
+/// into its slices of the run result ([`ShardView::activity`],
+/// [`ShardView::window_gating`]).
+fn tile_stats(len: usize, vcs: usize) -> NetworkStats {
+    NetworkStats {
+        idle_histograms: IdleBank::new(len, 5 * vcs, NetworkStats::DEFAULT_IDLE_BINS),
+        ..NetworkStats::new(0, vcs, NetworkStats::DEFAULT_IDLE_BINS)
+    }
+}
+
 /// Asserts the credit-conservation invariant over routers
 /// `0..routers`: every link lane's credits (`credit(router, lane)`)
 /// plus the downstream input VC's occupancy (`occupancy(router, port,
@@ -1630,11 +1660,7 @@ impl ShardView<'_> {
         // stays proportional to the tile, not the network, and the
         // run-end reduction places it at `base` via
         // [`NetworkStats::append`].
-        self.scratch.stats = Some(NetworkStats::new(
-            self.len,
-            ctx.vcs,
-            NetworkStats::DEFAULT_IDLE_BINS,
-        ));
+        self.scratch.stats = Some(tile_stats(self.len, ctx.vcs));
     }
 
     /// Phase 1 of a cycle: inject, step this tile's routers against
@@ -1720,8 +1746,8 @@ impl ShardView<'_> {
                             let lr = rid - self.base;
                             self.routers[lr].accept(Direction::from_index(port as usize), flit);
                             self.scratch.buffered_flits += 1;
-                            if let Some(s) = stats.as_mut() {
-                                s.router_activity[lr].buffer_writes += 1;
+                            if stats.is_some() {
+                                self.activity[lr].buffer_writes += 1;
                             }
                             // The receiver was already accounted idle
                             // for this whole cycle; it steps from the
@@ -1808,7 +1834,7 @@ impl ShardView<'_> {
                     let run = std::mem::take(&mut self.idle_run[lr * lanes + lane]);
                     s.idle_histograms.lane_mut(lr, lane).record_open(run);
                 }
-                s.gating[lr] = self.counters[lr];
+                self.window_gating[lr] = self.counters[lr];
             }
         }
         self.scratch.stats = stats;
@@ -1882,11 +1908,11 @@ impl ShardView<'_> {
                 self.counters[lr] = tmpl_counters;
                 self.last_stepped[lr] = end_cycle;
                 debtors += 1;
-                if let Some(s) = stats.as_mut() {
-                    let a = &mut s.router_activity[lr];
+                if stats.is_some() {
+                    let a = &mut self.activity[lr];
                     a.cycles += span;
                     a.arbitrations += tmpl_arbs;
-                    s.gating[lr] = tmpl_counters;
+                    self.window_gating[lr] = tmpl_counters;
                 }
                 continue;
             }
@@ -1903,7 +1929,7 @@ impl ShardView<'_> {
                     let run = std::mem::take(&mut self.idle_run[lr * lanes + lane]);
                     s.idle_histograms.lane_mut(lr, lane).record_open(run);
                 }
-                s.gating[lr] = self.counters[lr];
+                self.window_gating[lr] = self.counters[lr];
             }
         }
         self.scratch.routers_settled += debtors;
@@ -2204,8 +2230,8 @@ impl ShardView<'_> {
             self.scratch.buffered_flits += 1;
             self.scratch.queued_flits -= 1;
             drained += 1;
-            if let Some(s) = stats.as_mut() {
-                s.router_activity[l].buffer_writes += 1;
+            if stats.is_some() {
+                self.activity[l].buffer_writes += 1;
             }
         }
         drained
@@ -2492,6 +2518,7 @@ impl ShardView<'_> {
             fsm,
             counters,
             last_stepped,
+            activity,
             ..
         } = self;
         let ShardScratch {
@@ -2577,7 +2604,7 @@ impl ShardView<'_> {
                 *routers_stepped += 1;
 
                 if let Some(s) = stats.as_mut() {
-                    let a = &mut s.router_activity[lr];
+                    let a = &mut activity[lr];
                     a.cycles += 1;
                     a.arbitrations += outcome.arbitrations;
                     a.crossbar_traversals += departed;
@@ -2684,8 +2711,8 @@ impl ShardView<'_> {
                             // next one.
                             self.activate(ctx, next - self.base, cycle, stats);
                         }
-                        if let Some(s) = stats.as_mut() {
-                            s.router_activity[next - self.base].buffer_writes += 1;
+                        if stats.is_some() {
+                            self.activity[next - self.base].buffer_writes += 1;
                         }
                     } else {
                         // The flit leaves this tile; its arrival (and
@@ -2819,8 +2846,8 @@ impl ShardView<'_> {
                 arbitrations
             }
         };
-        if let Some(s) = stats.as_mut() {
-            let a = &mut s.router_activity[lr];
+        if stats.is_some() {
+            let a = &mut self.activity[lr];
             a.cycles += skipped;
             a.arbitrations += arbitrations;
         }
@@ -3209,6 +3236,33 @@ mod tests {
     }
 
     #[test]
+    fn torus_tornado_saturation_drains_with_dateline_vcs() {
+        // The acceptance scenario: Tornado at saturation on a wrapped
+        // 16×16 with 2 VCs (dateline switching) must make sustained
+        // progress without tripping the watchdog. At vcs = 1 the same
+        // load wedges wormhole DOR on the rings.
+        let mut sim = Simulation::new(MeshConfig {
+            width: 16,
+            height: 16,
+            wrap: true,
+            vcs: 2,
+            pattern: TrafficPattern::Tornado,
+            injection_rate: 1.0,
+            source_queue_cap: 4,
+            watchdog_cycles: 2_000,
+            seed: 9,
+            ..base_cfg()
+        });
+        let stats = sim.run(0, 6000);
+        assert!(
+            stats.packets_delivered > 2_000,
+            "saturated torus must stream packets, got {}",
+            stats.packets_delivered
+        );
+        sim.check_credit_conservation();
+    }
+
+    #[test]
     fn watchdog_names_the_blocked_lanes_on_deadlock() {
         // vcs = 1 torus DOR has no dateline escape: Tornado at
         // saturation wedges the rings and the watchdog must abort with
@@ -3506,6 +3560,41 @@ mod tests {
             sim.flits_injected_total(),
             stats.flits_delivered + sim.in_flight_flits() + sim.flits_dropped_by_fault_total()
         );
+        sim.check_credit_conservation();
+    }
+
+    #[test]
+    fn saturated_dateline_torus_with_dead_link_drains() {
+        // The acceptance scenario: Tornado at saturation on a wrapped
+        // 16×16 with 2 VCs loses one link mid-run and must keep
+        // streaming packets around the detour without tripping the
+        // watchdog.
+        let mut sim = Simulation::new(MeshConfig {
+            width: 16,
+            height: 16,
+            wrap: true,
+            vcs: 2,
+            pattern: TrafficPattern::Tornado,
+            injection_rate: 1.0,
+            source_queue_cap: 4,
+            watchdog_cycles: 2_000,
+            seed: 9,
+            faults: Some(FaultPlan {
+                seed: 13,
+                link_faults: 1,
+                start_cycle: 500,
+                window: 1,
+                ..FaultPlan::default()
+            }),
+            ..base_cfg()
+        });
+        let stats = sim.run(0, 6000);
+        assert!(
+            stats.packets_delivered > 2_000,
+            "faulted saturated torus must stream packets, got {}",
+            stats.packets_delivered
+        );
+        assert!(stats.packets_delivered_post_fault > 1_000);
         sim.check_credit_conservation();
     }
 

@@ -106,7 +106,8 @@ impl NetworkStats {
     /// record stays proportional to the tile, not the network). Scalar
     /// counters add up (`measured_cycles` and `latency_max` take the
     /// maximum, `min_reachable_fraction` the minimum); per-router
-    /// vectors and histogram rows are moved, not copied (see
+    /// vectors are concatenated and histogram rows moved, untouched
+    /// routers staying on the shared default row (see
     /// [`IdleBank::append`]).
     ///
     /// # Panics

@@ -167,6 +167,7 @@ impl TimeWheel {
             }
         }
     }
+
     /// The earliest scheduled cycle at or after `from`, if any.
     pub(crate) fn next_event(&self, from: u64) -> Option<u64> {
         if self.scheduled == 0 {

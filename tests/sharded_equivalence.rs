@@ -272,7 +272,8 @@ proptest! {
             }),
             ..MeshConfig::default()
         };
-        assert_sharded_matches_serial(cfg, &[1, 2, 4, 8], 0, 800);
+        // 3 tiles on 8 rows gives uneven bands (3, 3, 2).
+        assert_sharded_matches_serial(cfg, &[1, 2, 3, 4, 8], 0, 800);
     }
 }
 
