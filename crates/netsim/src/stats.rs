@@ -59,7 +59,9 @@ pub struct NetworkStats {
     /// (`5 * vcs` per router, indexed `port * vcs + vc` with ports in
     /// [`crate::topology::Direction`] order), stored sparsely: rows
     /// materialize on first write and untouched routers share one
-    /// default row ([`IdleBank`]).
+    /// default row ([`IdleBank`]). Each histogram's bins reach only the
+    /// longest interval it recorded below the cap, so a lane costs
+    /// memory in proportion to what it recorded.
     #[serde(skip)]
     pub idle_histograms: IdleBank,
     /// Per-router in-loop gating counters (all output VC lanes

@@ -73,8 +73,9 @@ impl fmt::Display for GatingPolicy {
 
 /// Histogram of idle-interval lengths in cycles.
 ///
-/// Bin `k` counts intervals of exactly `k` cycles (bin 0 unused); a
-/// final overflow bin aggregates everything ≥ the configured cap.
+/// Bin `k` counts intervals of exactly `k` cycles (bin 0 unused) for
+/// every `k` below the configured cap; intervals of the cap or longer
+/// land in an overflow count that also keeps their exact cycle sum.
 ///
 /// *Closed* intervals (ended by a wakeup) and *open* intervals (still
 /// running when the measurement window closed) are tracked separately:
@@ -83,37 +84,44 @@ impl fmt::Display for GatingPolicy {
 /// penalty. Use [`IdleHistogram::record`] for closed intervals and
 /// [`IdleHistogram::record_open`] for trailing open ones.
 ///
-/// The bin array is allocated **lazily on the first recorded
-/// interval**: a network simulation keeps five histograms per router,
-/// and at the low injection rates the leakage study sweeps most ports
-/// record nothing (or only a trailing open run) — eager allocation
-/// would cost `routers × 5 × (cap + 1)` zeroed words per run (168 MB
-/// for a 32×32 mesh at the default cap) before a single cycle is
-/// simulated. Equality compares *contents*, so an unallocated
-/// histogram equals an allocated all-zero one of the same cap.
+/// The bins are sized to what was recorded: they cover lengths up to
+/// the longest one recorded below the cap, growing amortized (doubling,
+/// clamped at `cap` entries) as longer intervals arrive. A network
+/// simulation keeps `5 × vcs` histograms per router, and at the
+/// injection rates the leakage study sweeps most lanes record nothing,
+/// only a trailing open run, or only short intervals; a lane that
+/// records only overflow lengths and open runs holds no bins at all.
+/// Equality compares *contents*, so histograms that differ only in how
+/// many trailing zero bins they hold are equal.
 #[derive(Debug, Clone, Eq, Serialize, Deserialize)]
 pub struct IdleHistogram {
-    /// Configured maximum exactly-binned length.
+    /// Configured cap: lengths below it are binned exactly.
     cap: usize,
-    /// Bin `k` counts intervals of exactly `k` cycles; empty until the
-    /// first record, then `cap + 1` entries (last = overflow).
+    /// Bin `k` counts intervals of exactly `k` cycles; never longer
+    /// than `cap`, and empty until the first interval shorter than the
+    /// cap is recorded.
     counts: Vec<u64>,
+    /// Number of closed intervals of `cap` cycles or more.
+    overflow_n: u64,
+    /// Total cycles of those overflow intervals.
     overflow_len_sum: u64,
     open_runs: Vec<u64>,
 }
 
 impl PartialEq for IdleHistogram {
     fn eq(&self, other: &Self) -> bool {
-        // Content equality: missing bins are implicit zeros.
-        let zeros = |h: &IdleHistogram| h.counts.iter().all(|&c| c == 0);
-        let counts_eq = if self.counts.len() == other.counts.len() {
-            self.counts == other.counts
+        // Content equality: bins past the shorter array are implicit
+        // zeros.
+        let (short, long) = if self.counts.len() <= other.counts.len() {
+            (&self.counts, &other.counts)
         } else {
-            // One side unallocated: equal iff the other is all-zero.
-            zeros(self) && zeros(other)
+            (&other.counts, &self.counts)
         };
+        let (head, tail) = long.split_at(short.len());
         self.cap == other.cap
-            && counts_eq
+            && short == head
+            && tail.iter().all(|&c| c == 0)
+            && self.overflow_n == other.overflow_n
             && self.overflow_len_sum == other.overflow_len_sum
             && self.open_runs == other.open_runs
     }
@@ -126,6 +134,7 @@ impl IdleHistogram {
         IdleHistogram {
             cap: max_len,
             counts: Vec::new(),
+            overflow_n: 0,
             overflow_len_sum: 0,
             open_runs: Vec::new(),
         }
@@ -136,26 +145,35 @@ impl IdleHistogram {
         self.cap
     }
 
+    /// Grows the bins to hold at least `len` entries (`len <= cap`):
+    /// to twice the current length when that is larger, clamped at the
+    /// cap, so repeated growth stays amortized O(1) per bin.
+    fn grow_to(&mut self, len: usize) {
+        if len > self.counts.len() {
+            let len = len.max(2 * self.counts.len()).min(self.cap);
+            self.counts.reserve_exact(len - self.counts.len());
+            self.counts.resize(len, 0);
+        }
+    }
+
     /// Records one idle interval of `len` cycles (0-length ignored).
     pub fn record(&mut self, len: u64) {
         self.record_n(len, 1);
     }
 
     /// Records `count` idle intervals of `len` cycles each in O(1)
-    /// (0-length or 0-count ignored).
+    /// amortized (0-length or 0-count ignored).
     pub fn record_n(&mut self, len: u64, count: u64) {
         if len == 0 || count == 0 {
             return;
         }
-        if self.counts.is_empty() {
-            self.counts = vec![0; self.cap + 1];
-        }
-        let cap = self.cap as u64;
-        if len >= cap {
-            *self.counts.last_mut().expect("non-empty") += count;
+        if len >= self.cap as u64 {
+            self.overflow_n += count;
             self.overflow_len_sum += len * count;
         } else {
-            self.counts[len as usize] += count;
+            let k = len as usize;
+            self.grow_to(k + 1);
+            self.counts[k] += count;
         }
     }
 
@@ -172,7 +190,7 @@ impl IdleHistogram {
 
     /// Number of recorded intervals (closed + open).
     pub fn interval_count(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.open_runs.len() as u64
+        self.counts.iter().sum::<u64>() + self.overflow_n + self.open_runs.len() as u64
     }
 
     /// Total idle cycles across all intervals (closed + open).
@@ -181,26 +199,26 @@ impl IdleHistogram {
             .counts
             .iter()
             .enumerate()
-            .take(self.cap)
             .map(|(len, &n)| len as u64 * n)
             .sum();
         in_bins + self.overflow_len_sum + self.open_runs.iter().sum::<u64>()
     }
 
     /// Iterates `(interval_length, count)` pairs of the *closed*
-    /// intervals, including the overflow bin (reported at its average
-    /// length). Open intervals are exposed by
-    /// [`IdleHistogram::open_runs`].
+    /// intervals in ascending length, the overflow intervals last
+    /// (reported at their average length). Open intervals are exposed
+    /// by [`IdleHistogram::open_runs`].
     pub fn iter_lengths(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let overflow_n = self.counts.get(self.cap).copied().unwrap_or(0);
-        let overflow_avg = self.overflow_len_sum.checked_div(overflow_n).unwrap_or(0);
+        let overflow_avg = self
+            .overflow_len_sum
+            .checked_div(self.overflow_n)
+            .unwrap_or(0);
         self.counts
             .iter()
             .enumerate()
-            .take(self.cap)
             .filter(|(_, &n)| n > 0)
             .map(|(len, &n)| (len as u64, n))
-            .chain((overflow_n > 0).then_some((overflow_avg, overflow_n)))
+            .chain((self.overflow_n > 0).then_some((overflow_avg, self.overflow_n)))
     }
 
     /// Lengths of the intervals that were still open at the end of the
@@ -209,42 +227,39 @@ impl IdleHistogram {
         &self.open_runs
     }
 
-    /// Merges another histogram into this one.
+    /// Merges another histogram of the same cap into this one, in
+    /// O(`other`'s bins): the bins grow only as far as `other`'s do.
     ///
     /// # Panics
     ///
-    /// Panics if the histograms have different bin counts.
+    /// Panics if the histograms have different caps.
     pub fn merge(&mut self, other: &IdleHistogram) {
         assert_eq!(self.cap, other.cap, "bin count mismatch");
-        if !other.counts.is_empty() {
-            if self.counts.is_empty() {
-                self.counts = vec![0; self.cap + 1];
-            }
-            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-                *a += b;
-            }
+        self.grow_to(other.counts.len());
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
         }
+        self.overflow_n += other.overflow_n;
         self.overflow_len_sum += other.overflow_len_sum;
         self.open_runs.extend_from_slice(&other.open_runs);
     }
 
     /// Merges another histogram whose cap may differ, preserving
     /// interval counts *and* total idle cycles exactly: `other`'s
-    /// overflow bin is re-binned at its average length with the
-    /// remainder spread one cycle higher, so no idle cycle is lost to
-    /// integer truncation. Equal caps take the bin-wise
+    /// overflow intervals are re-binned at their average length with
+    /// the remainder spread one cycle higher, so no idle cycle is lost
+    /// to integer truncation. Equal caps take the bin-wise
     /// [`IdleHistogram::merge`] fast path.
     pub fn merge_rebinned(&mut self, other: &IdleHistogram) {
         if self.cap == other.cap {
             return self.merge(other);
         }
-        for (len, &n) in other.counts.iter().enumerate().take(other.cap) {
+        for (len, &n) in other.counts.iter().enumerate() {
             self.record_n(len as u64, n);
         }
-        let overflow_n = other.counts.get(other.cap).copied().unwrap_or(0);
-        if let Some(avg) = other.overflow_len_sum.checked_div(overflow_n) {
-            let rem = other.overflow_len_sum - avg * overflow_n;
-            self.record_n(avg, overflow_n - rem);
+        if let Some(avg) = other.overflow_len_sum.checked_div(other.overflow_n) {
+            let rem = other.overflow_len_sum - avg * other.overflow_n;
+            self.record_n(avg, other.overflow_n - rem);
             self.record_n(avg + 1, rem);
         }
         for &len in &other.open_runs {
@@ -587,6 +602,69 @@ mod tests {
         assert_eq!(a.interval_count(), 2);
         assert_eq!(a.total_idle_cycles(), 9);
         assert_eq!(a.open_runs(), &[7]);
+    }
+
+    #[test]
+    fn overflow_and_open_runs_allocate_no_bins() {
+        let mut h = IdleHistogram::new(64);
+        h.record(64);
+        h.record_n(1_000_000, 7);
+        h.record_open(3);
+        h.record_open(10_000);
+        assert_eq!(h.counts.capacity(), 0);
+        assert_eq!(h.interval_count(), 10);
+        assert_eq!(h.total_idle_cycles(), 64 + 7_000_000 + 3 + 10_000);
+        let mut merged = IdleHistogram::new(64);
+        merged.merge(&h);
+        assert_eq!(merged.counts.capacity(), 0);
+        assert_eq!(merged, h);
+    }
+
+    #[test]
+    fn bins_never_exceed_the_cap() {
+        for cap in [1, 2, 3, 5, 64, 100, 4096] {
+            // Straight to the longest binned length, then every length
+            // on a rising ramp: capacity stays within `cap` entries.
+            let mut jump = IdleHistogram::new(cap);
+            jump.record(cap as u64 - 1);
+            let mut ramp = IdleHistogram::new(cap);
+            for len in 1..cap as u64 {
+                ramp.record(len);
+                assert!(ramp.counts.capacity() <= cap, "cap {cap}, len {len}");
+            }
+            assert!(jump.counts.capacity() <= cap, "cap {cap}");
+            ramp.record(cap as u64 - 1);
+            assert!(ramp.counts.capacity() <= cap, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn merge_into_empty_allocates_only_the_source_bins() {
+        let mut src = IdleHistogram::new(4096);
+        src.record(3);
+        src.record(17);
+        src.record_n(9_999, 2);
+        let mut dst = IdleHistogram::new(4096);
+        dst.merge(&src);
+        assert!(dst.counts.capacity() <= src.counts.len());
+        assert_eq!(dst, src);
+    }
+
+    #[test]
+    fn equality_ignores_trailing_zero_bins() {
+        // `a` grows to 32 bins (16 doubled) and keeps zeros past 17.
+        let mut a = IdleHistogram::new(64);
+        a.record(15);
+        a.record(16);
+        let mut b = IdleHistogram::new(64);
+        b.record(16);
+        b.record(15);
+        assert!(a.counts.len() > b.counts.len());
+        assert_eq!(a, b);
+        assert_eq!(b, a);
+        b.record(20);
+        assert_ne!(a, b);
+        assert_ne!(b, a);
     }
 
     #[test]
