@@ -5,7 +5,10 @@
 //! leakage study sweeps, the gating bookkeeping must stay cheap, the
 //! VC generalization must not tax the single-VC fast path, and tiling
 //! must pay at the 64×64 scale (cache locality even on one thread;
-//! parallel scaling on real cores).
+//! parallel scaling on real cores). The loaded 16×16 rows at rate 0.03
+//! (the perfbench `noc_uniform_loaded` point: V = 2, ungated and
+//! `IdleThreshold(2)` with wake 1) put the per-router step itself, not
+//! skipped idle time, at the centre of the measurement.
 //!
 //! Set `NETSIM_BENCH_QUICK=1` (CI) to shrink the grid and sample count
 //! to a smoke run.
@@ -23,6 +26,10 @@ fn bench_mesh_cycles(c: &mut Criterion) {
 
     let gated = Some(SleepConfig {
         policy: GatingPolicy::IdleThreshold(4),
+        wake_latency: 1,
+    });
+    let loaded_gated = Some(SleepConfig {
+        policy: GatingPolicy::IdleThreshold(2),
         wake_latency: 1,
     });
     /// (kernel, shards): `0` is the simulator's default geometry; the
@@ -52,6 +59,7 @@ fn bench_mesh_cycles(c: &mut Criterion) {
             (4, 4, 0.05, 1, None, SERIAL),
             (16, 16, 0.005, 1, None, ALL),
             (16, 16, 0.005, 2, None, SERIAL),
+            (16, 16, 0.03, 2, loaded_gated, &[(SimKernel::Engine, 0)]),
             (64, 64, 0.005, 1, None, FAST),
         ]
     } else {
@@ -66,6 +74,8 @@ fn bench_mesh_cycles(c: &mut Criterion) {
             (16, 16, 0.005, 2, None, SERIAL),
             (16, 16, 0.005, 1, gated, ALL),
             (16, 16, 0.005, 2, gated, SERIAL),
+            (16, 16, 0.03, 2, None, SERIAL),
+            (16, 16, 0.03, 2, loaded_gated, SERIAL),
             (32, 32, 0.005, 1, None, ALL),
             (32, 32, 0.005, 1, gated, ALL),
             (64, 64, 0.005, 1, None, FAST),
@@ -82,7 +92,12 @@ fn bench_mesh_cycles(c: &mut Criterion) {
         for &(kernel, shards) in variants {
             let label = format!(
                 "{w}x{h}_r{rate}_v{vcs}{}_{}_{}cy",
-                if gating.is_some() { "_gated" } else { "" },
+                match gating.map(|g| g.policy) {
+                    None => String::new(),
+                    Some(GatingPolicy::IdleThreshold(4)) => "_gated".to_string(),
+                    Some(GatingPolicy::IdleThreshold(th)) => format!("_gated-th{th}"),
+                    Some(policy) => format!("_gated-{policy:?}"),
+                },
                 name((kernel, shards)),
                 cycles
             );

@@ -42,13 +42,24 @@
 //! With `V = 1` both stages degenerate to the pre-VC single-FIFO
 //! arbitration bit-for-bit — pinned by `tests/v1_behaviour_pinned.rs`.
 //!
-//! Per-lane *state that every cycle must touch* — idle-run counters,
-//! the [`SleepFsm`] sleep controllers, and the [`GatingCounters`] — is
-//! **not** stored inside the router. The simulation owns it as flat
-//! network-wide SoA arrays (indexed `router * 5 * V + port * V + vc`)
-//! and lends this router's lane block to [`Router::step`] as a
-//! [`PortLane`]. Gating is therefore per **VC lane**: an empty VC bank
-//! can sleep while a sibling VC of the same port carries a worm.
+//! Per-lane idle-run counters, [`SleepFsm`] sleep controllers and
+//! [`GatingCounters`] are **not** stored inside the router. The
+//! simulation owns them as flat network-wide SoA arrays (indexed
+//! `router * 5 * V + port * V + vc`) and lends this router's lane block
+//! to [`Router::step_fast`] as a [`PortLane`]. Gating is therefore per
+//! **VC lane**: an empty VC bank can sleep while a sibling VC of the
+//! same port carries a worm.
+//!
+//! A step visits only the *live* output lanes: lanes held mid-packet or
+//! requested by a waiting head flit. Every other lane can do nothing
+//! but idle — no candidate, no send — so it is left behind and settled
+//! later in closed form ([`SleepFsm::settle_idle_bulk`]) from its own
+//! watermark ([`PortLane::settled`]): when it next becomes live, or when
+//! the simulation settles the whole router ([`Router::settle_lanes`]).
+//! The router keeps the masks that make this cheap — occupied input
+//! lanes, owned output lanes — plus each input lane's front-flit route,
+//! computed once when the flit reaches the front. Stepping every lane
+//! every cycle (`all_live`) is the dense oracle through the same code.
 //!
 //! The input VC buffers live in one flat ring-buffer allocation and
 //! [`Router::step_fast`] performs no heap allocation — the hot loop of
@@ -62,9 +73,9 @@ use crate::traffic::Flit;
 use lnoc_power::gating::GatingCounters;
 use serde::{Deserialize, Serialize};
 
-/// Hard cap on virtual channels per port: keeps the per-cycle
-/// head-wants mask in one `u64` (`5 * 8 = 40` output lanes) and the
-/// lane-owner encoding in one byte.
+/// Hard cap on virtual channels per port: keeps every per-router lane
+/// mask in one `u64` (`5 * 8 = 40` lanes) and the lane-owner and
+/// front-route encodings in one byte.
 pub const MAX_VCS: usize = 8;
 
 /// Maximum lanes per router (`5 * MAX_VCS`) — sizes the fixed per-cycle
@@ -74,8 +85,9 @@ pub const MAX_LANES: usize = 5 * MAX_VCS;
 
 /// Where a flit wants to go next: an output port plus the virtual
 /// channel it must ride on the outgoing link (the downstream input VC).
-/// Produced by the routing closure for every buffered flit; pure in the
-/// flit, so body flits recompute their head's choice exactly.
+/// Produced by the routing closure for every flit that reaches the
+/// front of an input lane; pure in the flit, so body flits recompute
+/// their head's choice exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteTarget {
     /// Output port.
@@ -86,8 +98,7 @@ pub struct RouteTarget {
 
 /// Per-output-lane state: which input lane currently owns the lane.
 /// One byte per lane (`FREE` or the owning input-lane index `port * V +
-/// vc`) so a router's owners pack into a few loads — the quiescence
-/// check and the step path test them every cycle.
+/// vc`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[repr(transparent)]
 struct PortOwner(u8);
@@ -118,70 +129,61 @@ impl Default for PortOwner {
     }
 }
 
-/// All `5 * V` input VC buffers in one flat allocation: lane `l`
-/// (`port * V + vc`) owns the slot range `l*depth..(l+1)*depth` as a
-/// ring buffer.
-#[derive(Debug, Clone)]
-struct PortBuffers {
-    slots: Box<[Flit]>,
-    head: Box<[u32]>,
-    len: Box<[u32]>,
-    depth: u32,
+/// Front-route cache value of an input lane whose front flit has not
+/// been routed (or that holds no flit).
+const NO_ROUTE: u8 = u8::MAX;
+/// Front-route cache flag: the front flit is a head flit.
+const HEAD_BIT: u8 = 0x40;
+/// Front-route cache field: the output lane the front flit requests.
+const LANE_BITS: u8 = 0x3f;
+
+/// Everything a router keeps per lane index `l = port * V + vc`, in one
+/// record: the *input* VC buffer's ring cursor and its front flit's
+/// cached route ([`NO_ROUTE`], or the requested output lane with
+/// [`HEAD_BIT`] set for a head flit), and the *output* VC lane's
+/// allocation state. One allocation per router instead of one per
+/// field keeps the router small on meshes of many thousands of routers.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    /// Packet id of the worm holding the output lane — only meaningful
+    /// while `owner` is allocated. Lets the fault layer release lanes
+    /// held by doomed packets whose remaining flits were purged
+    /// upstream.
+    owner_pkt: u64,
+    /// Ring-buffer index of the input VC's front flit.
+    head: u32,
+    /// Flits buffered in the input VC.
+    len: u32,
+    /// Owner of the output lane.
+    owner: PortOwner,
+    /// VC-allocation round-robin pointer of the output lane, over the
+    /// `5 * V` input lanes.
+    rr_next: u8,
+    /// Cached route of the input VC's front flit.
+    front: u8,
 }
 
-impl PortBuffers {
-    fn new(depth: usize, lanes: usize) -> Self {
-        PortBuffers {
-            slots: vec![Flit::INVALID; lanes * depth].into_boxed_slice(),
-            head: vec![0; lanes].into_boxed_slice(),
-            len: vec![0; lanes].into_boxed_slice(),
-            depth: depth as u32,
-        }
-    }
-
-    fn len(&self, lane: usize) -> usize {
-        self.len[lane] as usize
-    }
-
-    fn is_full(&self, lane: usize) -> bool {
-        self.len[lane] == self.depth
-    }
-
-    fn front(&self, lane: usize) -> Option<&Flit> {
-        (self.len[lane] > 0)
-            .then(|| &self.slots[lane * self.depth as usize + self.head[lane] as usize])
-    }
-
-    fn push_back(&mut self, lane: usize, flit: Flit) {
-        debug_assert!(!self.is_full(lane));
-        debug_assert!(!flit.is_invalid(), "buffered a filler flit");
-        // Conditional wrap instead of `%`: the depth is a runtime
-        // value, so a modulo here is a hardware divide in the hottest
-        // loop of the simulator.
-        let mut tail = self.head[lane] + self.len[lane];
-        if tail >= self.depth {
-            tail -= self.depth;
-        }
-        self.slots[lane * self.depth as usize + tail as usize] = flit;
-        self.len[lane] += 1;
-    }
-
-    fn pop_front(&mut self, lane: usize) -> Option<Flit> {
-        if self.len[lane] == 0 {
-            return None;
-        }
-        let head = self.head[lane];
-        let flit = self.slots[lane * self.depth as usize + head as usize];
-        debug_assert!(!flit.is_invalid(), "popped a filler flit");
-        self.head[lane] = if head + 1 == self.depth { 0 } else { head + 1 };
-        self.len[lane] -= 1;
-        Some(flit)
-    }
+impl Lane {
+    const EMPTY: Lane = Lane {
+        owner_pkt: 0,
+        head: 0,
+        len: 0,
+        owner: PortOwner::FREE,
+        rr_next: 0,
+        front: NO_ROUTE,
+    };
 }
 
 /// One router's block of the simulation-owned SoA per-lane state, lent
-/// to [`Router::step`] for one cycle. All slices have `5 * V` entries,
-/// indexed `port * V + vc`.
+/// to [`Router::step_fast`] for one cycle (or to
+/// [`Router::settle_lanes`]). All slices have `5 * V` entries, indexed
+/// `port * V + vc`.
+///
+/// A lane is *settled through* the cycle its watermark names: its idle
+/// run, FSM and share of the counters account every cycle up to and
+/// including it. Lanes a step does not visit keep their watermark and
+/// catch up in closed form later, so between settlements the slices
+/// describe each lane as of its own watermark, not as of the clock.
 #[derive(Debug)]
 pub struct PortLane<'a> {
     /// Consecutive idle cycles per output VC lane (the authoritative
@@ -191,10 +193,19 @@ pub struct PortLane<'a> {
     pub fsm: &'a mut [SleepFsm],
     /// This router's accumulated gating counters (all lanes summed).
     pub counters: &'a mut GatingCounters,
-    /// Out-parameter: length of the idle run that ended on each lane
-    /// this cycle (0 if the lane stayed idle or was already busy).
-    /// Cleared by the router at the start of the step.
-    pub idle_ended: &'a mut [u64],
+    /// Settlement watermark per output VC lane: the low 32 bits of the
+    /// last cycle the lane is settled through. Lags are recovered
+    /// against an *anchor* cycle known to be no earlier than the
+    /// watermark and less than 2³² cycles past it (see
+    /// [`Router::settle_lanes`]).
+    pub settled: &'a mut [u32],
+}
+
+/// Cycles a lane with watermark `mark` lags behind `through`, given an
+/// `anchor` with `mark ≤ anchor ≤ through` and `anchor − mark < 2³²`
+/// (the watermark holds only the low 32 bits of its cycle).
+fn lane_lag(mark: u32, anchor: u64, through: u64) -> u64 {
+    (through - anchor) + (anchor as u32).wrapping_sub(mark) as u64
 }
 
 /// One wormhole router.
@@ -202,17 +213,18 @@ pub struct PortLane<'a> {
 pub struct Router {
     /// This router's id in the mesh.
     pub id: usize,
-    buffers: PortBuffers,
-    /// Owner per output lane.
-    owners: Box<[PortOwner]>,
-    /// Packet id of the worm holding each output lane — only
-    /// meaningful while the matching owner is allocated. Lets the
-    /// fault layer release lanes held by doomed packets whose
-    /// remaining flits were purged upstream.
-    owner_pkt: Box<[u64]>,
-    /// VC-allocation round-robin pointer per output lane, over the
-    /// `5 * V` input lanes.
-    rr_next: Box<[u8]>,
+    /// All `5 * V` input VC buffers in one flat allocation: lane `l`
+    /// owns the slot range `l*depth..(l+1)*depth` as a ring buffer.
+    slots: Box<[Flit]>,
+    /// Per-lane cursors, route caches and output-lane allocation state.
+    lanes: Box<[Lane]>,
+    /// Flits per input VC buffer.
+    depth: u32,
+    /// Bit `l` set ⇔ input lane `l` holds at least one flit.
+    occupied: u64,
+    /// Bit `l` set ⇔ output lane `l` is held mid-packet (its owner is
+    /// not free).
+    owned: u64,
     /// Switch-allocation round-robin pointer per output *port*, over
     /// its `V` lanes.
     sa_rr: [u8; 5],
@@ -232,6 +244,10 @@ pub struct Departure {
     pub output: Direction,
     /// The flit itself; `flit.vc` is the output VC it departs on.
     pub flit: Flit,
+    /// Length of the idle run this departure ended on its output lane
+    /// (0 when the lane also sent the cycle before) — the only idle
+    /// interval a step can close.
+    pub idle_run: u64,
 }
 
 impl Router {
@@ -246,10 +262,11 @@ impl Router {
         let lanes = 5 * vcs;
         Router {
             id,
-            buffers: PortBuffers::new(buffer_depth, lanes),
-            owners: vec![PortOwner::FREE; lanes].into_boxed_slice(),
-            owner_pkt: vec![0; lanes].into_boxed_slice(),
-            rr_next: vec![0; lanes].into_boxed_slice(),
+            slots: vec![Flit::INVALID; lanes * buffer_depth].into_boxed_slice(),
+            lanes: vec![Lane::EMPTY; lanes].into_boxed_slice(),
+            depth: buffer_depth as u32,
+            occupied: 0,
+            owned: 0,
             sa_rr: [0; 5],
             vcs: vcs as u8,
             sleep_cfg: None,
@@ -280,9 +297,54 @@ impl Router {
         5 * self.vcs as usize
     }
 
+    /// Flits buffered in input lane `lane`.
+    fn buf_len(&self, lane: usize) -> usize {
+        self.lanes[lane].len as usize
+    }
+
+    fn front(&self, lane: usize) -> Option<&Flit> {
+        let l = self.lanes[lane];
+        (l.len > 0).then(|| &self.slots[lane * self.depth as usize + l.head as usize])
+    }
+
+    fn push_back(&mut self, lane: usize, flit: Flit) {
+        debug_assert!(self.lanes[lane].len < self.depth);
+        debug_assert!(!flit.is_invalid(), "buffered a filler flit");
+        let l = &mut self.lanes[lane];
+        // Conditional wrap instead of `%`: the depth is a runtime
+        // value, so a modulo here is a hardware divide in the hottest
+        // loop of the simulator.
+        let mut tail = l.head + l.len;
+        if tail >= self.depth {
+            tail -= self.depth;
+        }
+        l.len += 1;
+        self.slots[lane * self.depth as usize + tail as usize] = flit;
+        self.occupied |= 1 << lane;
+    }
+
+    /// Pops input lane `lane`'s front flit; its cached route goes with
+    /// it.
+    fn pop_front(&mut self, lane: usize) -> Option<Flit> {
+        let l = &mut self.lanes[lane];
+        if l.len == 0 {
+            return None;
+        }
+        let head = l.head;
+        l.head = if head + 1 == self.depth { 0 } else { head + 1 };
+        l.len -= 1;
+        l.front = NO_ROUTE;
+        if l.len == 0 {
+            self.occupied &= !(1 << lane);
+        }
+        let flit = self.slots[lane * self.depth as usize + head as usize];
+        debug_assert!(!flit.is_invalid(), "popped a filler flit");
+        Some(flit)
+    }
+
     /// Whether the input VC buffer `(port, vc)` can accept a flit.
     pub fn can_accept(&self, port: Direction, vc: usize) -> bool {
-        !self.buffers.is_full(port.index() * self.vcs as usize + vc)
+        self.lanes[port.index() * self.vcs as usize + vc].len < self.depth
     }
 
     /// Pushes an arriving flit into the input VC buffer named by
@@ -299,48 +361,45 @@ impl Router {
             "VC buffer overflow at router {} port {port} vc {vc}",
             self.id
         );
-        self.buffers
-            .push_back(port.index() * self.vcs as usize + vc, flit);
+        self.push_back(port.index() * self.vcs as usize + vc, flit);
     }
 
     /// Buffer occupancy of one input VC.
     pub fn occupancy(&self, port: Direction, vc: usize) -> usize {
-        self.buffers.len(port.index() * self.vcs as usize + vc)
+        self.buf_len(port.index() * self.vcs as usize + vc)
     }
 
     /// Total buffered flits across an input port's VCs.
     pub fn port_occupancy(&self, port: Direction) -> usize {
         let v = self.vcs as usize;
-        (0..v)
-            .map(|vc| self.buffers.len(port.index() * v + vc))
-            .sum()
+        (0..v).map(|vc| self.buf_len(port.index() * v + vc)).sum()
     }
 
     /// Total buffered flits.
     pub fn total_occupancy(&self) -> usize {
-        (0..self.lanes()).map(|l| self.buffers.len(l)).sum()
+        (0..self.lanes()).map(|l| self.buf_len(l)).sum()
     }
 
     /// Whether the router holds no flits and no output lane is held
     /// mid-packet — the buffer/crossbar half of the engine's
-    /// quiescence predicate. A quiet router's [`Router::step`] can only
-    /// tick idle counters, so it may be skipped and bulk-accounted.
+    /// quiescence predicate. A quiet router's step can only tick idle
+    /// counters, so it may be skipped and bulk-accounted.
     pub fn is_quiet(&self) -> bool {
-        self.buffers.len.iter().all(|&l| l == 0) && self.owners.iter().all(|o| o.is_free())
+        self.occupied == 0 && self.owned == 0
     }
 
     /// Calls `f` with every buffered flit, in input-lane order and FIFO
     /// order within a lane — the fault layer's boundary scan.
     pub(crate) fn for_each_flit(&self, mut f: impl FnMut(&Flit)) {
-        let depth = self.buffers.depth as usize;
+        let depth = self.depth as usize;
         for lane in 0..self.lanes() {
-            let head = self.buffers.head[lane] as usize;
-            for k in 0..self.buffers.len(lane) {
-                let mut idx = head + k;
+            let l = self.lanes[lane];
+            for k in 0..l.len as usize {
+                let mut idx = l.head as usize + k;
                 if idx >= depth {
                     idx -= depth;
                 }
-                f(&self.buffers.slots[lane * depth + idx]);
+                f(&self.slots[lane * depth + idx]);
             }
         }
     }
@@ -348,7 +407,8 @@ impl Router {
     /// Removes every buffered flit of a doomed packet and releases
     /// output lanes held by doomed worms (their remaining flits are
     /// being purged network-wide, so the tail that would free the lane
-    /// will never arrive). Survivors keep their FIFO order.
+    /// will never arrive). Survivors keep their FIFO order; every
+    /// front-route cache is dropped with the pops.
     ///
     /// `on_removed` receives each removed flit and the input lane
     /// (`port * V + vc`) it was buffered in, so the caller can return
@@ -363,191 +423,252 @@ impl Router {
         for lane in 0..self.lanes() {
             // Pop exactly the original occupancy; survivors re-pushed
             // at the tail come back around in their original order.
-            for _ in 0..self.buffers.len(lane) {
-                let flit = self.buffers.pop_front(lane).expect("occupancy counted");
+            for _ in 0..self.buf_len(lane) {
+                let flit = self.pop_front(lane).expect("occupancy counted");
                 if doomed(flit.packet_id) {
                     on_removed(lane, &flit);
                     removed += 1;
                 } else {
-                    self.buffers.push_back(lane, flit);
+                    self.push_back(lane, flit);
                 }
             }
         }
         for ol in 0..self.lanes() {
-            if !self.owners[ol].is_free() && doomed(self.owner_pkt[ol]) {
-                self.owners[ol] = PortOwner::FREE;
+            if !self.lanes[ol].owner.is_free() && doomed(self.lanes[ol].owner_pkt) {
+                self.lanes[ol].owner = PortOwner::FREE;
+                self.owned &= !(1 << ol);
             }
         }
         removed
     }
 
+    /// Drops every cached front-flit route — for when the routing
+    /// function itself changes (a fault epoch applies).
+    pub(crate) fn clear_route_cache(&mut self) {
+        for l in self.lanes.iter_mut() {
+            l.front = NO_ROUTE;
+        }
+    }
+
+    /// Input lane `il`'s front flit's route as `(output lane, is_head)`,
+    /// computed on first use and cached until the flit leaves the
+    /// front. The lane must be occupied.
+    fn front_route(&mut self, il: usize, route: &impl Fn(&Flit) -> RouteTarget) -> (usize, bool) {
+        let mut c = self.lanes[il].front;
+        if c == NO_ROUTE {
+            let v = self.vcs as usize;
+            let f = self.front(il).expect("routing an empty lane");
+            debug_assert!(!f.is_invalid(), "routing a filler flit");
+            let t = route(f);
+            c = (t.out.index() * v + t.vc as usize) as u8 | if f.is_head { HEAD_BIT } else { 0 };
+            self.lanes[il].front = c;
+        }
+        ((c & LANE_BITS) as usize, c & HEAD_BIT != 0)
+    }
+
+    /// The cached route of input lane `il`'s front flit, if routed.
+    fn cached_route(&self, il: usize) -> Option<(usize, bool)> {
+        let c = self.lanes[il].front;
+        (c != NO_ROUTE).then_some(((c & LANE_BITS) as usize, c & HEAD_BIT != 0))
+    }
+
     /// The single implementation of the VC-allocation candidate rule
     /// for output lane `ol`: the owning input lane while the lane is
-    /// allocated, otherwise the round-robin winner among waiting head
-    /// flits. `targets(il)` reports whether input lane `il`'s current
-    /// front flit requests `ol` (`Some(is_head)`) or not (`None`) —
-    /// the hot step path answers from its cycle-start `want`/`head`
-    /// scratch, the Immediate-policy after-send lookahead from fresh
-    /// routing, but the eligibility rule itself lives only here.
-    /// Input *ports* flagged in `port_used` already sent a flit this
-    /// cycle and are skipped — an input port has one crossbar line, so
-    /// it can feed at most one output per cycle across all its VCs.
-    fn select_candidate(
-        &self,
-        ol: usize,
-        port_used: &[bool; 5],
-        targets: impl Fn(usize) -> Option<bool>,
-    ) -> Option<usize> {
-        let v = self.vcs as usize;
-        match self.owners[ol].input() {
-            Some(il) => (!port_used[il / v] && targets(il).is_some()).then_some(il),
+    /// allocated (if its routed front flit requests `ol`), otherwise
+    /// the round-robin winner among `heads` — the input lanes whose
+    /// front head flit requests `ol` — starting from the lane's
+    /// round-robin pointer. Input lanes in `blocked` belong to input
+    /// ports that already sent a flit this cycle and are skipped: an
+    /// input port has one crossbar line, so it feeds at most one
+    /// output per cycle across all its VCs.
+    fn select_candidate(&self, ol: usize, blocked: u64, heads: u64) -> Option<usize> {
+        match self.lanes[ol].owner.input() {
+            Some(il) => (blocked & (1 << il) == 0
+                && self.cached_route(il).is_some_and(|(t, _)| t == ol))
+            .then_some(il),
             None => {
-                let n = self.lanes();
-                let start = self.rr_next[ol] as usize;
-                (0..n)
-                    .map(|k| {
-                        let i = start + k;
-                        if i >= n {
-                            i - n
-                        } else {
-                            i
-                        }
-                    })
-                    .find(|&il| !port_used[il / v] && targets(il) == Some(true))
+                let open = heads & !blocked;
+                let from_ptr = open & (u64::MAX << self.lanes[ol].rr_next);
+                let pick = if from_ptr != 0 { from_ptr } else { open };
+                (pick != 0).then(|| pick.trailing_zeros() as usize)
             }
         }
     }
 
-    /// [`Router::select_candidate`] against the *live* buffer fronts —
-    /// used for the Immediate policy's after-send park decision, where
-    /// the pop that just happened has already changed the fronts.
-    fn candidate_for_lane(
-        &self,
-        ol: usize,
-        route: impl Fn(&Flit) -> RouteTarget,
-        used: &[bool; 5],
-    ) -> Option<usize> {
-        let v = self.vcs as usize;
-        self.select_candidate(ol, used, |il| {
-            self.buffers
-                .front(il)
-                .filter(|f| {
-                    let t = route(f);
-                    t.out.index() * v + t.vc as usize == ol
-                })
-                .map(|f| f.is_head)
-        })
+    /// [`Router::select_candidate`] against the *live* buffer fronts,
+    /// ignoring this cycle's port usage — used for the Immediate
+    /// policy's after-send park decision, where the pops that just
+    /// happened have already changed the fronts.
+    fn candidate_for_lane(&mut self, ol: usize, route: &impl Fn(&Flit) -> RouteTarget) -> bool {
+        let mut heads = 0u64;
+        let mut occ = self.occupied;
+        while occ != 0 {
+            let il = occ.trailing_zeros() as usize;
+            occ &= occ - 1;
+            if self.front_route(il, route) == (ol, true) {
+                heads |= 1 << il;
+            }
+        }
+        self.select_candidate(ol, 0, heads).is_some()
     }
 
-    /// One VC-allocation + switch-allocation + traversal cycle.
-    ///
-    /// `route` maps a flit to its [`RouteTarget`] (output port + output
-    /// VC); `lane_ready` reports whether the output lane holds a credit
-    /// (a free slot in the downstream VC buffer; the ejection port
-    /// always sinks) — callers must evaluate it against cycle-start
-    /// credit state so results are independent of router iteration
-    /// order. `ports` is this router's block of the simulation-owned
-    /// SoA lane state (idle runs, sleep FSMs, gating counters, and the
-    /// `idle_ended` out-slice).
-    ///
-    /// Returns the flits that leave this cycle (at most one per output
-    /// port) and the number of arbitrations performed.
+    /// Settles lane `l` over `lag` idle cycles in closed form: the idle
+    /// run grows, and the FSM replays its idle future
+    /// ([`SleepFsm::settle_idle_bulk`]). Returns the arbitrations those
+    /// cycles perform (one per awake cycle; every cycle when ungated).
+    fn settle_lane(&self, ports: &mut PortLane<'_>, l: usize, lag: u64) -> u64 {
+        if lag == 0 {
+            return 0;
+        }
+        let before = ports.idle_run[l];
+        ports.idle_run[l] = before + lag;
+        match &self.sleep_cfg {
+            None => lag,
+            Some(cfg) => {
+                ports.fsm[l].settle_idle_bulk(lag, before, cfg.threshold(), ports.counters)
+            }
+        }
+    }
+
+    /// Settles every lane of this router through cycle `through`, each
+    /// from its own watermark — the one closed form behind both lane-
+    /// and router-level laziness. `anchor` is a cycle no lane is
+    /// settled past and no lane lags by 2³² cycles or more (for a
+    /// router the engine skipped, the last cycle it was accounted
+    /// through). The router must have nothing a step could move: the
+    /// caller guarantees the skipped cycles were idle for every lane
+    /// not yet settled through them. Returns the arbitrations of the
+    /// settled cycles.
+    pub fn settle_lanes(&self, ports: &mut PortLane<'_>, anchor: u64, through: u64) -> u64 {
+        let mut arbitrations = 0;
+        for l in 0..self.lanes() {
+            let lag = lane_lag(ports.settled[l], anchor, through);
+            arbitrations += self.settle_lane(ports, l, lag);
+            ports.settled[l] = through as u32;
+        }
+        arbitrations
+    }
+
+    /// One dense cycle — every lane visited — with departures collected
+    /// by value: [`Router::step_fast`] with `all_live` set, for callers
+    /// that want a result object rather than a stream.
     pub fn step(
         &mut self,
+        now: u64,
         route: impl Fn(&Flit) -> RouteTarget,
         lane_ready: impl Fn(Direction, usize) -> bool,
         ports: PortLane<'_>,
     ) -> StepOutcome {
         let mut departures = [None; 5];
-        let arbitrations = self.step_fast(route, lane_ready, ports, |dep| {
+        let outcome = self.step_fast(now, true, route, lane_ready, ports, |dep| {
             departures[dep.output.index()] = Some(dep);
         });
         StepOutcome {
             departures,
-            arbitrations: arbitrations.arbitrations,
+            arbitrations: outcome.arbitrations,
         }
     }
 
-    /// [`Router::step`] with departures streamed through `on_depart`
-    /// instead of returned by value — the engine's hot path.
-    /// Monomorphized on gating so ungated runs never touch the FSM
-    /// lanes (or their cache lines) at all.
+    /// One VC-allocation + switch-allocation + traversal cycle at cycle
+    /// `now`, with departures streamed through `on_depart` — the
+    /// engine's hot path.
+    ///
+    /// `route` maps a flit to its [`RouteTarget`] (output port + output
+    /// VC) and is called once per flit, when it reaches the front of
+    /// its input lane (and again only if a fault epoch clears the
+    /// cached route); `lane_ready` reports whether the output lane
+    /// holds a credit (a free slot in the downstream VC buffer; the
+    /// ejection port always sinks) — callers must evaluate it against
+    /// cycle-start credit state so results are independent of router
+    /// iteration order. `ports` is this router's block of the
+    /// simulation-owned SoA lane state.
+    ///
+    /// Only live output lanes are visited — owned, or requested by a
+    /// waiting head flit — unless `all_live` is set, which visits every
+    /// lane (the dense oracle, and the engine's periodic watermark
+    /// refresh). A visited lane first catches up the cycles through
+    /// `now − 1` it sat out. Monomorphized on gating so ungated runs
+    /// never touch the FSM lanes (or their cache lines) at all.
     pub fn step_fast(
         &mut self,
+        now: u64,
+        all_live: bool,
         route: impl Fn(&Flit) -> RouteTarget,
         lane_ready: impl Fn(Direction, usize) -> bool,
         ports: PortLane<'_>,
         on_depart: impl FnMut(Departure),
     ) -> FastOutcome {
         if self.sleep_cfg.is_some() {
-            self.step_impl::<true>(route, lane_ready, ports, on_depart)
+            self.step_impl::<true>(now, all_live, route, lane_ready, ports, on_depart)
         } else {
-            self.step_impl::<false>(route, lane_ready, ports, on_depart)
+            self.step_impl::<false>(now, all_live, route, lane_ready, ports, on_depart)
         }
     }
 
     #[inline(always)]
     fn step_impl<const GATED: bool>(
         &mut self,
+        now: u64,
+        all_live: bool,
         route: impl Fn(&Flit) -> RouteTarget,
         lane_ready: impl Fn(Direction, usize) -> bool,
-        ports: PortLane<'_>,
+        mut ports: PortLane<'_>,
         mut on_depart: impl FnMut(Departure),
     ) -> FastOutcome {
-        const NO_WANT: u8 = u8::MAX;
         let v = self.vcs as usize;
         let nlanes = 5 * v;
+        let vmask = (1u64 << v) - 1;
         let mut arbitrations = 0u64;
-        let mut input_used = [false; 5];
-        ports.idle_ended[..nlanes].fill(0);
+        // Input lanes of ports that already sent this cycle.
+        let mut blocked = 0u64;
 
-        // Route every occupied input lane's front flit once (≤ 5·V
-        // route lookups), and build a per-output-lane mask of waiting
-        // head flits so lanes nobody requests skip the VC-allocation
-        // scan entirely.
-        let mut want = [NO_WANT; MAX_LANES];
-        let mut head = [false; MAX_LANES];
+        // Requesters per output lane, from the occupied input lanes'
+        // cached front routes: a free lane nobody requests is not live.
+        let mut heads = [0u64; MAX_LANES];
         let mut head_wants = 0u64;
-        for il in 0..nlanes {
-            if let Some(f) = self.buffers.front(il) {
-                debug_assert!(!f.is_invalid(), "routing a filler flit");
-                let t = route(f);
-                let ol = t.out.index() * v + t.vc as usize;
-                want[il] = ol as u8;
-                head[il] = f.is_head;
-                if f.is_head {
-                    head_wants |= 1 << ol;
-                }
+        let mut occ = self.occupied;
+        while occ != 0 {
+            let il = occ.trailing_zeros() as usize;
+            occ &= occ - 1;
+            let (ol, is_head) = self.front_route(il, &route);
+            if is_head {
+                head_wants |= 1 << ol;
+                heads[ol] |= 1 << il;
             }
         }
+        let live = if all_live {
+            (1u64 << nlanes) - 1
+        } else {
+            self.owned | head_wants
+        };
 
         for out in Direction::ALL {
             let oi = out.index();
+            let port_live = (live >> (oi * v)) & vmask;
+            if port_live == 0 {
+                continue;
+            }
             // Switch allocation: round-robin start among this output
             // port's V lanes; the first lane that can send wins the
-            // port's single crossbar line this cycle.
+            // port's single crossbar line this cycle. Rotating the live
+            // mask puts the start lane at bit 0.
             let sa_start = self.sa_rr[oi] as usize;
+            let mut order = ((port_live >> sa_start) | (port_live << (v - sa_start))) & vmask;
             let mut winner_vc: Option<usize> = None;
-            for j in 0..v {
-                let mut ovc = sa_start + j;
-                if ovc >= v {
-                    ovc -= v;
-                }
-                let ol = oi * v + ovc;
-
-                let owner = self.owners[ol];
-                // Mask short-circuit: a free lane no head requested
-                // this cycle skips the round-robin scan entirely. The
-                // eligibility rule itself is shared with the fresh-scan
-                // path in `select_candidate`, answered here from the
-                // cycle-start `want`/`head` scratch.
-                let candidate = if owner.is_free() && head_wants & (1 << ol) == 0 {
-                    None
+            while order != 0 {
+                let j = order.trailing_zeros() as usize;
+                order &= order - 1;
+                let ovc = if sa_start + j >= v {
+                    sa_start + j - v
                 } else {
-                    self.select_candidate(ol, &input_used, |il| {
-                        (want[il] == ol as u8).then_some(head[il])
-                    })
+                    sa_start + j
                 };
+                let ol = oi * v + ovc;
+                let lag = lane_lag(ports.settled[ol], now - 1, now - 1);
+                arbitrations += self.settle_lane(&mut ports, ol, lag);
+
+                let free = self.lanes[ol].owner.is_free();
+                let candidate = self.select_candidate(ol, blocked, heads[ol]);
                 // A flit "wants" the lane only when it could actually
                 // move: a sleeping lane stays in standby while the
                 // downstream VC is out of credits instead of waking
@@ -561,47 +682,46 @@ impl Router {
                     true
                 };
 
-                if can_transmit && owner.is_free() {
+                if can_transmit && free {
                     arbitrations += 1;
                 }
 
+                let ended = ports.idle_run[ol];
                 let mut sent = false;
                 if can_transmit && wants && winner_vc.is_none() {
                     let il = candidate.expect("wants implies candidate");
-                    let mut flit = self.buffers.pop_front(il).expect("front exists");
-                    if owner.is_free() {
+                    let mut flit = self.pop_front(il).expect("front exists");
+                    if free {
                         // VC allocation: the head flit claims the lane
                         // (released again immediately for single-flit
                         // packets) and advances its round-robin.
                         if !flit.is_tail {
-                            self.owners[ol] = PortOwner::owned(il);
-                            self.owner_pkt[ol] = flit.packet_id;
+                            self.lanes[ol].owner = PortOwner::owned(il);
+                            self.owned |= 1 << ol;
+                            self.lanes[ol].owner_pkt = flit.packet_id;
                         }
                         let next = il + 1;
-                        self.rr_next[ol] = (if next == nlanes { 0 } else { next }) as u8;
+                        self.lanes[ol].rr_next = (if next == nlanes { 0 } else { next }) as u8;
                     } else if flit.is_tail {
-                        self.owners[ol] = PortOwner::FREE;
+                        self.lanes[ol].owner = PortOwner::FREE;
+                        self.owned &= !(1 << ol);
                     }
-                    let input_vc = (il % v) as u8;
+                    let port = il / v;
                     flit.vc = ovc as u8;
                     on_depart(Departure {
-                        input: Direction::from_index(il / v),
-                        input_vc,
+                        input: Direction::from_index(port),
+                        input_vc: (il - port * v) as u8,
                         output: out,
                         flit,
+                        idle_run: ended,
                     });
-                    input_used[il / v] = true;
+                    blocked |= vmask << (port * v);
                     sent = true;
                     winner_vc = Some(ovc);
                 }
 
                 // Idle-run bookkeeping for the power model, per lane.
-                if sent {
-                    ports.idle_ended[ol] = ports.idle_run[ol];
-                    ports.idle_run[ol] = 0;
-                } else {
-                    ports.idle_run[ol] += 1;
-                }
+                ports.idle_run[ol] = if sent { 0 } else { ended + 1 };
 
                 if GATED {
                     let cfg = self.sleep_cfg.expect("GATED implies a sleep config");
@@ -614,18 +734,15 @@ impl Router {
                     // rescan reads the fresh buffer fronts (the pop just
                     // changed them). The just-used input port is free
                     // again next cycle, so the lookahead ignores this
-                    // cycle's usage flags.
+                    // cycle's usage.
                     let wants_after = sent
                         && cfg.threshold() == Some(0)
                         && lane_ready(out, ovc)
-                        && self.candidate_for_lane(ol, &route, &[false; 5]).is_some();
-                    let run = if sent {
-                        ports.idle_ended[ol]
-                    } else {
-                        ports.idle_run[ol]
-                    };
+                        && self.candidate_for_lane(ol, &route);
+                    let run = if sent { ended } else { ended + 1 };
                     ports.fsm[ol].settle(sent, stalled, wants_after, run, &cfg, ports.counters);
                 }
+                ports.settled[ol] = now as u32;
             }
             if let Some(wvc) = winner_vc {
                 if v > 1 {
@@ -639,13 +756,14 @@ impl Router {
     }
 }
 
-/// What happened in one [`Router::step_fast`] cycle (departures stream
-/// through `on_depart`; per-lane idle runs land in
-/// [`PortLane::idle_ended`]).
+/// What happened in one [`Router::step_fast`] cycle (departures, with
+/// the idle runs they ended, stream through `on_depart`).
 #[derive(Debug, Clone, Copy)]
 pub struct FastOutcome {
     /// Arbitration events (for the arbiter energy model): one per
-    /// awake, unallocated output lane per cycle.
+    /// awake, unallocated output lane per cycle — for the visited lanes
+    /// this cycle, plus the cycles they caught up on. Lanes the step
+    /// left behind bill theirs when they are settled.
     pub arbitrations: u64,
 }
 
@@ -673,12 +791,14 @@ mod tests {
     use lnoc_power::gating::GatingPolicy;
 
     /// Standalone owner of one router's SoA lane block for unit tests
-    /// (the simulation owns these arrays network-wide).
+    /// (the simulation owns these arrays network-wide), with its own
+    /// cycle counter.
     struct Ports {
         idle: Vec<u64>,
         fsm: Vec<SleepFsm>,
         counters: GatingCounters,
-        idle_ended: Vec<u64>,
+        settled: Vec<u32>,
+        now: u64,
     }
 
     impl Ports {
@@ -687,7 +807,8 @@ mod tests {
                 idle: vec![0; 5 * vcs],
                 fsm: vec![SleepFsm::default(); 5 * vcs],
                 counters: GatingCounters::default(),
-                idle_ended: vec![0; 5 * vcs],
+                settled: vec![0; 5 * vcs],
+                now: 0,
             }
         }
 
@@ -696,8 +817,20 @@ mod tests {
                 idle_run: &mut self.idle,
                 fsm: &mut self.fsm,
                 counters: &mut self.counters,
-                idle_ended: &mut self.idle_ended,
+                settled: &mut self.settled,
             }
+        }
+
+        /// One dense step of `r` on the next cycle.
+        fn step(
+            &mut self,
+            r: &mut Router,
+            route: impl Fn(&Flit) -> RouteTarget,
+            ready: impl Fn(Direction, usize) -> bool,
+        ) -> StepOutcome {
+            self.now += 1;
+            let now = self.now;
+            r.step(now, route, ready, self.lane())
         }
     }
 
@@ -730,7 +863,7 @@ mod tests {
         let mut r = Router::new(0, 4, 1);
         let mut p = Ports::new(1);
         r.accept(Direction::West, flit(1, true, true));
-        let out = r.step(to(Direction::East), |_, _| true, p.lane());
+        let out = p.step(&mut r, to(Direction::East), |_, _| true);
         let deps: Vec<_> = out.departures().collect();
         assert_eq!(deps.len(), 1);
         assert_eq!(deps[0].output, Direction::East);
@@ -752,7 +885,7 @@ mod tests {
 
         let mut winners = Vec::new();
         for _ in 0..4 {
-            let out = r.step(to(Direction::East), |_, _| true, p.lane());
+            let out = p.step(&mut r, to(Direction::East), |_, _| true);
             for d in out.departures() {
                 winners.push(d.flit.packet_id);
             }
@@ -771,7 +904,7 @@ mod tests {
         let mut r = Router::new(0, 4, 1);
         let mut p = Ports::new(1);
         r.accept(Direction::West, flit(1, true, true));
-        let out = r.step(to(Direction::East), |_, _| false, p.lane());
+        let out = p.step(&mut r, to(Direction::East), |_, _| false);
         assert_eq!(out.departures().count(), 0);
         assert_eq!(r.total_occupancy(), 1);
         assert!(!r.is_quiet());
@@ -785,7 +918,7 @@ mod tests {
         let mut r = Router::new(0, 4, 1);
         let mut p = Ports::new(1);
         r.accept(Direction::West, flit(1, true, false));
-        let out = r.step(to(Direction::East), |_, _| true, p.lane());
+        let out = p.step(&mut r, to(Direction::East), |_, _| true);
         assert_eq!(out.departures().count(), 1);
         assert_eq!(r.total_occupancy(), 0);
         assert!(!r.is_quiet(), "owned output lane keeps the router active");
@@ -824,8 +957,8 @@ mod tests {
         for round in 0..5u64 {
             r.accept(Direction::West, flit(round, true, true));
             r.accept(Direction::West, flit(round + 100, true, true));
-            let f1 = r.step(to(Direction::East), |_, _| true, p.lane());
-            let f2 = r.step(to(Direction::East), |_, _| true, p.lane());
+            let f1 = p.step(&mut r, to(Direction::East), |_, _| true);
+            let f2 = p.step(&mut r, to(Direction::East), |_, _| true);
             assert_eq!(f1.departures().next().unwrap().flit.packet_id, round);
             assert_eq!(f2.departures().next().unwrap().flit.packet_id, round + 100);
         }
@@ -850,10 +983,10 @@ mod tests {
             },
             vc: 0,
         };
-        let first = r.step(route, |_, _| true, p.lane());
+        let first = p.step(&mut r, route, |_, _| true);
         assert_eq!(first.departures().count(), 1, "one read per input port");
         assert_eq!(first.departures().next().unwrap().output, Direction::East);
-        let second = r.step(route, |_, _| true, p.lane());
+        let second = p.step(&mut r, route, |_, _| true);
         assert_eq!(second.departures().next().unwrap().output, Direction::Local);
     }
 
@@ -874,9 +1007,9 @@ mod tests {
             },
             vc: 0,
         };
-        let first = r.step(route, |_, _| true, p.lane());
+        let first = p.step(&mut r, route, |_, _| true);
         assert_eq!(first.departures().count(), 1);
-        let second = r.step(route, |_, _| true, p.lane());
+        let second = p.step(&mut r, route, |_, _| true);
         assert_eq!(second.departures().count(), 1);
         assert_eq!(r.total_occupancy(), 0);
     }
@@ -900,7 +1033,7 @@ mod tests {
         let mut per_cycle = Vec::new();
         let mut vcs_seen = Vec::new();
         for _ in 0..4 {
-            let out = r.step(route, |_, _| true, p.lane());
+            let out = p.step(&mut r, route, |_, _| true);
             per_cycle.push(out.departures().count());
             for d in out.departures() {
                 vcs_seen.push(d.flit.vc);
@@ -928,7 +1061,7 @@ mod tests {
         let ready = |_d: Direction, vc: usize| vc == 1;
         let mut delivered = Vec::new();
         for _ in 0..2 {
-            let out = r.step(route, ready, p.lane());
+            let out = p.step(&mut r, route, ready);
             for d in out.departures() {
                 delivered.push((d.flit.packet_id, d.flit.vc));
             }
@@ -948,7 +1081,7 @@ mod tests {
         }
         let mut order = Vec::new();
         for _ in 0..4 {
-            let out = r.step(to(Direction::East), |_, _| true, p.lane());
+            let out = p.step(&mut r, to(Direction::East), |_, _| true);
             for d in out.departures() {
                 order.push(d.flit.packet_id);
             }
@@ -965,14 +1098,14 @@ mod tests {
         let mut p = Ports::new(2);
         // Three idle cycles on every lane.
         for _ in 0..3 {
-            let _ = r.step(to(Direction::East), |_, _| true, p.lane());
+            let _ = p.step(&mut r, to(Direction::East), |_, _| true);
         }
         r.accept(Direction::West, flit(1, true, true));
-        let _ = r.step(to(Direction::East), |_, _| true, p.lane());
+        let out = p.step(&mut r, to(Direction::East), |_, _| true);
         let east0 = Direction::East.index() * 2;
         // East VC 0's 3-cycle idle run ended when the flit crossed; its
         // sibling VC 1 lane stays idle.
-        assert_eq!(p.idle_ended[east0], 3);
+        assert_eq!(out.departures().next().unwrap().idle_run, 3);
         assert_eq!(p.idle[east0], 0);
         assert!(p.idle[east0 + 1] >= 4, "sibling lane keeps idling");
         assert!(p.idle[Direction::North.index() * 2] >= 4);
@@ -993,7 +1126,7 @@ mod tests {
         let mut p = Ports::new(1);
         // Idle past the threshold: the lane sleeps.
         for _ in 0..4 {
-            let _ = r.step(to(Direction::East), |_, _| true, p.lane());
+            let _ = p.step(&mut r, to(Direction::East), |_, _| true);
         }
         assert_eq!(p.fsm[Direction::East.index()].state(), SleepState::Asleep);
 
@@ -1001,7 +1134,7 @@ mod tests {
         r.accept(Direction::West, flit(1, true, true));
         let mut stalls = 0;
         loop {
-            let out = r.step(to(Direction::East), |_, _| true, p.lane());
+            let out = p.step(&mut r, to(Direction::East), |_, _| true);
             if out.departures().count() == 1 {
                 break;
             }
@@ -1035,7 +1168,7 @@ mod tests {
             vc: 0,
         };
         for _ in 0..6 {
-            let _ = r.step(route, |_, _| true, p.lane());
+            let _ = p.step(&mut r, route, |_, _| true);
         }
         let east = Direction::East.index() * 2;
         assert_eq!(
@@ -1057,7 +1190,7 @@ mod tests {
         let mut r = Router::new(0, 4, 1);
         let mut p = Ports::new(1);
         for _ in 0..10 {
-            let _ = r.step(to(Direction::East), |_, _| true, p.lane());
+            let _ = p.step(&mut r, to(Direction::East), |_, _| true);
         }
         assert_eq!(p.counters, GatingCounters::default());
         assert_eq!(p.fsm[Direction::East.index()].state(), SleepState::Active);
@@ -1076,10 +1209,10 @@ mod tests {
         );
         let mut p = Ports::new(1);
         for _ in 0..5 {
-            let _ = r.step(to(Direction::East), |_, _| true, p.lane());
+            let _ = p.step(&mut r, to(Direction::East), |_, _| true);
         }
         r.accept(Direction::West, flit(1, true, true));
-        let out = r.step(to(Direction::East), |_, _| true, p.lane());
+        let out = p.step(&mut r, to(Direction::East), |_, _| true);
         assert_eq!(out.departures().count(), 1, "Never gating never stalls");
         assert_eq!(p.counters.sleep_entries, 0);
         assert_eq!(p.counters.cycles_busy, 1);
@@ -1087,75 +1220,233 @@ mod tests {
         assert_eq!(p.counters.cycles_idle_awake, 29);
     }
 
-    #[test]
-    fn step_and_step_fast_agree() {
-        // `step` is a thin wrapper over `step_fast`; this guards the
-        // wrapper plumbing (departure collection, outcome fields)
-        // across VC counts and gating configs.
-        for vcs in [1usize, 2, 4] {
-            for gating in [
-                None,
-                Some(SleepConfig {
-                    policy: GatingPolicy::IdleThreshold(2),
-                    wake_latency: 2,
-                }),
-            ] {
-                let mut slow = Router::with_gating(0, 4, vcs, gating);
-                let mut fast = Router::with_gating(0, 4, vcs, gating);
-                let mut sp = Ports::new(vcs);
-                let mut fp = Ports::new(vcs);
-                let mut x = 0x9e3779b97f4a7c15u64;
-                let mut rnd = move || {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    x
-                };
-                let route = move |f: &Flit| RouteTarget {
-                    out: Direction::from_index(f.dst % 5),
-                    vc: (f.packet_id % vcs as u64) as u8,
-                };
-                let mut pkt = 0u64;
-                for cycle in 0..300u64 {
-                    for _ in 0..(rnd() % 3) {
-                        let port = Direction::from_index((rnd() % 5) as usize);
-                        let vc = (rnd() % vcs as u64) as u8;
-                        let dst = (rnd() % 5) as usize;
-                        let len = 1 + (rnd() % 3) as usize;
-                        if slow.occupancy(port, vc as usize) + len <= 4 {
-                            pkt += 1;
-                            for k in 0..len {
-                                let f = Flit {
-                                    packet_id: pkt,
-                                    src: 0,
-                                    dst,
-                                    vc,
-                                    is_head: k == 0,
-                                    is_tail: k + 1 == len,
-                                    injected_at: cycle,
-                                };
-                                slow.accept(port, f);
-                                fast.accept(port, f);
-                            }
+    /// The quiescence predicate as a scan of buffers and owners — what
+    /// the incrementally maintained masks must agree with.
+    fn scanned_quiet(r: &Router) -> bool {
+        r.total_occupancy() == 0 && r.lanes.iter().all(|l| l.owner.is_free())
+    }
+
+    /// A deterministic xorshift stream for the randomized router tests.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Lane-granular stepping is an optimization, not a model
+        /// change: one router stepped with every lane live and one
+        /// stepped lazily, fed the same random arrivals and credit
+        /// states, send the same flits every cycle (ended idle runs
+        /// included), keep the same masks, and — whenever the lazy one
+        /// catches up, at random cycles and at the end — agree on the
+        /// running arbitration total and every idle run, FSM and
+        /// counter.
+        #[test]
+        fn lazy_step_matches_dense_step(
+            seed in 0u64..u64::MAX,
+            vcs_sel in 0usize..3,
+            gating_sel in 0u32..13,
+            wake in 0u32..5,
+            load in 1u64..4,
+        ) {
+            let vcs = [1usize, 2, 4][vcs_sel];
+            let gating = match gating_sel {
+                0 => None,
+                1 => Some(GatingPolicy::Never),
+                2 => Some(GatingPolicy::Immediate),
+                th => Some(GatingPolicy::IdleThreshold(th - 3)),
+            }
+            .map(|policy| SleepConfig { policy, wake_latency: wake });
+            let mut dense = Router::with_gating(0, 4, vcs, gating);
+            let mut lazy = Router::with_gating(0, 4, vcs, gating);
+            let mut dp = Ports::new(vcs);
+            let mut lp = Ports::new(vcs);
+            let mut rnd = xorshift(seed);
+            let route = move |f: &Flit| RouteTarget {
+                out: Direction::from_index(f.dst % 5),
+                vc: (f.packet_id % vcs as u64) as u8,
+            };
+            let (mut dense_arbs, mut lazy_arbs) = (0u64, 0u64);
+            let mut pkt = 0u64;
+            for now in 1..=400u64 {
+                // Bursts of arrivals separated by idle stretches, so
+                // lanes sleep, wake and sit out whole spans.
+                let arrivals = if (now / 40) % 2 == 0 { rnd() % (load + 1) } else { 0 };
+                for _ in 0..arrivals {
+                    let port = Direction::from_index((rnd() % 5) as usize);
+                    let vc = (rnd() % vcs as u64) as u8;
+                    let dst = (rnd() % 5) as usize;
+                    let len = 1 + (rnd() % 3) as usize;
+                    if dense.occupancy(port, vc as usize) + len <= 4 {
+                        pkt += 1;
+                        for k in 0..len {
+                            let f = Flit {
+                                packet_id: pkt,
+                                src: 0,
+                                dst,
+                                vc,
+                                is_head: k == 0,
+                                is_tail: k + 1 == len,
+                                injected_at: now,
+                            };
+                            dense.accept(port, f);
+                            lazy.accept(port, f);
                         }
                     }
-                    let ready_mask = rnd();
-                    let ready = move |d: Direction, vc: usize| {
-                        ready_mask & (1 << (d.index() * 8 + vc)) != 0
-                    };
-                    let a = slow.step(route, ready, sp.lane());
-                    let mut fast_deps: Vec<Departure> = Vec::new();
-                    let b = fast.step_fast(route, ready, fp.lane(), |d| fast_deps.push(d));
-                    let slow_deps: Vec<Departure> = a.departures().collect();
-                    assert_eq!(slow_deps, fast_deps, "cycle {cycle} vcs {vcs} {gating:?}");
-                    assert_eq!(a.arbitrations, b.arbitrations, "cycle {cycle}");
-                    assert_eq!(sp.idle, fp.idle, "cycle {cycle}");
-                    assert_eq!(sp.idle_ended, fp.idle_ended, "cycle {cycle}");
-                    assert_eq!(sp.fsm, fp.fsm, "cycle {cycle}");
-                    assert_eq!(sp.counters, fp.counters, "cycle {cycle}");
-                    assert_eq!(slow.total_occupancy(), fast.total_occupancy());
+                }
+                let ready_mask = rnd();
+                let ready = move |d: Direction, vc: usize| {
+                    ready_mask & (1 << (d.index() * 8 + vc)) != 0
+                };
+                let mut dense_deps = Vec::new();
+                let mut lazy_deps = Vec::new();
+                dense_arbs += dense
+                    .step_fast(now, true, route, ready, dp.lane(), |d| dense_deps.push(d))
+                    .arbitrations;
+                lazy_arbs += lazy
+                    .step_fast(now, false, route, ready, lp.lane(), |d| lazy_deps.push(d))
+                    .arbitrations;
+                proptest::prop_assert!(dense_deps == lazy_deps, "departures diverged at cycle {now}");
+                proptest::prop_assert_eq!(dense.is_quiet(), scanned_quiet(&dense));
+                proptest::prop_assert_eq!(lazy.is_quiet(), scanned_quiet(&lazy));
+                proptest::prop_assert_eq!(dense.total_occupancy(), lazy.total_occupancy());
+                if rnd().is_multiple_of(8) || now == 400 {
+                    lazy_arbs += lazy.settle_lanes(&mut lp.lane(), now, now);
+                    proptest::prop_assert!(dense_arbs == lazy_arbs, "arbitration totals diverged at cycle {now}");
+                    proptest::prop_assert!(dp.idle == lp.idle, "idle runs diverged at cycle {now}");
+                    proptest::prop_assert!(dp.fsm == lp.fsm, "FSMs diverged at cycle {now}");
+                    proptest::prop_assert!(dp.counters == lp.counters, "counters diverged at cycle {now}");
+                    proptest::prop_assert!(dp.settled == lp.settled, "watermarks diverged at cycle {now}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn watermarks_wrap_around_u32_cleanly() {
+        // The same traffic played at cycles straddling 2³² and at small
+        // cycles: lanes caught up across the wrap of their 32-bit
+        // watermarks settle exactly like lanes that never wrap.
+        let cfg = Some(SleepConfig {
+            policy: GatingPolicy::IdleThreshold(3),
+            wake_latency: 2,
+        });
+        let play = |start: u64| {
+            let mut r = Router::with_gating(0, 4, 2, cfg);
+            let mut p = Ports::new(2);
+            p.now = start;
+            p.settled.fill(start as u32);
+            let _ = p.step(&mut r, to(Direction::East), |_, _| true);
+            r.accept(Direction::West, flit(1, true, true));
+            let mut deps = Vec::new();
+            let mut arbs = 0;
+            for gap in [2u64, 7, 1] {
+                p.now += gap;
+                let now = p.now;
+                arbs += r
+                    .step_fast(
+                        now,
+                        false,
+                        to(Direction::East),
+                        |_, _| true,
+                        p.lane(),
+                        |d| deps.push(d),
+                    )
+                    .arbitrations;
+            }
+            let now = p.now + 5;
+            arbs += r.settle_lanes(&mut p.lane(), now, now);
+            (deps, arbs, p.idle, p.fsm, p.counters)
+        };
+        assert_eq!(play(3), play((1 << 32) - 4));
+    }
+
+    #[test]
+    fn route_cache_is_cleared_by_a_pop() {
+        // Each flit is routed once, when it reaches the front — not
+        // once per cycle it waits — and a pop hands the next flit a
+        // fresh route.
+        let calls = std::cell::Cell::new(0);
+        let route = |f: &Flit| {
+            calls.set(calls.get() + 1);
+            RouteTarget {
+                out: if f.packet_id == 1 {
+                    Direction::East
+                } else {
+                    Direction::North
+                },
+                vc: 0,
+            }
+        };
+        let mut r = Router::new(0, 4, 1);
+        let mut p = Ports::new(1);
+        r.accept(Direction::West, flit(1, true, true));
+        r.accept(Direction::West, flit(2, true, true));
+        for _ in 0..3 {
+            assert_eq!(p.step(&mut r, route, |_, _| false).departures().count(), 0);
+        }
+        assert_eq!(calls.get(), 1, "a waiting front flit is routed once");
+        let first = p.step(&mut r, route, |_, _| true);
+        assert_eq!(first.departures().next().unwrap().output, Direction::East);
+        assert_eq!(r.cached_route(0), None, "the pop dropped the cache");
+        let second = p.step(&mut r, route, |_, _| true);
+        assert_eq!(second.departures().next().unwrap().output, Direction::North);
+        assert_eq!(calls.get(), 2);
+    }
+
+    #[test]
+    fn route_cache_is_cleared_by_purge_and_epoch_change() {
+        let west = Direction::West.index();
+        let mut r = Router::new(0, 4, 1);
+        let mut p = Ports::new(1);
+        r.accept(Direction::West, flit(1, true, false));
+        r.accept(Direction::West, flit(2, true, true));
+        let _ = p.step(&mut r, to(Direction::East), |_, _| false);
+        assert_eq!(r.cached_route(west), Some((Direction::East.index(), true)));
+        // Purging the front packet exposes a new front flit.
+        r.purge_packets(|pid| pid == 1, |_, _| {});
+        assert_eq!(r.cached_route(west), None);
+        let _ = p.step(&mut r, to(Direction::East), |_, _| false);
+        assert_eq!(r.cached_route(west), Some((Direction::East.index(), true)));
+        // A new fault epoch changes the routing function itself: the
+        // cached route goes, and the next step follows the new one.
+        r.clear_route_cache();
+        assert_eq!(r.cached_route(west), None);
+        let out = p.step(&mut r, to(Direction::South), |_, _| true);
+        assert_eq!(out.departures().next().unwrap().output, Direction::South);
+    }
+
+    #[test]
+    fn quiet_masks_agree_with_buffer_and_owner_scan() {
+        // Occupied and owned masks track push, pop, allocation, tail
+        // release and purge.
+        let mut r = Router::new(0, 4, 2);
+        let mut p = Ports::new(2);
+        assert!(r.is_quiet() && scanned_quiet(&r));
+        r.accept(Direction::West, vflit(1, 1, true, false));
+        r.accept(Direction::West, vflit(1, 1, false, true));
+        assert!(!r.is_quiet() && !scanned_quiet(&r));
+        let _ = p.step(&mut r, to(Direction::East), |_, _| true);
+        assert_eq!(r.total_occupancy(), 1);
+        assert!(!r.is_quiet() && !scanned_quiet(&r));
+        let _ = p.step(&mut r, to(Direction::East), |_, _| true);
+        assert!(
+            r.is_quiet() && scanned_quiet(&r),
+            "the tail released the lane"
+        );
+        // A worm whose tail is purged upstream leaves an owned lane.
+        r.accept(Direction::North, flit(2, true, false));
+        let _ = p.step(&mut r, to(Direction::East), |_, _| true);
+        assert_eq!(r.total_occupancy(), 0);
+        assert!(!r.is_quiet() && !scanned_quiet(&r));
+        r.purge_packets(|pid| pid == 2, |_, _| {});
+        assert!(r.is_quiet() && scanned_quiet(&r));
     }
 }

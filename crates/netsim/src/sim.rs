@@ -7,15 +7,21 @@
 //!
 //! * [`SimKernel::Engine`] — the production engine. Three ideas make
 //!   it fast, and none of them changes a result:
-//!   - **Worklist.** Only routers that can possibly do work this cycle
-//!     are stepped: routers with buffered flits, an output VC lane held
-//!     mid-packet, or a waiting source packet. Sleep-FSM motion earns
-//!     no membership, because an empty router's FSM future is
-//!     closed-form (see [`SleepFsm::idle_predictable`]). Quiescent
-//!     routers are skipped entirely; their idle cycles are accounted in
-//!     O(1) bulk when they reactivate or the window closes. Credit
-//!     counters are maintained incrementally on flit departure and
-//!     arrival instead of rebuilt.
+//!   - **Worklist, down to the lane.** Only routers that can possibly
+//!     do work this cycle are stepped: routers with buffered flits, an
+//!     output VC lane held mid-packet, or a waiting source packet.
+//!     Inside a stepped router only the *live* output lanes are
+//!     visited — owned, or requested by a waiting head flit
+//!     ([`Router::step_fast`]); each input lane's front flit is routed
+//!     once, when it reaches the front. Every other lane, and every
+//!     lane of a quiescent router, can only idle, and an idle lane's
+//!     future is closed-form in whatever sleep state it is in
+//!     ([`SleepFsm::settle_idle_bulk`]). So each lane carries a
+//!     settlement watermark and is settled in O(1) from it when it
+//!     becomes live, when its router reactivates, or when the window
+//!     closes — one closed form for lane- and router-level laziness.
+//!     Credit counters are maintained incrementally on flit departure
+//!     and arrival instead of rebuilt.
 //!   - **Time wheel.** Each source's next injection arrival is parked
 //!     on a per-shard calendar queue (the `TimeWheel`), so injection
 //!     costs O(due arrivals + active routers) per cycle instead of an
@@ -31,7 +37,8 @@
 //!     ([`MeshConfig::shards`] / [`MeshConfig::threads`] — pure
 //!     geometry: neither changes a result).
 //! * [`SimKernel::Reference`] — the dense oracle: one tile, every
-//!   router stepped every cycle, injection by a per-cycle scan of every
+//!   router and every lane stepped every cycle (the same step function
+//!   with every lane live), injection by a per-cycle scan of every
 //!   source, and the credit state rebuilt O(5·V·n) per cycle from the
 //!   live buffers. Simple, obviously correct, slow.
 //!
@@ -114,8 +121,8 @@
 //!   `packet_len_flits` flits. The check is always on in debug builds
 //!   and behind [`MeshConfig::validate_ejection`] in release, so sweep
 //!   binaries do not pay per-flit assertion cost.
-//! * The per-cycle scratch (transfers, idle-ended slice, worklist,
-//!   wheel) is reused across cycles and [`Router::step_fast`] is
+//! * The per-cycle scratch (transfers, worklist, wheel) is reused
+//!   across cycles and [`Router::step_fast`] is
 //!   allocation-free, so the steady-state loop performs no heap
 //!   allocation.
 
@@ -398,6 +405,12 @@ pub(crate) fn packet_id(src: usize, seq: u64) -> u64 {
     ((src as u64) << PACKET_SEQ_BITS) | seq
 }
 
+/// The engine steps every lane of its active routers on each cycle
+/// that is a multiple of this, so a lane left behind by lane-granular
+/// stepping never lags its router by more than 2³¹ cycles — well inside
+/// the 32-bit watermarks ([`PortLane::settled`]).
+const WATERMARK_REFRESH: u64 = 1 << 31;
+
 /// Per-destination ejection progress, for on-the-fly validation of
 /// in-order, contiguous packet delivery.
 #[derive(Debug, Clone, Copy, Default)]
@@ -470,9 +483,14 @@ pub struct Simulation {
     fsm: Vec<SleepFsm>,
     /// Gating counters per router (all lanes summed).
     counters: Vec<GatingCounters>,
+    /// Settlement watermark per output VC lane ([`PortLane::settled`]):
+    /// the low 32 bits of the last cycle the lane's idle run, FSM and
+    /// counters account for. A router step visits only live lanes;
+    /// the rest catch up from here.
+    settled: Vec<u32>,
     /// Last cycle a (now quiescent) router was stepped or accounted
     /// through; the gap to the current cycle is its pending bulk-idle
-    /// accounting.
+    /// accounting, and it anchors its lanes' watermarks.
     last_stepped: Vec<u64>,
 
     // ---- Shared immutable lookup state ----
@@ -516,8 +534,6 @@ struct ShardScratch {
     active_bits: Vec<u64>,
     /// Reused per-cycle scratch: departures waiting to be applied.
     transfers: Vec<Transfer>,
-    /// Reused per-router scratch for [`PortLane::idle_ended`].
-    idle_ended: Vec<u64>,
     /// Staged outgoing boundary messages, parallel to
     /// `Mailboxes::outboxes(shard)`.
     outgoing: Vec<Vec<BoundaryMsg>>,
@@ -672,6 +688,7 @@ struct ShardView<'a> {
     idle_run: &'a mut [u64],
     fsm: &'a mut [SleepFsm],
     counters: &'a mut [GatingCounters],
+    settled: &'a mut [u32],
     last_stepped: &'a mut [u64],
     /// This tile's rows of the run result's per-router activity and
     /// gating counters, written only while the measurement window is
@@ -854,7 +871,6 @@ impl Simulation {
                     len: range.len(),
                     active_bits: vec![0; range.len().div_ceil(64)],
                     transfers: Vec::new(),
-                    idle_ended: vec![0; lanes],
                     outgoing: vec![Vec::new(); tiles.neighbors(s).len()],
                     incoming: vec![Vec::new(); tiles.neighbors(s).len()],
                     flits_injected: 0,
@@ -910,6 +926,7 @@ impl Simulation {
             idle_run: vec![0; n * lanes],
             fsm: vec![SleepFsm::default(); n * lanes],
             counters: vec![GatingCounters::default(); n],
+            settled: vec![0; n * lanes],
             last_stepped: vec![0; n],
             neighbors: NeighborTable::new(&mesh),
             xy: (0..n)
@@ -1207,6 +1224,7 @@ impl Simulation {
                 idle_run,
                 fsm,
                 counters,
+                settled,
                 last_stepped,
                 neighbors,
                 routes,
@@ -1257,6 +1275,7 @@ impl Simulation {
                 let mut idle_run = idle_run.as_mut_slice();
                 let mut fsm = fsm.as_mut_slice();
                 let mut counters = counters.as_mut_slice();
+                let mut settled = settled.as_mut_slice();
                 let mut last_stepped = last_stepped.as_mut_slice();
                 let mut activity = activity.as_mut_slice();
                 let mut window_gating = window_gating.as_mut_slice();
@@ -1283,6 +1302,7 @@ impl Simulation {
                         idle_run: take!(idle_run, len * lanes),
                         fsm: take!(fsm, len * lanes),
                         counters: take!(counters, len),
+                        settled: take!(settled, len * lanes),
                         last_stepped: take!(last_stepped, len),
                         activity: take!(activity, len),
                         window_gating: take!(window_gating, len),
@@ -1640,17 +1660,13 @@ impl ShardView<'_> {
                 while word != 0 {
                     let lr = wi * 64 + word.trailing_zeros() as usize;
                     word &= word - 1;
-                    self.reset_router_gating(ctx, lr);
-                    self.last_stepped[lr] = boundary_cycle;
+                    self.reset_router_gating(ctx, lr, boundary_cycle);
                 }
             }
         } else {
-            self.last_stepped.fill(boundary_cycle);
-            self.idle_run.fill(0);
-            for f in self.fsm.iter_mut() {
-                f.reset();
+            for lr in 0..self.len {
+                self.reset_router_gating(ctx, lr, boundary_cycle);
             }
-            self.counters.fill(GatingCounters::default());
         }
         // The reset re-arms threshold sleeping (`slept_this_interval`
         // clears); quiescent routers need no reactivation — their walk
@@ -1817,14 +1833,8 @@ impl ShardView<'_> {
             return;
         }
         let mut stats = self.scratch.stats.take();
-        if ctx.kernel != SimKernel::Reference {
-            for lr in 0..self.len {
-                if self.scratch.active_bits[lr / 64] & (1u64 << (lr % 64)) == 0 {
-                    let skipped = end_cycle - self.last_stepped[lr];
-                    self.account_skipped(ctx, lr, skipped, &mut stats);
-                    self.last_stepped[lr] = end_cycle;
-                }
-            }
+        for lr in 0..self.len {
+            self.settle_router(ctx, lr, end_cycle, &mut stats);
         }
         if let Some(s) = stats.as_mut() {
             s.measured_cycles = ctx.measure;
@@ -1853,8 +1863,7 @@ impl ShardView<'_> {
         for lr in 0..self.len {
             let active = self.scratch.active_bits[lr / 64] & (1u64 << (lr % 64)) != 0;
             if !active && self.last_stepped[lr] <= w {
-                self.reset_router_gating(ctx, lr);
-                self.last_stepped[lr] = w;
+                self.reset_router_gating(ctx, lr, w);
                 self.scratch.routers_settled += 1;
             }
         }
@@ -1864,7 +1873,7 @@ impl ShardView<'_> {
     /// and even that walk is O(1) per debtor. Every router that was
     /// never touched after the measurement boundary slept through the
     /// *identical* `boundary → end` span, so what the eager path would
-    /// compute per router — boundary reset, one `account_skipped` over
+    /// compute per router — boundary reset, one `settle_router` over
     /// the span, one open-run record per lane — is computed **once**
     /// into a template (FSM end state, gating counters, arbitration
     /// count) and copied into each debtor's slabs. Debtor histograms
@@ -1877,7 +1886,7 @@ impl ShardView<'_> {
         let lanes = ctx.lanes;
         let span = end_cycle - w;
         // Template: the state a full-window debtor ends the run in.
-        // Replays account_skipped's gated branch lane by lane so the
+        // Replays settle_router's gated branch lane by lane so the
         // shared per-router counters accumulate exactly as the eager
         // path's would (lane order is immaterial — every lane is
         // identical — but the *count* of settles is not).
@@ -1906,6 +1915,7 @@ impl ShardView<'_> {
                 self.idle_run[base..base + lanes].fill(0);
                 self.fsm[base..base + lanes].fill(tmpl_fsm);
                 self.counters[lr] = tmpl_counters;
+                self.settled[base..base + lanes].fill(end_cycle as u32);
                 self.last_stepped[lr] = end_cycle;
                 debtors += 1;
                 if stats.is_some() {
@@ -1916,11 +1926,7 @@ impl ShardView<'_> {
                 }
                 continue;
             }
-            if !active {
-                let skipped = end_cycle - self.last_stepped[lr];
-                self.account_skipped(ctx, lr, skipped, &mut stats);
-                self.last_stepped[lr] = end_cycle;
-            }
+            self.settle_router(ctx, lr, end_cycle, &mut stats);
             if let Some(s) = stats.as_mut() {
                 // Touched router: materialize its histogram row even if
                 // every lane run is zero, so the shared-default open
@@ -2088,6 +2094,11 @@ impl ShardView<'_> {
                     self.credits[(lane - lo) as usize] += k;
                 }
             }
+        }
+        // The routing function changes with the epoch: every cached
+        // front-flit route is recomputed against the new map.
+        for r in self.routers.iter_mut() {
+            r.clear_route_cache();
         }
         self.scratch.epoch += 1;
     }
@@ -2496,6 +2507,12 @@ impl ShardView<'_> {
     /// ([`Router::step_fast`]). The credit state is the cycle-start
     /// snapshot (maintained incrementally, or just rebuilt by the
     /// reference), so results are visit-order independent.
+    ///
+    /// The engine steps only each router's live lanes; the reference
+    /// steps every lane, and so does the engine once every
+    /// [`WATERMARK_REFRESH`] cycles, which keeps every lane of a
+    /// long-active router less than 2³² cycles behind its anchor (the
+    /// lane watermarks hold 32 bits).
     fn route_active(&mut self, ctx: &RunCtx<'_>, cycle: u64, stats: &mut Option<NetworkStats>) {
         let visit_reversed = ctx.visit_reversed;
         let mesh = ctx.mesh;
@@ -2505,6 +2522,8 @@ impl ShardView<'_> {
         let lanes = ctx.lanes;
         let base_rid = self.base;
         let retire = ctx.kernel == SimKernel::Engine;
+        let all_live =
+            ctx.kernel == SimKernel::Reference || cycle.is_multiple_of(WATERMARK_REFRESH);
         let fmap = ctx.faults.and_then(|s| s.map_after(self.scratch.epoch));
         // Split borrows once: the per-router loop needs disjoint
         // mutable access to routers / SoA lanes / transfers while the
@@ -2517,6 +2536,7 @@ impl ShardView<'_> {
             idle_run,
             fsm,
             counters,
+            settled,
             last_stepped,
             activity,
             ..
@@ -2524,7 +2544,6 @@ impl ShardView<'_> {
         let ShardScratch {
             active_bits,
             transfers,
-            idle_ended,
             routers_stepped,
             ..
         } = &mut **scratch;
@@ -2584,14 +2603,23 @@ impl ShardView<'_> {
                     idle_run: &mut idle_run[lane_base..lane_base + lanes],
                     fsm: &mut fsm[lane_base..lane_base + lanes],
                     counters: &mut counters[lr],
-                    idle_ended,
+                    settled: &mut settled[lane_base..lane_base + lanes],
                 };
                 let mut departed = 0u64;
                 let mut link_departed = 0u64;
-                let outcome = routers[lr].step_fast(route, ready, lane, |dep| {
+                let mut histograms = stats.as_mut().map(|s| &mut s.idle_histograms);
+                let outcome = routers[lr].step_fast(cycle, all_live, route, ready, lane, |dep| {
                     departed += 1;
                     if dep.output != Direction::Local {
                         link_departed += 1;
+                    }
+                    // The only idle runs a step ends are those of the
+                    // lanes it sends on.
+                    if let Some(h) = histograms.as_mut() {
+                        if dep.idle_run > 0 {
+                            let l = dep.output.index() * v + dep.flit.vc as usize;
+                            h.lane_mut(lr, l).record(dep.idle_run);
+                        }
                     }
                     transfers.push(Transfer {
                         from: rid as u32,
@@ -2603,31 +2631,22 @@ impl ShardView<'_> {
                 });
                 *routers_stepped += 1;
 
-                if let Some(s) = stats.as_mut() {
+                if stats.is_some() {
                     let a = &mut activity[lr];
                     a.cycles += 1;
                     a.arbitrations += outcome.arbitrations;
                     a.crossbar_traversals += departed;
                     a.buffer_reads += departed;
                     a.link_traversals += link_departed;
-                    for (l, &run) in idle_ended[..lanes].iter().enumerate() {
-                        // Guarded: most stepped lanes end no idle run,
-                        // and even `record(0)`'s early return costs a
-                        // call per lane per cycle on the hot path.
-                        if run > 0 {
-                            s.idle_histograms.lane_mut(lr, l).record(run);
-                        }
-                    }
                 }
 
                 // Retire the router if it just went quiescent (nothing
                 // this cycle's remaining steps can change that — only
-                // later arrivals can, and they re-activate it). An
-                // empty router's sleep FSMs are always bulk-replayable
-                // — even mid-threshold-walk — so buffers, owners and
-                // the source queue are the whole predicate. (The
-                // reference refills its worklist every cycle, so
-                // retiring is moot there.)
+                // later arrivals can, and they re-activate it). Lanes
+                // left behind keep their watermarks and settle on
+                // reactivation or at close-out, whatever state their
+                // FSMs are in. (The reference refills its worklist
+                // every cycle, so retiring is moot there.)
                 if retire && routers[lr].is_quiet() && source_queues[lr].is_empty() {
                     active_bits[w] &= !(1u64 << b);
                     last_stepped[lr] = cycle;
@@ -2750,10 +2769,11 @@ impl ShardView<'_> {
     }
 
     /// Resets one router's gating slabs to their measurement-boundary
-    /// state: idle runs cleared, every lane FSM re-armed
-    /// ([`SleepFsm::reset`]), gating counters zeroed. The shared tail
-    /// of both the eager boundary fill and lazy debt payment.
-    fn reset_router_gating(&mut self, ctx: &RunCtx<'_>, lr: usize) {
+    /// state at cycle `at`: idle runs cleared, every lane FSM re-armed
+    /// ([`SleepFsm::reset`]), gating counters zeroed, and the router
+    /// and every lane settled through `at`. The shared tail of both the
+    /// eager boundary fill and lazy debt payment.
+    fn reset_router_gating(&mut self, ctx: &RunCtx<'_>, lr: usize, at: u64) {
         let lanes = ctx.lanes;
         let base = lr * lanes;
         self.idle_run[base..base + lanes].fill(0);
@@ -2761,6 +2781,8 @@ impl ShardView<'_> {
             f.reset();
         }
         self.counters[lr] = GatingCounters::default();
+        self.settled[base..base + lanes].fill(at as u32);
+        self.last_stepped[lr] = at;
     }
 
     /// Pays one router's settlement debt: replays the measurement
@@ -2769,8 +2791,7 @@ impl ShardView<'_> {
     /// `w`→now span. `now` is only used for the `max_debt_span`
     /// telemetry.
     fn settle_debt(&mut self, ctx: &RunCtx<'_>, lr: usize, w: u64, now: u64) {
-        self.reset_router_gating(ctx, lr);
-        self.last_stepped[lr] = w;
+        self.reset_router_gating(ctx, lr, w);
         self.scratch.routers_settled += 1;
         self.scratch.settle_ops += 1;
         self.scratch.max_debt_span = self.scratch.max_debt_span.max(now - w);
@@ -2799,57 +2820,51 @@ impl ShardView<'_> {
                 self.settle_debt(ctx, lr, w, through);
             }
         }
-        let skipped = through - self.last_stepped[lr];
-        self.account_skipped(ctx, lr, skipped, stats);
-        self.last_stepped[lr] = through;
+        self.settle_router(ctx, lr, through, stats);
         self.scratch.active_bits[lr / 64] |= 1u64 << (lr % 64);
     }
 
-    /// Bulk-settles `skipped` consecutive idle cycles for a quiescent
-    /// router in O(1): exactly what the dense loop would have done —
-    /// idle runs grow, awake lanes arbitrate, and sleep FSMs replay
-    /// their (closed-form) future, including a threshold walk that
-    /// asserts sleep partway through the gap — without touching the
-    /// router.
-    fn account_skipped(
+    /// Settles every lane of router `lr` through cycle `through`, each
+    /// from its own watermark ([`Router::settle_lanes`]) — exactly what
+    /// the dense loop would have done: idle runs grow, awake lanes
+    /// arbitrate, and sleep FSMs replay their closed-form future,
+    /// including a threshold walk that asserts sleep partway through
+    /// the gap. A quiescent router settles the cycles it skipped
+    /// (anchored at `last_stepped`, which moves to `through`); a
+    /// worklist member, already stepped through `through`, settles only
+    /// the lanes its steps left behind.
+    fn settle_router(
         &mut self,
         ctx: &RunCtx<'_>,
         lr: usize,
-        skipped: u64,
+        through: u64,
         stats: &mut Option<NetworkStats>,
     ) {
-        if skipped == 0 {
-            return;
-        }
+        let active = self.scratch.active_bits[lr / 64] & (1u64 << (lr % 64)) != 0;
+        let anchor = if active {
+            through
+        } else {
+            self.last_stepped[lr]
+        };
         let lanes = ctx.lanes;
         let base = lr * lanes;
-        let arbitrations = match &ctx.cfg.gating {
-            // Ungated: every free lane arbitrates every cycle.
-            None => {
-                for run in &mut self.idle_run[base..base + lanes] {
-                    *run += skipped;
-                }
-                lanes as u64 * skipped
-            }
-            Some(cfg) => {
-                let th = cfg.threshold();
-                let counters = &mut self.counters[lr];
-                let mut arbitrations = 0;
-                for (run, fsm) in self.idle_run[base..base + lanes]
-                    .iter_mut()
-                    .zip(&mut self.fsm[base..base + lanes])
-                {
-                    let before = *run;
-                    *run += skipped;
-                    arbitrations += fsm.settle_idle_bulk(skipped, before, th, counters);
-                }
-                arbitrations
-            }
-        };
+        let arbitrations = self.routers[lr].settle_lanes(
+            &mut PortLane {
+                idle_run: &mut self.idle_run[base..base + lanes],
+                fsm: &mut self.fsm[base..base + lanes],
+                counters: &mut self.counters[lr],
+                settled: &mut self.settled[base..base + lanes],
+            },
+            anchor,
+            through,
+        );
         if stats.is_some() {
             let a = &mut self.activity[lr];
-            a.cycles += skipped;
+            a.cycles += through - anchor;
             a.arbitrations += arbitrations;
+        }
+        if !active {
+            self.last_stepped[lr] = through;
         }
     }
 
@@ -3793,6 +3808,36 @@ mod tests {
         // The leap decision is global, so geometry cannot change it.
         assert_eq!(serial.cycles_leapt_total(), tiled.cycles_leapt_total());
         assert_eq!(serial.leaps_total(), tiled.leaps_total());
+    }
+
+    #[test]
+    fn lane_watermarks_span_more_than_u32_cycles() {
+        // Lane watermarks keep only the low 32 bits of their cycle. A
+        // near-dead mesh leaps across 1.2·10¹⁰ cycles, so routers retire
+        // with lanes left behind and are touched again (or closed out)
+        // more than 2³² cycles later: every lane-cycle must still be billed exactly
+        // once, and the eager-settlement engine — a different settle
+        // schedule — must agree bit for bit.
+        let measure = 12_000_000_000u64;
+        let cfg = |eager_settlement| MeshConfig {
+            injection_rate: 1e-10,
+            vcs: 2,
+            gating: Some(SleepConfig {
+                policy: GatingPolicy::IdleThreshold(3),
+                wake_latency: 2,
+            }),
+            eager_settlement,
+            ..base_cfg()
+        };
+        let lazy = Simulation::new(cfg(false)).run(1000, measure);
+        let eager = Simulation::new(cfg(true)).run(1000, measure);
+        assert_eq!(lazy, eager);
+        assert!(lazy.packets_delivered > 4, "{}", lazy.packets_delivered);
+        for (g, a) in lazy.gating.iter().zip(&lazy.router_activity) {
+            assert_eq!(a.cycles, measure);
+            let billed = g.cycles_busy + g.cycles_idle_awake + g.cycles_asleep + g.cycles_waking;
+            assert_eq!(billed, 5 * 2 * measure, "{g:?}");
+        }
     }
 
     #[test]

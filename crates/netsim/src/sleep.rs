@@ -216,38 +216,28 @@ impl SleepFsm {
         *self = SleepFsm::default();
     }
 
-    /// Whether this controller's future under continued idleness is a
-    /// closed-form function of the skipped cycle count — the
-    /// engine's per-port precondition for bulk settling.
+    /// Settles `k` consecutive idle cycles in O(1) — the bulk
+    /// equivalent of `k` per-cycle [`SleepFsm::gate`] +
+    /// [`SleepFsm::settle`] rounds with nothing wanting the lane.
+    /// `idle_run_before` is the lane's idle-run counter *before* those
+    /// `k` cycles, so a threshold walk still asserts sleep on exactly
+    /// the cycle the run reaches the threshold, bills the transition
+    /// once, and spends the remainder in standby — bit-identical to the
+    /// dense replay. Returns how many of the `k` cycles the lane spent
+    /// awake, each of which performs one switch arbitration in the
+    /// dense loop (so callers can bulk-account that too).
     ///
-    /// Every state except `Waking` qualifies:
+    /// Total over every state:
     ///
     /// * `Asleep` bills standby forever;
-    /// * `Active`/`DrowsyCountdown` either stays awake forever (no
-    ///   threshold, or the interval already slept once) or sleeps on
-    ///   the *predictable* cycle its idle run reaches the threshold;
-    /// * `Waking` advances per cycle, but a waking port always has a
-    ///   buffered flit waiting on it, so it can never belong to an
-    ///   empty (quiescent) router in the first place.
-    pub fn idle_predictable(&self) -> bool {
-        !matches!(self.state, SleepState::Waking { .. })
-    }
-
-    /// Settles `k` consecutive idle cycles in O(1) — the bulk
-    /// equivalent of `k` calls to [`SleepFsm::settle`] with
-    /// `sent = false`. `idle_run_before` is the port's idle-run
-    /// counter *before* those `k` cycles, so a threshold walk still
-    /// asserts sleep on exactly the cycle the run reaches the
-    /// threshold, bills the transition once, and spends the remainder
-    /// in standby — bit-identical to the dense replay. Returns how
-    /// many of the `k` cycles the port spent awake, each of which
-    /// performs one switch arbitration in the dense loop (so callers
-    /// can bulk-account that too).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug) on a `Waking` port — see
-    /// [`SleepFsm::idle_predictable`].
+    /// * `Active`/`DrowsyCountdown` either stays awake (no threshold,
+    ///   or the interval already slept once) or sleeps on the
+    ///   predictable cycle its idle run reaches the threshold;
+    /// * `Waking { remaining: r }` keeps counting down with nothing to
+    ///   carry (a fault reap can remove the flit it woke for): the
+    ///   first `min(k, r − 1)` cycles bill waking, and from the cycle
+    ///   the countdown expires the lane is awake and idles like
+    ///   `Active`.
     pub fn settle_idle_bulk(
         &mut self,
         k: u64,
@@ -255,7 +245,9 @@ impl SleepFsm {
         threshold: Option<u32>,
         counters: &mut GatingCounters,
     ) -> u64 {
-        debug_assert!(self.idle_predictable(), "bulk settle on a waking port");
+        if k == 0 {
+            return 0;
+        }
         match self.state {
             SleepState::Asleep => {
                 counters.cycles_asleep += k;
@@ -293,7 +285,21 @@ impl SleepFsm {
                     }
                 }
             }
-            SleepState::Waking { .. } => unreachable!("waking ports are never quiescent"),
+            SleepState::Waking { remaining } => {
+                // `gate` turns `Waking { 1 }` into `Active` and lets the
+                // lane transmit that very cycle, so only `r − 1` cycles
+                // are spent waking.
+                let waking = k.min(remaining as u64 - 1);
+                counters.cycles_waking += waking;
+                if waking == k {
+                    self.state = SleepState::Waking {
+                        remaining: remaining - k as u32,
+                    };
+                    return 0;
+                }
+                self.state = SleepState::Active;
+                self.settle_idle_bulk(k - waking, idle_run_before + waking, threshold, counters)
+            }
         }
     }
 }
@@ -455,7 +461,7 @@ mod tests {
         let th2 = cfg(GatingPolicy::IdleThreshold(2), 1);
         let th9 = cfg(GatingPolicy::IdleThreshold(9), 1);
         let imm = cfg(GatingPolicy::Immediate, 1);
-        let cases: Vec<(SleepFsm, SleepConfig, u64)> = vec![
+        let mut cases: Vec<(SleepFsm, SleepConfig, u64)> = vec![
             (SleepFsm::default(), never, 0),
             (SleepFsm::default(), th2, 0), // walks to sleep inside the bulk
             (SleepFsm::default(), th9, 0), // sleeps mid-bulk for larger k
@@ -465,9 +471,32 @@ mod tests {
             (asleep(&th2).0, th2, asleep(&th2).1),
             (drowsy_after_sleep(&th2).0, th2, drowsy_after_sleep(&th2).1),
         ];
+        // Every `Waking { r }` a lane can be left in when the flit it
+        // woke for disappears: wake, then count down one cycle at a
+        // time with the flit still wanting the lane.
+        for policy in [
+            GatingPolicy::Immediate,
+            GatingPolicy::IdleThreshold(2),
+            GatingPolicy::IdleThreshold(9),
+        ] {
+            for wake in 1..=6 {
+                let c = cfg(policy, wake);
+                let (mut f, mut run) = asleep(&c);
+                assert!(!f.gate(true, wake));
+                loop {
+                    run += 1;
+                    f.settle(false, true, false, run, &c, &mut k_scratch());
+                    assert!(matches!(f.state(), SleepState::Waking { .. }));
+                    cases.push((f, c, run));
+                    if f.state() == (SleepState::Waking { remaining: 1 }) {
+                        break;
+                    }
+                    assert!(!f.gate(true, wake));
+                }
+            }
+        }
         for (fsm, c, run0) in cases {
-            for k in [1u64, 5, 17, 100] {
-                assert!(fsm.idle_predictable());
+            for k in [1u64, 2, 3, 5, 17, 100] {
                 let mut dense = fsm;
                 let mut dense_k = GatingCounters::default();
                 let mut bulk = fsm;
@@ -485,20 +514,6 @@ mod tests {
                 assert_eq!(arbs, bulk_arbs, "awake cycles diverged for {c:?} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn waking_is_never_idle_predictable() {
-        let c = cfg(GatingPolicy::IdleThreshold(1), 3);
-        let mut f = SleepFsm::default();
-        let mut k = GatingCounters::default();
-        f.gate(false, c.wake_latency);
-        f.settle(false, false, false, 1, &c, &mut k);
-        assert_eq!(f.state(), SleepState::Asleep);
-        assert!(f.idle_predictable());
-        f.gate(true, c.wake_latency);
-        assert!(matches!(f.state(), SleepState::Waking { .. }));
-        assert!(!f.idle_predictable());
     }
 
     #[test]

@@ -15,6 +15,9 @@ use leakage_noc::netsim::{
 };
 use proptest::prelude::*;
 
+mod common;
+use common::assert_lane_cycles_conserved;
+
 /// CI runs the suite once per VC count by exporting `LNOC_VCS`; when
 /// set, it overrides the generated VC dimension so every case in the
 /// matrix exercises exactly that configuration.
@@ -32,6 +35,20 @@ fn vcs_override() -> Option<usize> {
 fn assert_kernels_agree(cfg: MeshConfig, warmup: u64, measure: u64, reversed: bool) {
     let shards = [1usize, 2, 4, 8][(cfg.seed % 4) as usize];
     let threads = 1 + (cfg.seed / 4 % 2) as usize;
+    assert_kernels_agree_at(cfg, warmup, measure, reversed, shards, threads);
+}
+
+/// [`assert_kernels_agree`] with the tiled engine at an explicit
+/// `shards × threads` geometry; every run's stats must also conserve
+/// lane-cycles on their own ([`assert_lane_cycles_conserved`]).
+fn assert_kernels_agree_at(
+    cfg: MeshConfig,
+    warmup: u64,
+    measure: u64,
+    reversed: bool,
+    shards: usize,
+    threads: usize,
+) {
     let mut reference = Simulation::new(MeshConfig {
         kernel: SimKernel::Reference,
         ..cfg.clone()
@@ -46,7 +63,7 @@ fn assert_kernels_agree(cfg: MeshConfig, warmup: u64, measure: u64, reversed: bo
         kernel: SimKernel::Engine,
         shards,
         threads,
-        ..cfg
+        ..cfg.clone()
     });
     reference.set_visit_reversed(reversed);
     serial.set_visit_reversed(reversed);
@@ -54,6 +71,9 @@ fn assert_kernels_agree(cfg: MeshConfig, warmup: u64, measure: u64, reversed: bo
     let sr = reference.run(warmup, measure);
     let ss = serial.run(warmup, measure);
     let st = tiled.run(warmup, measure);
+    for stats in [&sr, &ss, &st] {
+        assert_lane_cycles_conserved(&cfg, stats);
+    }
     assert_eq!(sr, ss, "NetworkStats diverged between reference and engine");
     assert_eq!(
         sr,
@@ -177,6 +197,57 @@ proptest! {
             ..MeshConfig::default()
         };
         assert_kernels_agree(cfg, 0, 900, false);
+    }
+
+    /// Faults plus gating: a fault reap can remove the flit a waking
+    /// lane was waking for, leaving the lane to finish its countdown
+    /// with nothing to carry — possibly in a router that then goes
+    /// quiet and is settled in closed form. Covers Immediate and
+    /// threshold gating across wake latencies, on the reference, the
+    /// engine on one tile, and the engine on 4 tiles × 2 threads.
+    #[test]
+    fn faulted_gated_kernels_agree(
+        rate in 0.02f64..0.08,
+        seed in 0u64..10_000,
+        fault_seed in 0u64..1_000,
+        link_faults in 0usize..3,
+        router_faults in 0usize..2,
+        transients in 0usize..2,
+        start in 50u64..300,
+        window in 1u64..400,
+        policy_sel in 0u8..3,
+        wake in 0u32..7,
+        warmup in 0u64..100,
+    ) {
+        prop_assume!(link_faults + router_faults + transients > 0);
+        let policy = [
+            GatingPolicy::Immediate,
+            GatingPolicy::IdleThreshold(2),
+            GatingPolicy::IdleThreshold(9),
+        ][policy_sel as usize];
+        let cfg = MeshConfig {
+            width: 6,
+            height: 6,
+            injection_rate: rate,
+            seed,
+            vcs: vcs_override().unwrap_or(1),
+            gating: Some(SleepConfig {
+                policy,
+                wake_latency: wake,
+            }),
+            faults: Some(FaultPlan {
+                seed: fault_seed,
+                link_faults,
+                router_faults,
+                transient_link_faults: transients,
+                transient_duration: 120,
+                start_cycle: start,
+                window,
+                ..FaultPlan::default()
+            }),
+            ..MeshConfig::default()
+        };
+        assert_kernels_agree_at(cfg, warmup, 800, false, 4, 2);
     }
 
     /// Flit conservation under faults, measured from cycle 0: every

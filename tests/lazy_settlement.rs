@@ -23,6 +23,9 @@ use leakage_noc::netsim::{
 };
 use proptest::prelude::*;
 
+mod common;
+use common::assert_lane_cycles_conserved;
+
 /// Runs `cfg` on the engine with deferred settlement and with the
 /// eager oracle, asserting identical outcomes — including, on a
 /// deadline abort, a follow-up run that observes the post-abort slabs.
@@ -40,6 +43,8 @@ fn assert_lazy_matches_eager(cfg: &MeshConfig, warmup: u64, measure: u64) {
     let re = eager.try_run(warmup, measure);
     match (rl, re) {
         (Ok(sl), Ok(se)) => {
+            assert_lane_cycles_conserved(cfg, &sl);
+            assert_lane_cycles_conserved(cfg, &se);
             assert_eq!(sl, se, "stats diverged from the eager oracle {geometry:?}");
         }
         (Err(al), Err(ae)) => {
@@ -55,6 +60,8 @@ fn assert_lazy_matches_eager(cfg: &MeshConfig, warmup: u64, measure: u64) {
             let se = eager
                 .try_run(0, follow)
                 .expect("follow-up within budget must complete");
+            assert_lane_cycles_conserved(cfg, &sl);
+            assert_lane_cycles_conserved(cfg, &se);
             assert_eq!(
                 sl, se,
                 "post-abort stats diverged from the eager oracle {geometry:?}"

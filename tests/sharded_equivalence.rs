@@ -14,6 +14,9 @@ use leakage_noc::netsim::{
 };
 use proptest::prelude::*;
 
+mod common;
+use common::assert_lane_cycles_conserved;
+
 /// Runs one config on a single tile and at every requested shard
 /// count (each at one and two worker threads), asserting exact
 /// equality of statistics, conservation state and leap telemetry.
@@ -29,6 +32,7 @@ fn assert_sharded_matches_serial(
         ..cfg.clone()
     });
     let expected = serial.run(warmup, measure);
+    assert_lane_cycles_conserved(&cfg, &expected);
     for &shards in shard_counts {
         for threads in [1, 2] {
             let mut sim = Simulation::new(MeshConfig {
