@@ -1,23 +1,35 @@
 //! Criterion bench for the circuit engine kernels: device evaluation,
 //! dense-vs-sparse linear solves, the reference-vs-fast transient engine on
-//! the [`CHAIN_STAGES`]-stage (300-stage) inverter chain, and a 16×16
-//! crossbar-slice characterization step.
+//! the [`CHAIN_STAGES`]-stage (300-stage) inverter chain, a 16×16
+//! crossbar-slice characterization step, and one whole-scheme
+//! characterization (SDFC, the costliest Table 1 column) at the paper
+//! configuration.
 //!
 //! The `*_dense_baseline` ids run [`SolverKind::Reference`] — the seed's
 //! full-restamp dense kernel — so the sparse/reuse speedup is measured
 //! in-repo rather than asserted. `cargo run --release -p lnoc-bench --bin
 //! bench_circuit` distills the same comparisons into `BENCH_circuit.json`.
+//!
+//! Set `CIRCUIT_BENCH_QUICK=1` (CI) to shrink the LU sizes and sample
+//! counts and skip the second-long reference chain to a smoke run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lnoc_bench::circuits::{crossbar_16x16_cfg, inverter_chain, CHAIN_STAGES};
 use lnoc_circuit::dc::{self, NewtonOptions, SolverKind};
 use lnoc_circuit::sparse::{CscPattern, SparseLu};
 use lnoc_circuit::transient::{self, TransientSpec};
+use lnoc_core::characterize::Characterizer;
+use lnoc_core::config::CrossbarConfig;
 use lnoc_core::scheme::Scheme;
 use lnoc_core::slice::BitSlice;
 use lnoc_tech::device::{Polarity, VtClass};
 use lnoc_tech::node45::Node45;
 use std::hint::black_box;
+
+/// Smoke-run mode for CI.
+fn quick() -> bool {
+    std::env::var_os("CIRCUIT_BENCH_QUICK").is_some()
+}
 
 fn bench_device_eval(c: &mut Criterion) {
     let tech = Node45::tt();
@@ -57,7 +69,15 @@ fn banded_system(n: usize) -> (CscPattern, Vec<f64>) {
 
 fn bench_lu(c: &mut Criterion) {
     let mut group = c.benchmark_group("lu");
-    for n in [12usize, 30, 60, 120] {
+    if quick() {
+        group.sample_size(5);
+    }
+    let sizes: &[usize] = if quick() {
+        &[12, 60]
+    } else {
+        &[12, 30, 60, 120]
+    };
+    for &n in sizes {
         let (pattern, values) = banded_system(n);
         let dense = pattern.to_dense(&values);
         group.bench_function(format!("dense_{n}"), |b| {
@@ -104,13 +124,17 @@ fn chain_spec(solver: SolverKind) -> TransientSpec {
 fn bench_inverter_chain_transient(c: &mut Criterion) {
     let (nl, _out) = inverter_chain(CHAIN_STAGES);
     let mut group = c.benchmark_group("transient");
-    group.sample_size(10);
+    group.sample_size(if quick() { 2 } else { 10 });
     group.bench_function("inverter_chain_100ps", |b| {
         b.iter(|| black_box(transient::run(&nl, &chain_spec(SolverKind::Auto)).expect("runs")))
     });
-    group.bench_function("inverter_chain_100ps_dense_baseline", |b| {
-        b.iter(|| black_box(transient::run(&nl, &chain_spec(SolverKind::Reference)).expect("runs")))
-    });
+    if !quick() {
+        group.bench_function("inverter_chain_100ps_dense_baseline", |b| {
+            b.iter(|| {
+                black_box(transient::run(&nl, &chain_spec(SolverKind::Reference)).expect("runs"))
+            })
+        });
+    }
     group.finish();
 }
 
@@ -123,7 +147,7 @@ fn bench_crossbar_slice(c: &mut Criterion) {
     slice.set_data(0, true);
     slice.set_enable_far(true);
     let mut group = c.benchmark_group("crossbar16");
-    group.sample_size(10);
+    group.sample_size(if quick() { 3 } else { 10 });
     for (label, solver) in [
         ("dc_slice_sparse", SolverKind::Auto),
         ("dc_slice_dense_baseline", SolverKind::Reference),
@@ -144,11 +168,24 @@ fn bench_crossbar_slice(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_characterize(c: &mut Criterion) {
+    // One Table 1 column end to end: delay, cycle-energy and sleep-entry
+    // transients (one shared-prefix batch) plus the leakage DC solves.
+    let ch = Characterizer::new(&CrossbarConfig::paper());
+    let mut group = c.benchmark_group("characterize");
+    group.sample_size(if quick() { 2 } else { 10 });
+    group.bench_function("sdfc_paper", |b| {
+        b.iter(|| black_box(ch.characterize(Scheme::Sdfc).expect("characterizes")))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_device_eval,
     bench_lu,
     bench_inverter_chain_transient,
-    bench_crossbar_slice
+    bench_crossbar_slice,
+    bench_characterize
 );
 criterion_main!(benches);

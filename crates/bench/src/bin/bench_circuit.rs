@@ -11,6 +11,9 @@
 //! 3. `table1_single_corner` — the full five-scheme Table 1 pipeline at
 //!    the reduced configuration (parallel + sparse vs serial reference).
 //!
+//! Each comparison alternates fast and baseline runs, so host drift hits
+//! both sides alike, and records the median with the min/max spread.
+//!
 //! Run with `cargo run --release -p lnoc-bench --bin bench_circuit`.
 
 use lnoc_bench::circuits::{crossbar_16x16_cfg, inverter_chain, table1_bench_cfg, CHAIN_STAGES};
@@ -24,25 +27,48 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
+/// Interleaved rounds per comparison.
+const RUNS: usize = 5;
+
+/// Median and spread of one side's wall times (s).
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Timing {
+    fn of(mut samples: Vec<f64>) -> Self {
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        Timing {
+            median: samples[samples.len() / 2],
+            min: samples[0],
+            max: samples[samples.len() - 1],
+        }
+    }
+}
+
 /// One measured comparison.
 struct Entry {
     name: &'static str,
-    fast_s: f64,
-    baseline_s: f64,
-    runs: usize,
+    fast: Timing,
+    baseline: Timing,
 }
 
-/// Median wall time of `runs` executions of `f`.
-fn median_secs<F: FnMut()>(runs: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
+/// [`RUNS`] rounds of one `fast` then one `baseline` run.
+fn interleaved(mut fast: impl FnMut(), mut baseline: impl FnMut()) -> (Timing, Timing) {
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
+    };
+    let (mut f, mut b) = (Vec::with_capacity(RUNS), Vec::with_capacity(RUNS));
+    for _ in 0..RUNS {
+        f.push(time(&mut fast));
+        b.push(time(&mut baseline));
+    }
+    (Timing::of(f), Timing::of(b))
 }
 
 fn chain_spec(solver: SolverKind) -> TransientSpec {
@@ -57,17 +83,17 @@ fn main() {
     // --- 1. Inverter chain transient.
     let (chain, _out) = inverter_chain(CHAIN_STAGES);
     println!("measuring transient/inverter_chain_100ps ({CHAIN_STAGES} stages)…");
-    let fast = median_secs(5, || {
-        black_box(transient::run(&chain, &chain_spec(SolverKind::Auto)).expect("runs"));
-    });
-    let baseline = median_secs(3, || {
-        black_box(transient::run(&chain, &chain_spec(SolverKind::Reference)).expect("runs"));
-    });
+    let run_chain = |solver| {
+        black_box(transient::run(&chain, &chain_spec(solver)).expect("runs"));
+    };
+    let (fast, baseline) = interleaved(
+        || run_chain(SolverKind::Auto),
+        || run_chain(SolverKind::Reference),
+    );
     entries.push(Entry {
         name: "transient/inverter_chain_100ps",
-        fast_s: fast,
-        baseline_s: baseline,
-        runs: 5,
+        fast,
+        baseline,
     });
 
     // --- 2. Crossbar-slice DC leakage solve (radix 16).
@@ -86,55 +112,57 @@ fn main() {
         let sol = dc::solve_with(&slice.netlist, &opts, None).expect("dc converges");
         black_box(sol.total_source_power(&slice.netlist));
     };
-    let fast = median_secs(7, || solve(SolverKind::Auto));
-    let baseline = median_secs(5, || solve(SolverKind::Reference));
+    let (fast, baseline) = interleaved(|| solve(SolverKind::Auto), || solve(SolverKind::Reference));
     entries.push(Entry {
         name: "crossbar16/dc_slice",
-        fast_s: fast,
-        baseline_s: baseline,
-        runs: 7,
+        fast,
+        baseline,
     });
 
-    // --- 3. Full single-corner Table 1 characterization.
-    println!("measuring table1_single_corner (fast: parallel + sparse)…");
+    // --- 3. Full single-corner Table 1 characterization: parallel +
+    // sparse against the serial reference.
+    println!("measuring table1_single_corner…");
     let cfg_fast = table1_bench_cfg();
-    let fast = median_secs(3, || {
-        black_box(Table1::generate(&cfg_fast).expect("pipeline"));
-    });
-    println!("measuring table1_single_corner (baseline: serial reference)…");
     let cfg_ref = CrossbarConfig {
         solver: SolverKind::Reference,
         ..table1_bench_cfg()
     };
-    let baseline = median_secs(1, || {
-        black_box(Table1::generate_serial(&cfg_ref).expect("pipeline"));
-    });
+    let (fast, baseline) = interleaved(
+        || {
+            black_box(Table1::generate(&cfg_fast).expect("pipeline"));
+        },
+        || {
+            black_box(Table1::generate_serial(&cfg_ref).expect("pipeline"));
+        },
+    );
     entries.push(Entry {
         name: "table1_single_corner",
-        fast_s: fast,
-        baseline_s: baseline,
-        runs: 3,
+        fast,
+        baseline,
     });
 
     // --- Emit JSON (hand-formatted; the offline mini-serde does not
     // serialize).
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": 1,\n");
+    json.push_str("{\n  \"schema\": 2,\n");
     let _ = writeln!(
         json,
-        "  \"note\": \"medians of wall-clock runs, release profile; baseline = SolverKind::Reference (seed dense full-restamp kernel) in this same build\","
+        "  \"note\": \"wall-clock medians with [min, max] over {RUNS} interleaved fast/baseline rounds, release profile; baseline = SolverKind::Reference (seed dense full-restamp kernel) in this same build. Both sides step shared transient prefixes once (a solver-independent batching of the characterization runs); only the fast side fast-forwards exact Newton limit cycles\","
     );
     let _ = writeln!(json, "  \"threads\": {},", rayon::current_num_threads());
     json.push_str("  \"results\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"median_s\": {:.6}, \"baseline_median_s\": {:.6}, \"speedup\": {:.2}, \"runs\": {}}}{}",
+            "    {{\"name\": \"{}\", \"median_s\": {:.6}, \"min_s\": {:.6}, \"max_s\": {:.6}, \"baseline_median_s\": {:.6}, \"baseline_min_s\": {:.6}, \"baseline_max_s\": {:.6}, \"speedup\": {:.2}, \"runs\": {RUNS}}}{}",
             e.name,
-            e.fast_s,
-            e.baseline_s,
-            e.baseline_s / e.fast_s,
-            e.runs,
+            e.fast.median,
+            e.fast.min,
+            e.fast.max,
+            e.baseline.median,
+            e.baseline.min,
+            e.baseline.max,
+            e.baseline.median / e.fast.median,
             if i + 1 == entries.len() { "" } else { "," }
         );
     }
@@ -151,9 +179,9 @@ fn main() {
         println!(
             "{:<34} {:>10.3} ms vs {:>10.3} ms  → {:.2}×",
             e.name,
-            e.fast_s * 1e3,
-            e.baseline_s * 1e3,
-            e.baseline_s / e.fast_s
+            e.fast.median * 1e3,
+            e.baseline.median * 1e3,
+            e.baseline.median / e.fast.median
         );
     }
 }

@@ -14,6 +14,15 @@
 //! * the **reference kernel** — the original walk-every-device dense
 //!   assembly, kept as the correctness oracle for property tests and as the
 //!   measured baseline for the performance benches.
+//!
+//! The fast loop also fast-forwards exact limit cycles. Its state between
+//! iterations is the unknown vector plus the sparse LU's pivot sequence,
+//! so once `x` repeats bit-for-bit with no pivot search in between, every
+//! later iteration replays the cycle. A `CycleDetector` finds such a
+//! repeat (Brent's algorithm on the bits of `x`), and the loop then runs
+//! only the `(remaining mod period)` iterations that decide where the
+//! uncut loop would have stopped — the final `x`, residual and factors
+//! are bit-identical, the replayed iterations are skipped.
 
 use crate::assemble::Assembler;
 use crate::error::CircuitError;
@@ -59,6 +68,25 @@ pub struct NewtonOptions {
     pub gmin_ladder: Vec<f64>,
     /// Assembly/linear-solver path.
     pub solver: SolverKind,
+}
+
+impl NewtonOptions {
+    /// Bitwise equality of every option: two solves with such options
+    /// take identical iterations.
+    pub(crate) fn same_bits(&self, other: &NewtonOptions) -> bool {
+        let bits = |v: f64| v.to_bits();
+        self.max_iterations == other.max_iterations
+            && bits(self.v_tolerance) == bits(other.v_tolerance)
+            && bits(self.i_tolerance) == bits(other.i_tolerance)
+            && bits(self.v_step_limit) == bits(other.v_step_limit)
+            && self.gmin_ladder.len() == other.gmin_ladder.len()
+            && self
+                .gmin_ladder
+                .iter()
+                .zip(&other.gmin_ladder)
+                .all(|(a, b)| bits(*a) == bits(*b))
+            && self.solver == other.solver
+    }
 }
 
 impl Default for NewtonOptions {
@@ -379,7 +407,7 @@ pub fn assemble_reference_system(
 }
 
 /// The linear-solver backend of a fast-path workspace.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Backend {
     /// Dense LU on a scatter of the sparse values (small systems).
     Dense(Matrix),
@@ -391,12 +419,15 @@ enum Backend {
 /// Reusable state of the fast Newton engine: the two-phase assembler, the
 /// factorization backend, and solve scratch. Build once per netlist
 /// structure and reuse across Newton iterations, gmin stages and transient
-/// steps — nothing here allocates after construction.
-#[derive(Debug)]
+/// steps — nothing here allocates after construction. Cloning forks the
+/// whole solver state (factors and pivot sequence included), which is how
+/// transient batches continue one shared prefix into several runs.
+#[derive(Debug, Clone)]
 pub struct NewtonWorkspace {
     asm: Assembler,
     backend: Backend,
     dx: Vec<f64>,
+    cycle: CycleDetector,
 }
 
 impl NewtonWorkspace {
@@ -423,7 +454,19 @@ impl NewtonWorkspace {
         NewtonWorkspace {
             backend,
             dx: vec![0.0; dim],
+            cycle: CycleDetector::new(dim),
             asm,
+        }
+    }
+
+    /// Full (pivot-searching) factorizations so far: the part of the
+    /// solver state that can change the bits of a Newton iteration besides
+    /// `x` itself. The dense backend pivots afresh on every solve and so
+    /// carries no such state (always 0).
+    fn factorizations(&self) -> usize {
+        match &self.backend {
+            Backend::Dense(_) => 0,
+            Backend::Sparse(lu) => lu.full_factorization_count(),
         }
     }
 
@@ -445,8 +488,73 @@ impl NewtonWorkspace {
     }
 }
 
+/// Brent cycle detection over the fast Newton loop's state.
+///
+/// The state after an iteration is `(x, pivot sequence)`. The detector
+/// keeps a snapshot of `x` and of the full-factorization count at the
+/// time it was taken; a later `x` equal to the snapshot bit-for-bit, with
+/// the count unchanged (so no pivot search happened in between), proves
+/// the loop entered a cycle whose period is the distance to the snapshot.
+/// The snapshot moves forward at power-of-two distances, so a cycle of
+/// period λ entered after μ iterations is found within O(μ + λ)
+/// iterations.
+#[derive(Debug, Clone)]
+struct CycleDetector {
+    snapshot: Vec<f64>,
+    factorizations: usize,
+    /// Iterations since the snapshot.
+    distance: usize,
+    /// Distance at which the snapshot moves forward.
+    power: usize,
+    armed: bool,
+}
+
+impl CycleDetector {
+    fn new(dim: usize) -> Self {
+        CycleDetector {
+            snapshot: vec![0.0; dim],
+            factorizations: 0,
+            distance: 0,
+            power: 1,
+            armed: false,
+        }
+    }
+
+    /// Forgets the snapshot (a new Newton call starts a new trajectory).
+    fn reset(&mut self) {
+        self.armed = false;
+    }
+
+    /// Records the state after one iteration; returns the cycle period
+    /// when `x` repeats the snapshot under the same pivot sequence.
+    fn observe(&mut self, x: &[f64], factorizations: usize) -> Option<usize> {
+        if self.armed && factorizations == self.factorizations {
+            self.distance += 1;
+            if x.iter()
+                .zip(&self.snapshot)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+            {
+                return Some(self.distance);
+            }
+            if self.distance < self.power {
+                return None;
+            }
+            self.power *= 2;
+        } else {
+            // First observation, or a pivot search changed the state
+            // space: restart from here.
+            self.power = 1;
+            self.armed = true;
+        }
+        self.snapshot.copy_from_slice(x);
+        self.factorizations = factorizations;
+        self.distance = 0;
+        None
+    }
+}
+
 /// Either the fast workspace-backed engine or the reference kernel.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum Engine {
     /// Original dense full-restamp kernel.
     Reference,
@@ -467,6 +575,17 @@ impl Engine {
     /// engine end to end).
     pub(crate) fn is_reference(&self) -> bool {
         matches!(self, Engine::Reference)
+    }
+
+    /// Points the engine's source snapshot at `nl`'s stimuli (same
+    /// structure as the netlist the engine was built for). The reference
+    /// kernel reads stimuli from the netlist it is handed and needs no
+    /// snapshot.
+    pub(crate) fn sync_stimuli(&mut self, nl: &Netlist) {
+        let Engine::Fast(ws) = self else { return };
+        for (branch, stimulus) in nl.stimuli().enumerate() {
+            ws.set_branch_stimulus(branch, stimulus.clone());
+        }
     }
 }
 
@@ -489,7 +608,11 @@ pub(crate) fn newton_with_engine(
 }
 
 /// The fast Newton loop: memcpy'd constant stamps + MOSFET-only restamping
-/// per iteration, and factorization state reused across iterations.
+/// per iteration, factorization state reused across iterations, and exact
+/// limit cycles fast-forwarded (see [`CycleDetector`]): on a repeat of
+/// period λ only `remaining mod λ` more iterations run, which leaves `x`,
+/// `dx`, the assembled system, the factors and the reported residual
+/// exactly where the uncut loop would.
 #[allow(clippy::too_many_arguments)]
 fn newton_fast(
     nl: &Netlist,
@@ -507,8 +630,11 @@ fn newton_fast(
     ws.asm
         .prepare_rhs(time, source_scale, companion.map(|c| c.v_old));
 
+    ws.cycle.reset();
     let mut last_residual = f64::INFINITY;
-    for _ in 0..opts.max_iterations {
+    let mut remaining = opts.max_iterations;
+    while remaining > 0 {
+        remaining -= 1;
         ws.asm.assemble(x);
         let residual = ws.asm.residual();
         for (d, r) in ws.dx.iter_mut().zip(residual) {
@@ -538,6 +664,11 @@ fn newton_fast(
         last_residual = norm_inf(&ws.asm.residual()[..n_nodes - 1]);
         if max_dv < opts.v_tolerance && last_residual < opts.i_tolerance {
             return Ok(last_residual);
+        }
+        // A later repeat is again a multiple of the period, so it leaves
+        // the cut `remaining < period` as is.
+        if let Some(period) = ws.cycle.observe(x, ws.factorizations()) {
+            remaining %= period;
         }
     }
     Err(CircuitError::NoConvergence {
@@ -931,6 +1062,140 @@ mod tests {
             (0.4..0.95).contains(&v_out),
             "pass gate output should sit a threshold below Vdd, got {v_out}"
         );
+    }
+
+    /// A cross-coupled inverter pair with strong pull-downs: from a cold
+    /// start, plain Newton at gmin 0 falls into an exact period-2 limit
+    /// cycle (after 4–5 iterations, under the first pivot sequence)
+    /// instead of converging.
+    fn limit_cycling_latch() -> Netlist {
+        let tech = Node45::tt();
+        let nmos = Arc::new(tech.mos(Polarity::Nmos, VtClass::Nominal));
+        let pmos = Arc::new(tech.mos(Polarity::Pmos, VtClass::High));
+        let mut nl = Netlist::new();
+        let vdd = nl.node("vdd");
+        let q = nl.node("q");
+        let qb = nl.node("qb");
+        nl.vsource("DD", vdd, Netlist::GROUND, Stimulus::dc(1.0));
+        for (name, input, output, w_n) in [("1", q, qb, 900e-9), ("2", qb, q, 2700e-9)] {
+            let pull_up = MosfetSpec {
+                d: output,
+                g: input,
+                s: vdd,
+                b: vdd,
+                model: Arc::clone(&pmos),
+                w: 100e-9,
+            };
+            let pull_down = MosfetSpec {
+                d: output,
+                g: input,
+                s: Netlist::GROUND,
+                b: Netlist::GROUND,
+                model: Arc::clone(&nmos),
+                w: w_n,
+            };
+            nl.mosfet(&format!("P{name}"), pull_up).unwrap();
+            nl.mosfet(&format!("N{name}"), pull_down).unwrap();
+        }
+        nl
+    }
+
+    /// Bits of everything a Newton call leaves behind: `x`, the
+    /// reported residual, the last update and the pivot-search count.
+    type NewtonEnd = (Vec<u64>, u64, Vec<u64>, usize);
+
+    fn newton_end(ws: &NewtonWorkspace, x: &[f64], r: Result<f64, CircuitError>) -> NewtonEnd {
+        let residual = match r {
+            Err(CircuitError::NoConvergence { residual, .. }) => residual.to_bits(),
+            other => panic!("the latch must not converge: {other:?}"),
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (bits(x), residual, bits(&ws.dx), ws.factorizations())
+    }
+
+    /// `cap` single-iteration calls: the uncut loop, which cannot
+    /// fast-forward (a call with cap 1 never sees a repeat). Also
+    /// returns the trajectory's first repeat as `(start, period)`.
+    fn uncut(nl: &Netlist, kind: SolverKind, cap: usize) -> (NewtonEnd, Option<(usize, usize)>) {
+        let mut ws = NewtonWorkspace::new(nl, kind);
+        let mut x = vec![0.0; ws.dim()];
+        let one = NewtonOptions {
+            max_iterations: 1,
+            ..NewtonOptions::default()
+        };
+        let mut seen: Vec<(Vec<u64>, usize)> = Vec::new();
+        let mut repeat = None;
+        let mut last = None;
+        for it in 0..cap {
+            last = Some(newton_fast(nl, &mut ws, &mut x, 0.0, None, 0.0, 1.0, &one));
+            let state = (x.iter().map(|v| v.to_bits()).collect(), ws.factorizations());
+            if repeat.is_none() {
+                if let Some(j) = seen.iter().position(|s| *s == state) {
+                    repeat = Some((j, it - j));
+                }
+                seen.push(state);
+            }
+        }
+        let end = newton_end(&ws, &x, last.expect("cap ≥ 1"));
+        (end, repeat)
+    }
+
+    /// One call with cap `cap`, free to fast-forward.
+    fn fast(nl: &Netlist, kind: SolverKind, cap: usize) -> NewtonEnd {
+        let mut ws = NewtonWorkspace::new(nl, kind);
+        let mut x = vec![0.0; ws.dim()];
+        let opts = NewtonOptions {
+            max_iterations: cap,
+            ..NewtonOptions::default()
+        };
+        let r = newton_fast(nl, &mut ws, &mut x, 0.0, None, 0.0, 1.0, &opts);
+        newton_end(&ws, &x, r)
+    }
+
+    #[test]
+    fn cycle_fast_forward_matches_the_uncut_loop() {
+        let nl = limit_cycling_latch();
+        for kind in [SolverKind::Sparse, SolverKind::Dense] {
+            let (_, repeat) = uncut(&nl, kind, 400);
+            let (start, period) = repeat.expect("the latch limit-cycles");
+            assert!(
+                period >= 2,
+                "{kind:?}: a period-1 cycle would be a fixed point"
+            );
+            // Every remainder of the cycle, before and after it is
+            // entered, and the gmin ladder's first two caps.
+            let caps = (1..start + 3 * period + 2).chain([300, 301, 600]);
+            for cap in caps {
+                let (want, _) = uncut(&nl, kind, cap);
+                assert_eq!(fast(&nl, kind, cap), want, "{kind:?}, cap {cap}");
+            }
+            // A cap far beyond reach of the uncut loop ends where the
+            // cycle puts it: the same state as the uncut loop at any cap
+            // congruent to it modulo the period past the cycle start.
+            let huge = 1_000_000_007;
+            let same_phase = start + period + (huge - start) % period;
+            let (want, _) = uncut(&nl, kind, same_phase);
+            assert_eq!(fast(&nl, kind, huge), want, "{kind:?}, cap {huge}");
+        }
+    }
+
+    #[test]
+    fn cycle_detector_needs_bitwise_repeats_under_one_pivot_sequence() {
+        let mut d = CycleDetector::new(1);
+        // x alternates 1, 2: found once the snapshot sits in the cycle.
+        assert_eq!(d.observe(&[1.0], 0), None);
+        assert_eq!(d.observe(&[2.0], 0), None);
+        assert_eq!(d.observe(&[1.0], 0), None);
+        assert_eq!(d.observe(&[2.0], 0), Some(2));
+        // A pivot search between two visits voids the repeat.
+        d.reset();
+        assert_eq!(d.observe(&[1.0], 0), None);
+        assert_eq!(d.observe(&[1.0], 1), None);
+        assert_eq!(d.observe(&[1.0], 1), Some(1));
+        // Equal values with different bits are different states.
+        d.reset();
+        assert_eq!(d.observe(&[0.0], 0), None);
+        assert_eq!(d.observe(&[-0.0], 0), None);
     }
 
     #[test]

@@ -291,6 +291,58 @@ impl Netlist {
         })
     }
 
+    /// Voltage-source stimuli in branch (insertion) order.
+    pub(crate) fn stimuli(&self) -> impl Iterator<Item = &Stimulus> {
+        self.devices.iter().filter_map(|e| match &e.device {
+            Device::VSource { stimulus, .. } => Some(stimulus),
+            _ => None,
+        })
+    }
+
+    /// `true` when `other` is this circuit with at most its source
+    /// stimuli changed: same nodes, same devices in the same order on the
+    /// same terminals, bitwise-equal element values and the very same
+    /// MOSFET model cards. Names are ignored (they never reach a solve).
+    pub(crate) fn same_circuit_except_stimuli(&self, other: &Netlist) -> bool {
+        let same = |a: &Device, b: &Device| match (a, b) {
+            (
+                Device::Resistor { a, b, ohms },
+                Device::Resistor {
+                    a: a2,
+                    b: b2,
+                    ohms: o2,
+                },
+            ) => a == a2 && b == b2 && ohms.to_bits() == o2.to_bits(),
+            (
+                Device::Capacitor { a, b, farads },
+                Device::Capacitor {
+                    a: a2,
+                    b: b2,
+                    farads: f2,
+                },
+            ) => a == a2 && b == b2 && farads.to_bits() == f2.to_bits(),
+            (
+                Device::VSource { pos, neg, .. },
+                Device::VSource {
+                    pos: p2, neg: n2, ..
+                },
+            ) => pos == p2 && neg == n2,
+            (Device::Mosfet(m), Device::Mosfet(m2)) => {
+                (m.d, m.g, m.s, m.b) == (m2.d, m2.g, m2.s, m2.b)
+                    && m.w.to_bits() == m2.w.to_bits()
+                    && Arc::ptr_eq(&m.model, &m2.model)
+            }
+            _ => false,
+        };
+        self.node_count() == other.node_count()
+            && self.devices.len() == other.devices.len()
+            && self
+                .devices
+                .iter()
+                .zip(&other.devices)
+                .all(|(a, b)| same(&a.device, &b.device))
+    }
+
     /// Sum of all capacitance hanging on a node (useful for energy
     /// estimates and sanity checks).
     pub fn capacitance_on(&self, node: NodeId) -> f64 {

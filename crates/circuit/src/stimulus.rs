@@ -147,6 +147,100 @@ impl Stimulus {
         self.at(0.0)
     }
 
+    /// The latest time `T` up to which `self` and `other` agree bit for
+    /// bit: `self.at(t)` and `other.at(t)` have identical bits for every
+    /// `t ≤ T`. `+∞` when they agree everywhere, `−∞` when no agreement
+    /// is proven (they may still agree — the answer is conservative).
+    ///
+    /// Three cases are recognized: bitwise-identical stimuli; equal
+    /// constant prefixes (a [`Stimulus::Dc`], the `from` level before a
+    /// [`Stimulus::Step`], the `low` level before a [`Stimulus::Pulse`]'s
+    /// delay, the leading flat points of a [`Stimulus::Pwl`]); and
+    /// piece-wise linear sources with a common leading point list, each
+    /// continuing flat from its last common point. A transient engine
+    /// uses this to step one shared prefix for several runs.
+    pub fn agrees_until(&self, other: &Stimulus) -> f64 {
+        if self.bits_eq(other) {
+            return f64::INFINITY;
+        }
+        if let (Stimulus::Pwl(a), Stimulus::Pwl(b)) = (self, other) {
+            let common = a
+                .iter()
+                .zip(b)
+                .take_while(|(p, q)| point_bits_eq(**p, **q))
+                .count();
+            if common > 0 {
+                return earliest(pwl_flat_until(a, common - 1), pwl_flat_until(b, common - 1));
+            }
+        }
+        match (self.constant_prefix(), other.constant_prefix()) {
+            (Some((va, ta)), Some((vb, tb))) if va.to_bits() == vb.to_bits() => earliest(ta, tb),
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
+    /// `(v, T)` such that `self.at(t)` is exactly `v` for every `t ≤ T`.
+    fn constant_prefix(&self) -> Option<(f64, f64)> {
+        match self {
+            Stimulus::Dc(v) => Some((*v, f64::INFINITY)),
+            // `t <= at` returns `from` verbatim.
+            Stimulus::Step { from, at, .. } => Some((*from, *at)),
+            // `t < delay` returns `low` verbatim; the largest such `t` is
+            // the float just below `delay`.
+            Stimulus::Pulse { low, delay, .. } => Some((*low, delay.next_down())),
+            Stimulus::Pwl(points) => match points.first() {
+                None => Some((0.0, f64::INFINITY)),
+                Some(&(_, v)) => Some((v, pwl_flat_until(points, 0))),
+            },
+        }
+    }
+
+    /// Bitwise equality of every parameter.
+    fn bits_eq(&self, other: &Stimulus) -> bool {
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        match (self, other) {
+            (Stimulus::Dc(a), Stimulus::Dc(b)) => a.to_bits() == b.to_bits(),
+            (
+                Stimulus::Step { from, to, at, rise },
+                Stimulus::Step {
+                    from: f2,
+                    to: t2,
+                    at: a2,
+                    rise: r2,
+                },
+            ) => same(&[*from, *to, *at, *rise], &[*f2, *t2, *a2, *r2]),
+            (
+                Stimulus::Pulse {
+                    low,
+                    high,
+                    delay,
+                    rise,
+                    fall,
+                    width,
+                    period,
+                },
+                Stimulus::Pulse {
+                    low: l2,
+                    high: h2,
+                    delay: d2,
+                    rise: r2,
+                    fall: f2,
+                    width: w2,
+                    period: p2,
+                },
+            ) => same(
+                &[*low, *high, *delay, *rise, *fall, *width, *period],
+                &[*l2, *h2, *d2, *r2, *f2, *w2, *p2],
+            ),
+            (Stimulus::Pwl(a), Stimulus::Pwl(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(p, q)| point_bits_eq(*p, *q))
+            }
+            _ => false,
+        }
+    }
+
     /// The earliest time after which the source no longer changes, or
     /// `None` for periodic sources. Used by callers to size analyses.
     pub fn settle_time(&self) -> Option<f64> {
@@ -159,9 +253,44 @@ impl Stimulus {
     }
 }
 
+/// The earlier of two agreement times; a NaN time (from NaN parameters)
+/// proves nothing.
+fn earliest(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NEG_INFINITY
+    } else {
+        a.min(b)
+    }
+}
+
+fn point_bits_eq(p: (f64, f64), q: (f64, f64)) -> bool {
+    p.0.to_bits() == q.0.to_bits() && p.1.to_bits() == q.1.to_bits()
+}
+
+/// The latest time up to which a piece-wise linear source is still
+/// exactly `points[i].1`, given that it is at `points[i].0`: the run of
+/// following points with the same value bits, `+∞` if it runs to the end
+/// (constant extrapolation). A flat segment evaluates to `v + 0.0`, which
+/// is `v` bit for bit unless `v` is `−0.0` or not finite; such levels end
+/// the run at `points[i].0`.
+fn pwl_flat_until(points: &[(f64, f64)], i: usize) -> f64 {
+    let (t_i, v) = points[i];
+    if !v.is_finite() || v.to_bits() == (-0.0_f64).to_bits() {
+        return t_i;
+    }
+    match points[i + 1..]
+        .iter()
+        .position(|p| p.1.to_bits() != v.to_bits())
+    {
+        None => f64::INFINITY,
+        Some(off) => points[i + off].0,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn dc_is_flat() {
@@ -217,6 +346,129 @@ mod tests {
     #[test]
     fn pwl_empty_is_zero() {
         assert_eq!(Stimulus::Pwl(vec![]).at(1.0), 0.0);
+    }
+
+    #[test]
+    fn agreement_recognizes_the_characterization_stimuli() {
+        let vdd = 1.0;
+        let prime = |tail: &[(f64, f64)]| {
+            let mut p = vec![(0.0, 0.0), (40.0e-12, 0.0), (45.0e-12, vdd)];
+            p.extend_from_slice(tail);
+            Stimulus::Pwl(p)
+        };
+        let fall = prime(&[(400.0e-12, vdd), (405.0e-12, 0.0)]);
+        let cycle = prime(&[(300.0e-12, vdd), (305.0e-12, 0.0)]);
+        let hold = prime(&[]);
+        let rise = Stimulus::Pwl(vec![(0.0, 0.0), (400.0e-12, 0.0), (405.0e-12, vdd)]);
+        let low = Stimulus::Pwl(vec![(0.0, 0.0), (40.0e-12, 0.0), (45.0e-12, 0.0)]);
+        assert_eq!(fall.agrees_until(&cycle), 300.0e-12);
+        assert_eq!(fall.agrees_until(&hold), 400.0e-12);
+        assert_eq!(fall.agrees_until(&rise), 40.0e-12);
+        assert_eq!(rise.agrees_until(&low), 400.0e-12);
+        assert_eq!(hold.agrees_until(&hold.clone()), f64::INFINITY);
+        // A static level against a ramp leaving it.
+        let on = Stimulus::dc(vdd);
+        let release = Stimulus::ramp(vdd, 0.0, 300.0e-12, 5.0e-12);
+        assert_eq!(on.agrees_until(&release), 300.0e-12);
+        assert_eq!(release.agrees_until(&on), 300.0e-12);
+        // Different starting levels never agree.
+        assert_eq!(on.agrees_until(&Stimulus::dc(0.0)), f64::NEG_INFINITY);
+        // A pulse holds `low` strictly before its delay.
+        let clock = Stimulus::clock(0.0, vdd, 100.0e-12);
+        let t = Stimulus::dc(0.0).agrees_until(&clock);
+        assert!(t < 50.0e-12 && t.next_up() == 50.0e-12, "{t:e}");
+        // A NaN parameter proves nothing.
+        let nan = Stimulus::ramp(0.0, 1.0, f64::NAN, 1.0e-12);
+        assert_eq!(nan.agrees_until(&Stimulus::dc(0.0)), f64::NEG_INFINITY);
+    }
+
+    /// Levels and times on coarse grids, so random pairs often share
+    /// levels, points and prefixes.
+    fn level(p: u64) -> f64 {
+        [0.0, 0.5, 1.0, -0.0][(p % 4) as usize]
+    }
+
+    fn time(p: u64) -> f64 {
+        (p % 24) as f64 * 0.25e-12
+    }
+
+    fn pwl_points(p: &[u64]) -> Vec<(f64, f64)> {
+        let n = (p[0] % 6) as usize;
+        let mut t = 0.0;
+        (0..n)
+            .map(|i| {
+                t += time(p[1 + 2 * i]);
+                (t, level(p[2 + 2 * i]))
+            })
+            .collect()
+    }
+
+    fn draw(kind: u64, p: &[u64]) -> Stimulus {
+        match kind % 4 {
+            0 => Stimulus::dc(level(p[0])),
+            1 => Stimulus::ramp(level(p[0]), level(p[1]), time(p[2]), 0.1e-12 + time(p[3])),
+            2 => Stimulus::Pulse {
+                low: level(p[0]),
+                high: level(p[1]),
+                delay: time(p[2]),
+                rise: 0.1e-12 + time(p[3]),
+                fall: 0.1e-12 + time(p[4]),
+                width: time(p[5]),
+                period: 2.0e-12 + time(p[6]),
+            },
+            _ => Stimulus::Pwl(pwl_points(p)),
+        }
+    }
+
+    /// Every time a fixed-step transient evaluates sources at: each step
+    /// end and each bisection sub-step end down to depth 4, formed the
+    /// way the stepping loop forms them.
+    fn evaluation_times(t_start: f64, h: f64, depth: u32, out: &mut Vec<f64>) {
+        out.push(t_start + h);
+        if depth < 4 {
+            evaluation_times(t_start, 0.5 * h, depth + 1, out);
+            evaluation_times(t_start + 0.5 * h, 0.5 * h, depth + 1, out);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn agreement_is_bitwise_up_to_its_time(
+            kinds in proptest::collection::vec(0u64..4, 2),
+            pa in proptest::collection::vec(0u64..1000, 12),
+            pb in proptest::collection::vec(0u64..1000, 12),
+            keep in 0usize..6,
+            dt_tenths in 1u64..5,
+        ) {
+            let a = draw(kinds[0], &pa);
+            // Half the pairs are two PWLs sharing a leading point list.
+            let b = match (&a, kinds[1] % 2) {
+                (Stimulus::Pwl(points), 0) => {
+                    let mut shared: Vec<(f64, f64)> =
+                        points[..keep.min(points.len())].to_vec();
+                    let t_last = shared.last().map_or(0.0, |p| p.0);
+                    shared.extend(pwl_points(&pb).into_iter().map(|(t, v)| (t_last + t, v)));
+                    Stimulus::Pwl(shared)
+                }
+                _ => draw(kinds[1], &pb),
+            };
+            let agreed = a.agrees_until(&b);
+            prop_assert_eq!(agreed.to_bits(), b.agrees_until(&a).to_bits());
+            let dt = dt_tenths as f64 * 0.1e-12;
+            let mut times = vec![0.0];
+            for step in 1..=80u32 {
+                let t = step as f64 * dt;
+                evaluation_times(t - dt, dt, 0, &mut times);
+            }
+            for t in times.into_iter().filter(|&t| t <= agreed) {
+                prop_assert!(
+                    a.at(t).to_bits() == b.at(t).to_bits(),
+                    "{a:?} vs {b:?} agree until {agreed:e} but differ at {t:e}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,11 +6,29 @@
 //! absolute delays by a fraction of the step size — so the default step
 //! is chosen ≪ the measured delays (0.1 ps against 50–65 ps paper-scale
 //! delays), and Table 1 comparisons are ratio-based anyway.
+//!
+//! Runs are submitted as batches ([`run_batch`]; [`run`] is a batch of
+//! one). Jobs on the same circuit with the same step parameters whose
+//! source stimuli agree bit for bit over an initial stretch
+//! ([`Stimulus::agrees_until`](crate::stimulus::Stimulus::agrees_until))
+//! step that stretch once — initial operating point included — and fork
+//! the whole integration state where they diverge. Every step is a pure
+//! function of that state and of the source values at its evaluation
+//! times, so each job's result is bit-identical to running it alone.
 
 use crate::dc::{self, Companion, NewtonOptions};
 use crate::error::CircuitError;
 use crate::netlist::{Device, DeviceId, Netlist, NodeId};
 use crate::waveform::Waveform;
+use std::sync::Arc;
+
+/// Bisection levels a stalled step may split into (see `advance_step`).
+const MAX_BISECTION_DEPTH: u32 = 4;
+
+/// Bytes per sample-storage block. Every block of every result has this
+/// size, so the blocks a finished run frees are reused as-is by the next
+/// run, whatever its circuit.
+const BLOCK_BYTES: usize = 64 * 1024;
 
 /// Specification of a transient run.
 #[derive(Debug, Clone)]
@@ -40,55 +58,108 @@ impl TransientSpec {
             },
         }
     }
+
+    /// Number of fixed steps to `t_stop`.
+    fn steps(&self) -> usize {
+        (self.t_stop / self.dt).ceil() as usize
+    }
 }
 
+/// One recorded sample: its time, every node voltage (ground included)
+/// and every branch current.
+type Sample<'r> = (f64, &'r [f64], &'r [f64]);
+
 /// Result of a transient run: every recorded sample of every node and
-/// branch, stored flat and strided (one contiguous allocation per signal
-/// class instead of one `Vec` per sample).
+/// branch. Samples are stored as rows `[t, node voltages…, branch
+/// currents…]` in fixed-size blocks; runs of a batch that shared a
+/// prefix share its blocks by reference.
 #[derive(Debug, Clone)]
 pub struct TransientResult {
-    times: Vec<f64>,
     n_nodes: usize,
     n_branches: usize,
-    /// Voltage of node `i` at sample `k`: `node_samples[k * n_nodes + i]`.
-    node_samples: Vec<f64>,
-    /// Branch current `b` at sample `k`: `branch_samples[k * n_branches + b]`.
-    branch_samples: Vec<f64>,
+    /// Row blocks, oldest first. Only the last may grow, and only while
+    /// no other result shares it.
+    blocks: Vec<Arc<Vec<f64>>>,
 }
 
 impl TransientResult {
+    fn new(n_nodes: usize, n_branches: usize) -> Self {
+        TransientResult {
+            n_nodes,
+            n_branches,
+            blocks: Vec::new(),
+        }
+    }
+
+    /// Floats per sample row.
+    fn row_width(&self) -> usize {
+        1 + self.n_nodes + self.n_branches
+    }
+
+    /// Number of recorded samples.
+    fn len(&self) -> usize {
+        self.blocks.iter().map(|b| b.len() / self.row_width()).sum()
+    }
+
     /// Time points of the recorded samples.
-    pub fn times(&self) -> &[f64] {
-        &self.times
+    pub fn times(&self) -> Vec<f64> {
+        self.column(|(t, _, _)| t)
     }
 
-    /// Voltage of one node at one recorded sample.
-    #[inline]
-    fn node_at(&self, sample: usize, node_index: usize) -> f64 {
-        self.node_samples[sample * self.n_nodes + node_index]
+    /// One value per recorded sample, in time order.
+    fn column(&self, value: impl Fn(Sample<'_>) -> f64) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.len());
+        out.extend(self.samples().map(value));
+        out
     }
 
-    /// Branch current of one source at one recorded sample.
-    #[inline]
-    fn branch_at(&self, sample: usize, branch: usize) -> f64 {
-        self.branch_samples[sample * self.n_branches + branch]
+    /// Every recorded sample in time order.
+    fn samples(&self) -> impl Iterator<Item = Sample<'_>> + '_ {
+        let width = self.row_width();
+        self.blocks
+            .iter()
+            .flat_map(move |b| b.chunks_exact(width))
+            .map(|row| {
+                let (nodes, branches) = row[1..].split_at(self.n_nodes);
+                (row[0], nodes, branches)
+            })
+    }
+
+    /// Appends one sample row.
+    fn push(&mut self, t: f64, nodes: &[f64], branches: &[f64]) {
+        let width = self.row_width();
+        let has_room = matches!(
+            self.blocks.last_mut().and_then(Arc::get_mut),
+            Some(b) if b.len() + width <= b.capacity()
+        );
+        if !has_room {
+            let rows = (BLOCK_BYTES / (8 * width)).max(1);
+            self.blocks.push(Arc::new(Vec::with_capacity(rows * width)));
+        }
+        let block = self
+            .blocks
+            .last_mut()
+            .and_then(Arc::get_mut)
+            .expect("a fresh or unshared block");
+        block.push(t);
+        block.extend_from_slice(nodes);
+        block.extend_from_slice(branches);
+    }
+
+    /// A waveform of one value per sample.
+    fn waveform(&self, value: impl Fn(Sample<'_>) -> f64) -> Waveform {
+        Waveform::new(self.times(), self.column(value))
     }
 
     /// Voltage waveform of a node.
     pub fn voltage(&self, node: NodeId) -> Waveform {
-        let v = (0..self.times.len())
-            .map(|k| self.node_at(k, node.index()))
-            .collect();
-        Waveform::new(self.times.clone(), v)
+        self.waveform(|(_, v, _)| v[node.index()])
     }
 
     /// Branch-current waveform of the `k`-th voltage source (current
     /// through the source from + to −; supply delivery is its negative).
     pub fn branch_current(&self, k: usize) -> Waveform {
-        let v = (0..self.times.len())
-            .map(|s| self.branch_at(s, k))
-            .collect();
-        Waveform::new(self.times.clone(), v)
+        self.waveform(|(_, _, i)| i[k])
     }
 
     /// Current a voltage source delivers into the circuit, by device id.
@@ -100,10 +171,7 @@ impl TransientResult {
         let k = nl
             .branch_index(id)
             .expect("device is not a voltage source of this netlist");
-        let v = (0..self.times.len())
-            .map(|s| -self.branch_at(s, k))
-            .collect();
-        Waveform::new(self.times.clone(), v)
+        self.waveform(|(_, _, i)| -i[k])
     }
 
     /// Energy delivered by a source over `[from, to]` (J): ∫ v·i dt with
@@ -119,30 +187,30 @@ impl TransientResult {
         let Device::VSource { pos, neg, .. } = &nl.device(id).device else {
             unreachable!("branch_index succeeded, so this is a vsource");
         };
-        let (pos, neg) = (*pos, *neg);
+        let (pos, neg) = (pos.index(), neg.index());
+        // Time and power at each recorded sample.
+        let mut power = self
+            .samples()
+            .map(|(t, v, i)| (t, (v[pos] - v[neg]) * -i[k]));
+        let Some((mut t0, mut p0)) = power.next() else {
+            return 0.0;
+        };
         let mut acc = 0.0;
-        for i in 1..self.times.len() {
-            let (t0, t1) = (self.times[i - 1], self.times[i]);
-            if t1 <= from || t0 >= to {
-                continue;
+        for (t1, p1) in power {
+            if !(t1 <= from || t0 >= to) {
+                let a = t0.max(from);
+                let b = t1.min(to);
+                // Linear interpolation of power onto [a, b].
+                let lerp = |t: f64| {
+                    if t1 == t0 {
+                        p1
+                    } else {
+                        p0 + (p1 - p0) * (t - t0) / (t1 - t0)
+                    }
+                };
+                acc += 0.5 * (lerp(a) + lerp(b)) * (b - a);
             }
-            let a = t0.max(from);
-            let b = t1.min(to);
-            // Power at the two recorded ends of the clipped interval.
-            let p_at = |idx: usize| {
-                let v = self.node_at(idx, pos.index()) - self.node_at(idx, neg.index());
-                v * -self.branch_at(idx, k)
-            };
-            let (p0, p1) = (p_at(i - 1), p_at(i));
-            // Linear interpolation of power onto [a, b].
-            let lerp = |t: f64| {
-                if t1 == t0 {
-                    p1
-                } else {
-                    p0 + (p1 - p0) * (t - t0) / (t1 - t0)
-                }
-            };
-            acc += 0.5 * (lerp(a) + lerp(b)) * (b - a);
+            (t0, p0) = (t1, p1);
         }
         acc
     }
@@ -156,17 +224,41 @@ impl TransientResult {
     pub fn final_state(&self, nl: &Netlist) -> Vec<f64> {
         let n_nodes = nl.node_count();
         assert_eq!(n_nodes, self.n_nodes, "result belongs to another netlist");
-        let last = self
-            .times
-            .len()
-            .checked_sub(1)
-            .expect("at least one sample");
-        let v_base = last * self.n_nodes;
-        let i_base = last * self.n_branches;
+        let (_, v, i) = self.samples().last().expect("at least one sample");
         let mut x = Vec::with_capacity(n_nodes - 1 + self.n_branches);
-        x.extend_from_slice(&self.node_samples[v_base + 1..v_base + n_nodes]);
-        x.extend_from_slice(&self.branch_samples[i_base..i_base + self.n_branches]);
+        x.extend_from_slice(&v[1..]);
+        x.extend_from_slice(i);
         x
+    }
+}
+
+/// One run of a batch: a circuit and its transient spec.
+#[derive(Debug, Clone, Copy)]
+pub struct TransientJob<'a> {
+    /// The circuit, sources included.
+    pub netlist: &'a Netlist,
+    /// Stop time, step and solver options.
+    pub spec: &'a TransientSpec,
+}
+
+impl TransientJob<'_> {
+    /// Whether the two jobs may share steps at all: the same circuit up to
+    /// source stimuli, the same step, recording stride and Newton options.
+    fn compatible(&self, other: &TransientJob<'_>) -> bool {
+        self.spec.dt.to_bits() == other.spec.dt.to_bits()
+            && self.spec.record_stride == other.spec.record_stride
+            && self.spec.newton.same_bits(&other.spec.newton)
+            && self.netlist.same_circuit_except_stimuli(other.netlist)
+    }
+
+    /// The latest time up to which every source of the two (compatible)
+    /// jobs agrees bit for bit.
+    fn agreement(&self, other: &TransientJob<'_>) -> f64 {
+        self.netlist
+            .stimuli()
+            .zip(other.netlist.stimuli())
+            .map(|(a, b)| a.agrees_until(b))
+            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -179,17 +271,9 @@ impl TransientResult {
 /// Propagates DC/Newton convergence failures with the failing time
 /// attached.
 pub fn run(nl: &Netlist, spec: &TransientSpec) -> Result<TransientResult, CircuitError> {
-    // The initial operating point is a full homotopy solve; do not let
-    // the per-step iteration cap (tuned for warm-started steps) starve
-    // it. The engine (assembler structure + factorization state) is built
-    // once and shared between the DC solve and every time step.
-    let mut engine = dc::Engine::new(nl, spec.newton.solver);
-    let dc_opts = NewtonOptions {
-        max_iterations: spec.newton.max_iterations.max(250),
-        ..spec.newton.clone()
-    };
-    let dc_sol = dc::solve_with_engine(nl, &mut engine, &dc_opts, None)?;
-    run_from_with_engine(nl, &mut engine, spec, &dc_sol)
+    let mut out = None;
+    run_batch(&[TransientJob { netlist: nl, spec }], |_, r| out = Some(r));
+    out.expect("a batch delivers every job")
 }
 
 /// Runs a transient analysis from an explicit initial operating point
@@ -203,79 +287,254 @@ pub fn run_from(
     spec: &TransientSpec,
     initial: &dc::DcSolution,
 ) -> Result<TransientResult, CircuitError> {
-    let mut engine = dc::Engine::new(nl, spec.newton.solver);
-    run_from_with_engine(nl, &mut engine, spec, initial)
+    let jobs = [TransientJob { netlist: nl, spec }];
+    let mut out = None;
+    let engine = dc::Engine::new(nl, spec.newton.solver);
+    let stepper = Stepper::new(engine, 0, nl, initial);
+    Batch::new(&jobs, |_, r| out = Some(r)).run_group(vec![0], stepper);
+    out.expect("a batch delivers every job")
 }
 
-/// The stepping loop on a caller-provided engine.
-fn run_from_with_engine(
-    nl: &Netlist,
-    engine: &mut dc::Engine,
-    spec: &TransientSpec,
-    initial: &dc::DcSolution,
-) -> Result<TransientResult, CircuitError> {
-    let n_nodes = nl.node_count();
-    let n_branches = nl.vsource_count();
-    let dim = n_nodes - 1 + n_branches;
+/// Runs several transient analyses, stepping shared prefixes once.
+///
+/// Jobs whose netlists differ only in source stimuli and whose specs
+/// agree on `dt`, `record_stride` and `newton` (`t_stop` may differ) are
+/// grouped. A group solves one initial operating point and steps together
+/// while every step's evaluation times — bisection sub-steps included —
+/// lie where all its stimuli agree
+/// ([`Stimulus::agrees_until`](crate::stimulus::Stimulus::agrees_until));
+/// at a divergence the integration state (unknowns, predictor and
+/// companion history, solver factors, recorded samples) forks. Each job's
+/// result or error is bit-identical to [`run`] on that job alone.
+///
+/// `deliver(i, result)` receives job `i`'s outcome as soon as it is
+/// known, depth-first through the forks — not in submission order. A
+/// shared prefix's samples are shared by reference, so memory peaks at
+/// about one result rather than one per job.
+pub fn run_batch(
+    jobs: &[TransientJob<'_>],
+    deliver: impl FnMut(usize, Result<TransientResult, CircuitError>),
+) {
+    let mut batch = Batch::new(jobs, deliver);
+    // Jobs that may share steps at all, in first-appearance order.
+    let mut classes: Vec<Vec<usize>> = Vec::new();
+    for (i, job) in jobs.iter().enumerate() {
+        match classes.iter_mut().find(|c| jobs[c[0]].compatible(job)) {
+            Some(class) => class.push(i),
+            None => classes.push(vec![i]),
+        }
+    }
+    for class in classes {
+        // The initial operating point evaluates every source at t = 0.
+        for group in batch.split(class, |agreed| agreed >= 0.0) {
+            batch.run_initial(group);
+        }
+    }
+}
 
-    let mut x = vec![0.0; dim];
-    x[..n_nodes - 1].copy_from_slice(&initial.voltages()[1..]);
-    for k in 0..n_branches {
-        x[n_nodes - 1 + k] = initial.branch_current(k);
+/// A batch in flight: the jobs, the result sink and the step scratch.
+struct Batch<'j, 'a, F> {
+    jobs: &'j [TransientJob<'a>],
+    deliver: F,
+    scratch: Scratch,
+}
+
+impl<'j, 'a, F> Batch<'j, 'a, F>
+where
+    F: FnMut(usize, Result<TransientResult, CircuitError>),
+{
+    fn new(jobs: &'j [TransientJob<'a>], deliver: F) -> Self {
+        Batch {
+            jobs,
+            deliver,
+            scratch: Scratch::default(),
+        }
     }
 
-    let mut v_old = initial.voltages().to_vec();
-
-    let steps = (spec.t_stop / spec.dt).ceil() as usize;
-    let recorded = steps / spec.record_stride + 2;
-    let mut result = TransientResult {
-        times: Vec::with_capacity(recorded),
-        n_nodes,
-        n_branches,
-        node_samples: Vec::with_capacity(recorded * n_nodes),
-        branch_samples: Vec::with_capacity(recorded * n_branches),
-    };
-    result.times.push(0.0);
-    result.node_samples.extend_from_slice(&v_old);
-    for k in 0..n_branches {
-        result.branch_samples.push(initial.branch_current(k));
+    /// Partitions `members` into groups, each led by its first member and
+    /// holding the members whose agreement time with the leader passes
+    /// `fits`.
+    fn split(&self, mut members: Vec<usize>, fits: impl Fn(f64) -> bool) -> Vec<Vec<usize>> {
+        let mut groups = Vec::new();
+        while !members.is_empty() {
+            let lead = members.remove(0);
+            let (joined, left): (Vec<usize>, Vec<usize>) = members
+                .into_iter()
+                .partition(|&m| fits(self.jobs[lead].agreement(&self.jobs[m])));
+            groups.push(std::iter::once(lead).chain(joined).collect());
+            members = left;
+        }
+        groups
     }
 
-    // Reusable save buffers for the retry/bisection logic (one per
-    // recursion depth, allocated on first use, reused for every step).
-    let mut save_pool: Vec<Vec<f64>> = Vec::new();
-    // Predictor state: the converged unknowns of the previous two steps.
-    // Linear extrapolation seeds Newton close enough that smooth regions
-    // converge in one or two iterations; the corrector still iterates to
-    // the same tolerances, so the accepted solution is unchanged.
-    let mut x_prev = x.clone();
-    let mut x_conv = vec![0.0; dim];
-    let mut v_old_save = vec![0.0; n_nodes];
-    // The reference engine reproduces the seed behaviour exactly —
-    // including cold per-step Newton starts — so it skips the predictor.
-    let use_predictor = !engine.is_reference();
+    /// Solves a group's shared initial operating point and steps it.
+    fn run_initial(&mut self, group: Vec<usize>) {
+        let lead = self.jobs[group[0]];
+        // The initial operating point is a full homotopy solve; do not
+        // let the per-step iteration cap (tuned for warm-started steps)
+        // starve it. The engine (assembler structure + factorization
+        // state) is built once and shared between the DC solve and every
+        // time step.
+        let mut engine = dc::Engine::new(lead.netlist, lead.spec.newton.solver);
+        let dc_opts = NewtonOptions {
+            max_iterations: lead.spec.newton.max_iterations.max(250),
+            ..lead.spec.newton.clone()
+        };
+        match dc::solve_with_engine(lead.netlist, &mut engine, &dc_opts, None) {
+            Ok(sol) => {
+                let stepper = Stepper::new(engine, group[0], lead.netlist, &sol);
+                self.run_group(group, stepper);
+            }
+            Err(e) => self.fail(&group, &e),
+        }
+    }
 
-    for step in 1..=steps {
-        let t = step as f64 * spec.dt;
-        x_conv.copy_from_slice(&x);
-        v_old_save.copy_from_slice(&v_old);
-        let predicted = use_predictor && step >= 2;
-        if predicted {
-            for i in 0..dim {
-                x[i] = 2.0 * x[i] - x_prev[i];
+    /// Steps a group from `st` for as long as its members agree, delivers
+    /// the members that end there, and forks the state for the rest.
+    fn run_group(&mut self, mut group: Vec<usize>, mut st: Stepper) {
+        loop {
+            let lead = self.jobs[group[0]];
+            if st.stimuli_of != group[0] {
+                st.engine.sync_stimuli(lead.netlist);
+                st.stimuli_of = group[0];
+            }
+            let dt = lead.spec.dt;
+            let horizon = group[1..]
+                .iter()
+                .map(|&m| lead.agreement(&self.jobs[m]))
+                .fold(f64::INFINITY, f64::min);
+            let end = group
+                .iter()
+                .map(|&m| self.jobs[m].spec.steps())
+                .min()
+                .expect("groups are non-empty");
+            while st.step < end && st.next_step_fits(dt, horizon) {
+                if let Err(e) = st.advance(lead.netlist, lead.spec, &mut self.scratch) {
+                    self.fail(&group, &e);
+                    return;
+                }
+            }
+            let (done, rest): (Vec<usize>, Vec<usize>) = group
+                .iter()
+                .partition(|&&m| self.jobs[m].spec.steps() == st.step);
+            for m in done {
+                let result = st.final_result(self.jobs[m].spec);
+                (self.deliver)(m, Ok(result));
+            }
+            if rest.is_empty() {
+                return;
+            }
+            let mut forks = self.split(rest, |agreed| st.next_step_fits(dt, agreed));
+            group = forks.pop().expect("rest is non-empty");
+            for fork in forks {
+                self.run_group(fork, st.clone());
             }
         }
-        x_prev.copy_from_slice(&x_conv);
+    }
+
+    /// Delivers the same error to every member of a group.
+    fn fail(&mut self, group: &[usize], e: &CircuitError) {
+        for &m in group {
+            (self.deliver)(m, Err(e.clone()));
+        }
+    }
+}
+
+/// Buffers reused by every step of a batch; no state survives a step.
+#[derive(Debug, Default)]
+struct Scratch {
+    x_conv: Vec<f64>,
+    v_old_save: Vec<f64>,
+    /// Save buffers for the retry/bisection logic (one per recursion
+    /// depth, allocated on first use).
+    save_pool: Vec<Vec<f64>>,
+}
+
+/// The integration state of one run, or of a prefix several runs share:
+/// everything a step reads. Cloning it forks the run.
+#[derive(Debug, Clone)]
+struct Stepper {
+    engine: dc::Engine,
+    /// The job whose stimuli the engine's source snapshot holds.
+    stimuli_of: usize,
+    x: Vec<f64>,
+    /// Predictor state: the converged unknowns of the previous step.
+    x_prev: Vec<f64>,
+    /// Node voltages (ground included) at the last accepted step.
+    v_old: Vec<f64>,
+    /// Steps taken.
+    step: usize,
+    samples: TransientResult,
+}
+
+impl Stepper {
+    /// The state at `t = 0`: the operating point, recorded as sample 0.
+    fn new(engine: dc::Engine, stimuli_of: usize, nl: &Netlist, initial: &dc::DcSolution) -> Self {
+        let n_nodes = nl.node_count();
+        let n_branches = nl.vsource_count();
+        let mut x = Vec::with_capacity(n_nodes - 1 + n_branches);
+        x.extend_from_slice(&initial.voltages()[1..]);
+        x.extend((0..n_branches).map(|k| initial.branch_current(k)));
+        let mut samples = TransientResult::new(n_nodes, n_branches);
+        samples.push(0.0, initial.voltages(), &x[n_nodes - 1..]);
+        Stepper {
+            engine,
+            stimuli_of,
+            x_prev: x.clone(),
+            v_old: initial.voltages().to_vec(),
+            x,
+            step: 0,
+            samples,
+        }
+    }
+
+    /// Whether every source evaluation of the next step — its end time
+    /// and every bisection sub-step time — falls at or before `horizon`.
+    fn next_step_fits(&self, dt: f64, horizon: f64) -> bool {
+        if horizon == f64::INFINITY {
+            return true;
+        }
+        let t = (self.step + 1) as f64 * dt;
+        latest_evaluation(t - dt, dt, 0) <= horizon
+    }
+
+    /// Takes one fixed step (recording it on the stride).
+    fn advance(
+        &mut self,
+        nl: &Netlist,
+        spec: &TransientSpec,
+        scratch: &mut Scratch,
+    ) -> Result<(), CircuitError> {
+        let n_nodes = self.v_old.len();
+        let step = self.step + 1;
+        let t = step as f64 * spec.dt;
+        let x = &mut self.x;
+        let v_old = &mut self.v_old;
+        scratch.x_conv.clone_from(x);
+        scratch.v_old_save.clone_from(v_old);
+        // Linear extrapolation seeds Newton close enough that smooth
+        // regions converge in one or two iterations; the corrector still
+        // iterates to the same tolerances, so the accepted solution is
+        // unchanged. The reference engine reproduces the seed behaviour
+        // exactly — including cold per-step Newton starts — so it skips
+        // the predictor.
+        let predicted = !self.engine.is_reference() && step >= 2;
+        if predicted {
+            for (xi, pi) in x.iter_mut().zip(&self.x_prev) {
+                *xi = 2.0 * *xi - pi;
+            }
+        }
+        self.x_prev.copy_from_slice(&scratch.x_conv);
         let advanced = advance_step(
             nl,
-            engine,
-            &mut x,
-            &mut v_old,
+            &mut self.engine,
+            x,
+            v_old,
             t - spec.dt,
             spec.dt,
             &spec.newton,
             0,
-            &mut save_pool,
+            &mut scratch.save_pool,
         );
         if let Err(e) = advanced {
             // Only a step that started from an extrapolated guess gets a
@@ -288,32 +547,57 @@ fn run_from_with_engine(
             // whole step once from the un-extrapolated converged state
             // (restoring the companion history a failed bisection may
             // have partially advanced).
-            x.copy_from_slice(&x_conv);
-            v_old.copy_from_slice(&v_old_save);
+            x.copy_from_slice(&scratch.x_conv);
+            v_old.copy_from_slice(&scratch.v_old_save);
             advance_step(
                 nl,
-                engine,
-                &mut x,
-                &mut v_old,
+                &mut self.engine,
+                x,
+                v_old,
                 t - spec.dt,
                 spec.dt,
                 &spec.newton,
                 0,
-                &mut save_pool,
+                &mut scratch.save_pool,
             )?;
         }
 
         // Update history.
         v_old[0] = 0.0;
         v_old[1..].copy_from_slice(&x[..n_nodes - 1]);
-
-        if step % spec.record_stride == 0 || step == steps {
-            result.times.push(t);
-            result.node_samples.extend_from_slice(&v_old);
-            result.branch_samples.extend_from_slice(&x[n_nodes - 1..]);
+        self.step = step;
+        if step.is_multiple_of(spec.record_stride) {
+            self.samples.push(t, v_old, &x[n_nodes - 1..]);
         }
+        Ok(())
     }
-    Ok(result)
+
+    /// The result of a run that ends at the current step: the samples so
+    /// far (shared) plus the final step if the stride skipped it.
+    fn final_result(&self, spec: &TransientSpec) -> TransientResult {
+        let mut result = self.samples.clone();
+        if !self.step.is_multiple_of(spec.record_stride) {
+            let n_nodes = self.v_old.len();
+            let t = self.step as f64 * spec.dt;
+            result.push(t, &self.v_old, &self.x[n_nodes - 1..]);
+        }
+        result
+    }
+}
+
+/// The latest time at which a step from `t_start` of size `h` evaluates
+/// the sources, computed exactly as [`advance_step`] forms its times:
+/// the step end, and the ends of every bisection sub-step down to
+/// [`MAX_BISECTION_DEPTH`].
+fn latest_evaluation(t_start: f64, h: f64, depth: u32) -> f64 {
+    let t_end = t_start + h;
+    if depth >= MAX_BISECTION_DEPTH {
+        return t_end;
+    }
+    let half = 0.5 * h;
+    t_end
+        .max(latest_evaluation(t_start, half, depth + 1))
+        .max(latest_evaluation(t_start + half, half, depth + 1))
 }
 
 /// Advances the state from `t_start` by `h` with backward Euler,
@@ -363,7 +647,7 @@ fn advance_step(
         }
     }
     save_pool.push(step_start_x);
-    if depth >= 4 {
+    if depth >= MAX_BISECTION_DEPTH {
         return Err(last_err.expect("attempt loop ran at least once"));
     }
     // Bisect: two half-steps, refreshing the companion history between
@@ -620,6 +904,166 @@ mod tests {
             high < 3.0 * nominal,
             "but not catastrophically so: {nominal:.3e} vs {high:.3e}"
         );
+    }
+
+    /// A job outcome as bits: the times, then every node's and every
+    /// branch's samples; an error as its debug text.
+    fn outcome_bits(
+        nl: &Netlist,
+        outcome: &Result<TransientResult, CircuitError>,
+    ) -> Result<Vec<u64>, String> {
+        let res = outcome.as_ref().map_err(|e| format!("{e:?}"))?;
+        let mut bits: Vec<u64> = res.times().iter().map(|t| t.to_bits()).collect();
+        for (node, _) in nl.nodes() {
+            bits.extend(res.voltage(node).values().iter().map(|v| v.to_bits()));
+        }
+        for k in 0..nl.vsource_count() {
+            bits.extend(res.branch_current(k).values().iter().map(|v| v.to_bits()));
+        }
+        Ok(bits)
+    }
+
+    /// Runs `jobs` as one batch and alone, asserts every outcome is
+    /// bit-identical, and returns the batch results.
+    fn batch_matches_solo(jobs: &[TransientJob<'_>]) -> Vec<Option<TransientResult>> {
+        let mut batch: Vec<Option<Result<TransientResult, CircuitError>>> = vec![None; jobs.len()];
+        run_batch(jobs, |i, r| {
+            assert!(batch[i].is_none(), "job {i} delivered twice");
+            batch[i] = Some(r);
+        });
+        batch
+            .into_iter()
+            .enumerate()
+            .map(|(i, got)| {
+                let got = got.expect("every job is delivered");
+                let job = jobs[i];
+                let solo = run(job.netlist, job.spec);
+                assert_eq!(
+                    outcome_bits(job.netlist, &got),
+                    outcome_bits(job.netlist, &solo),
+                    "job {i}"
+                );
+                got.ok()
+            })
+            .collect()
+    }
+
+    fn shares_first_block(a: &TransientResult, b: &TransientResult) -> bool {
+        Arc::ptr_eq(&a.blocks[0], &b.blocks[0])
+    }
+
+    /// Jobs on copies of one inverter (same model cards), driven by
+    /// piece-wise linear inputs that share a prefix ending mid-ramp and
+    /// then diverge, with different stop times and a recording stride
+    /// that does not divide them.
+    #[test]
+    fn batch_equals_solo_on_families_forking_mid_ramp() {
+        let (base, inp, _) = inverter_netlist(450e-9, 900e-9, 5e-15, Stimulus::dc(0.0));
+        let src = base.find_device("IN").expect("input source");
+        let mut rng = proptest::test_runner::TestRng::for_case("forking_families", 0);
+        let mut draw = |n: u64| rng.next_u64() % n;
+        for family in 0..12 {
+            // A shared ramp 0 → 1 over [5, 15] ps, cut at a random point.
+            let cut = 6.0e-12 + draw(8) as f64 * 1.0e-12;
+            let v_cut = (cut - 5.0e-12) / 10.0e-12;
+            let stride = 1 + (family % 3);
+            let mut nets = Vec::new();
+            let mut specs = Vec::new();
+            for member in 0..5 {
+                let mut nl = base.clone();
+                let mut points = vec![(0.0, 0.0), (5.0e-12, 0.0), (cut, v_cut)];
+                match member {
+                    // Continues the ramp.
+                    0 => points.push((15.0e-12, 1.0)),
+                    // Turns back down mid-ramp.
+                    1 => points.push((cut + 2.0e-12, 0.0)),
+                    // Holds the cut level.
+                    2 => {}
+                    // A random continuation.
+                    _ => {
+                        let t = cut + (1 + draw(6)) as f64 * 1.0e-12;
+                        points.push((t, draw(3) as f64 * 0.5));
+                    }
+                }
+                nl.set_stimulus(src, Stimulus::Pwl(points));
+                nets.push(nl);
+                let t_stop = 10.0e-12 + draw(25) as f64 * 1.0e-12;
+                specs.push(TransientSpec {
+                    record_stride: stride,
+                    ..TransientSpec::new(t_stop, 0.1e-12)
+                });
+            }
+            // One job on another step never joins the family.
+            let mut odd_nl = base.clone();
+            odd_nl.set_stimulus(src, Stimulus::ramp(0.0, 1.0, 5.0e-12, 10.0e-12));
+            let odd_spec = TransientSpec::new(20.0e-12, 0.2e-12);
+            let mut jobs: Vec<TransientJob<'_>> = nets
+                .iter()
+                .zip(&specs)
+                .map(|(netlist, spec)| TransientJob { netlist, spec })
+                .collect();
+            jobs.insert(
+                2,
+                TransientJob {
+                    netlist: &odd_nl,
+                    spec: &odd_spec,
+                },
+            );
+            let results = batch_matches_solo(&jobs);
+            let r = |i: usize| results[i].as_ref().expect("family runs converge");
+            // The family shared its initial operating point and prefix.
+            assert!(shares_first_block(r(0), r(1)), "family {family}");
+            assert!(shares_first_block(r(0), r(3)), "family {family}");
+            assert!(!shares_first_block(r(0), r(2)), "family {family}");
+            assert_eq!(r(0).voltage(inp).first_value(), 0.0);
+        }
+    }
+
+    #[test]
+    fn batch_delivers_a_shared_failure_to_every_member() {
+        // Two sources forcing different voltages on one node: the shared
+        // initial operating point fails, and each member reports the
+        // error its solo run reports.
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        nl.vsource("V1", a, Netlist::GROUND, Stimulus::dc(1.0));
+        let v2 = nl.vsource("V2", a, Netlist::GROUND, Stimulus::dc(2.0));
+        nl.capacitor("C", a, Netlist::GROUND, 1e-15).unwrap();
+        let mut other = nl.clone();
+        other.set_stimulus(v2, Stimulus::ramp(2.0, 0.0, 1e-12, 1e-12));
+        let spec = TransientSpec::new(3e-12, 0.1e-12);
+        let jobs = [
+            TransientJob {
+                netlist: &nl,
+                spec: &spec,
+            },
+            TransientJob {
+                netlist: &other,
+                spec: &spec,
+            },
+        ];
+        let results = batch_matches_solo(&jobs);
+        assert!(results.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn run_from_matches_a_run_through_the_same_operating_point() {
+        let (nl, _, out) = inverter_netlist(
+            450e-9,
+            900e-9,
+            5e-15,
+            Stimulus::ramp(0.0, 1.0, 5e-12, 4e-12),
+        );
+        let spec = TransientSpec::new(30e-12, 0.1e-12);
+        let dc_opts = NewtonOptions {
+            max_iterations: 250,
+            ..spec.newton.clone()
+        };
+        let op = dc::solve_with(&nl, &dc_opts, None).unwrap();
+        let ran = run(&nl, &spec).unwrap();
+        let from = run_from(&nl, &spec, &op).unwrap();
+        assert_eq!(from.times(), ran.times());
+        assert_eq!(from.voltage(out).values(), ran.voltage(out).values());
     }
 
     #[test]

@@ -22,8 +22,9 @@ use crate::slice::{BitSlice, ModelSet};
 use lnoc_circuit::analysis::{leakage_report, LeakageReport};
 use lnoc_circuit::dc::{self, NewtonOptions};
 use lnoc_circuit::error::CircuitError;
+use lnoc_circuit::netlist::NodeId;
 use lnoc_circuit::stimulus::Stimulus;
-use lnoc_circuit::transient::{self, TransientSpec};
+use lnoc_circuit::transient::{self, TransientJob, TransientResult, TransientSpec};
 use lnoc_circuit::waveform::{propagation_delay, Edge};
 use lnoc_tech::corners::Temperature;
 use lnoc_tech::device::{Polarity, VtClass};
@@ -160,15 +161,36 @@ impl Characterizer {
     /// Takes `&self` so one characterizer can serve many schemes /
     /// corners concurrently (the model sets are shared `Arc` cards).
     ///
+    /// The delay, cycle-energy and sleep-entry transients go to the
+    /// circuit engine as one batch, so the stretches where their stimuli
+    /// agree (the priming edge at 40 ps, the settled state up to the
+    /// measured edge) are simulated once; every measurement is
+    /// bit-identical to a separate run.
+    ///
     /// # Errors
     ///
     /// Propagates solver convergence failures (which indicate a
-    /// mis-configured circuit rather than an expected condition).
+    /// mis-configured circuit rather than an expected condition), the
+    /// first in the order delays → leakage → cycle energy → transition
+    /// energy.
     pub fn characterize(&self, scheme: Scheme) -> Result<SchemeCharacterization, CircuitError> {
-        let (d_hl, d_lh) = self.delays(scheme)?;
+        let delay_runs = self.delay_runs(scheme);
+        let cycle_runs = self.cycle_energy_runs(scheme);
+        let (n_delay, n_cycle) = (delay_runs.len(), cycle_runs.len());
+        let runs: Vec<SliceRun> = delay_runs
+            .into_iter()
+            .chain(cycle_runs)
+            .chain(self.sleep_entry_runs(scheme))
+            .collect();
+        let measured = self.measure_batch(&runs);
+        let (delays, rest) = measured.split_at(n_delay);
+        let (cycles, sleeps) = rest.split_at(n_cycle);
+
+        let delays = first_error(delays)?;
+        let (d_hl, d_lh) = (delays[0], delays[1]);
         let leak = self.leakage_points(scheme)?;
-        let e_cycle = self.cycle_energy(scheme)?;
-        let e_trans = self.transition_energy(scheme)?;
+        let e_cycle = self.cycle_energy(scheme, &first_error(cycles)?);
+        let e_trans = self.transition_energy(scheme, &first_error(sleeps)?);
 
         let n = self.cfg.slice_count() as f64;
         let period = self.cfg.period();
@@ -198,19 +220,99 @@ impl Characterizer {
         })
     }
 
+    // --- transient runs ---------------------------------------------------
+
+    /// Runs a batch of slice transients and reads each run's measurement,
+    /// in submission order.
+    fn measure_batch(&self, runs: &[SliceRun]) -> Vec<Result<f64, CircuitError>> {
+        let jobs: Vec<TransientJob<'_>> = runs
+            .iter()
+            .map(|r| TransientJob {
+                netlist: &r.slice.netlist,
+                spec: &r.spec,
+            })
+            .collect();
+        let mut measured = vec![None; runs.len()];
+        transient::run_batch(&jobs, |i, result| {
+            measured[i] = Some(result.and_then(|res| self.measure(&runs[i], &res)));
+        });
+        measured
+            .into_iter()
+            .map(|m| m.expect("the batch delivers every run"))
+            .collect()
+    }
+
+    /// Reads one run's measurement off its transient result.
+    fn measure(&self, run: &SliceRun, res: &TransientResult) -> Result<f64, CircuitError> {
+        let vdd = self.cfg.vdd().0;
+        let slice = &run.slice;
+        let delay = |from: NodeId, in_edge: Edge, out_edge: Edge, t_edge: f64| {
+            propagation_delay(
+                &res.voltage(from),
+                in_edge,
+                &res.voltage(slice.out),
+                out_edge,
+                vdd,
+                t_edge - 10.0e-12,
+            )
+            .ok_or(CircuitError::NoConvergence {
+                analysis: "transient",
+                time: t_edge,
+                residual: f64::NAN,
+            })
+        };
+        match run.measure {
+            Measure::KeeperDelay {
+                input,
+                edge,
+                t_edge,
+            } => delay(slice.inputs[input], edge, edge, t_edge),
+            Measure::EvalDelay { grant, t_edge } => {
+                delay(grant, Edge::Rising, Edge::Falling, t_edge)
+            }
+            Measure::PrechargeDelay { pre, t_pre } => {
+                delay(pre, Edge::Falling, Edge::Rising, t_pre)
+            }
+            Measure::CycleEnergy { t0 } => {
+                let period = self.cfg.period();
+                let e_two = res.supply_energy(&slice.netlist, slice.vdd_src, t0, t0 + 2.0 * period);
+                let leak_bg = self.room_leak_power(slice)?;
+                let e_dyn = if slice.scheme.is_precharged() {
+                    // Add the per-cycle pre-charge control line energy
+                    // (the pre rail toggles every cycle across the whole
+                    // flit).
+                    let e_ctrl = self.control_line_energy_per_bit();
+                    (e_two - leak_bg * 2.0 * period) / 2.0 + e_ctrl
+                } else {
+                    let p_transition =
+                        2.0 * self.cfg.static_probability * (1.0 - self.cfg.static_probability);
+                    (e_two - leak_bg * 2.0 * period) / 2.0 * (p_transition / 0.5)
+                };
+                Ok(e_dyn.max(0.0))
+            }
+            Measure::SleepEntry { t_sleep, t_stop } => {
+                let e = res.supply_energy(&slice.netlist, slice.vdd_src, t_sleep - 5.0e-12, t_stop);
+                // Subtract the (room) leakage background over the window.
+                let leak_bg = self.room_leak_power(slice)?;
+                Ok((e - leak_bg * (t_stop - t_sleep + 5.0e-12)).max(0.0))
+            }
+        }
+    }
+
     // --- delay ----------------------------------------------------------
 
-    /// Worst-case-path delays `(high_to_low, low_to_high)` in seconds.
-    fn delays(&self, scheme: Scheme) -> Result<(f64, f64), CircuitError> {
+    /// The worst-case-path delay runs: high-to-low, then low-to-high.
+    fn delay_runs(&self, scheme: Scheme) -> Vec<SliceRun> {
         if scheme.is_precharged() {
-            Ok((
-                self.dpc_eval_delay(scheme)?,
-                self.dpc_precharge_delay(scheme)?,
-            ))
+            vec![
+                self.dpc_eval_delay_run(scheme),
+                self.dpc_precharge_delay_run(scheme),
+            ]
         } else {
-            let hl = self.keeper_delay(scheme, Edge::Falling)?;
-            let lh = self.keeper_delay(scheme, Edge::Rising)?;
-            Ok((hl, lh))
+            vec![
+                self.keeper_delay_run(scheme, Edge::Falling),
+                self.keeper_delay_run(scheme, Edge::Rising),
+            ]
         }
     }
 
@@ -234,7 +336,7 @@ impl Characterizer {
     /// like a SPICE test bench would — the bistable keeper loop makes a
     /// cold data-1 DC solve fragile, and a real crossbar never starts
     /// there either.
-    fn keeper_delay(&self, scheme: Scheme, out_edge: Edge) -> Result<f64, CircuitError> {
+    fn keeper_delay_run(&self, scheme: Scheme, out_edge: Edge) -> SliceRun {
         let mut slice = BitSlice::build_with_models(scheme, &self.cfg, &self.models_nom);
         let input = self.select_worst_input(&mut slice);
         let vdd = self.cfg.vdd().0;
@@ -256,22 +358,20 @@ impl Characterizer {
             }
         };
         slice.drive_data(input, stim);
-        let spec = slice_transient_spec(&self.cfg, t_edge + 400.0e-12);
-        let res = transient::run(&slice.netlist, &spec)?;
-        let w_in = res.voltage(slice.inputs[input]);
-        let w_out = res.voltage(slice.out);
-        propagation_delay(&w_in, out_edge, &w_out, out_edge, vdd, t_edge - 10.0e-12).ok_or(
-            CircuitError::NoConvergence {
-                analysis: "transient",
-                time: t_edge,
-                residual: f64::NAN,
+        SliceRun {
+            spec: slice_transient_spec(&self.cfg, t_edge + 400.0e-12),
+            slice,
+            measure: Measure::KeeperDelay {
+                input,
+                edge: out_edge,
+                t_edge,
             },
-        )
+        }
     }
 
     /// Evaluation delay of a pre-charged scheme: grant edge → output
     /// falling, with data low (the logic-0 evaluation the paper times).
-    fn dpc_eval_delay(&self, scheme: Scheme) -> Result<f64, CircuitError> {
+    fn dpc_eval_delay_run(&self, scheme: Scheme) -> SliceRun {
         let mut slice = BitSlice::build_with_models(scheme, &self.cfg, &self.models_nom);
         let input = if scheme.is_segmented() {
             slice.set_enable_far(true);
@@ -287,33 +387,20 @@ impl Characterizer {
         slice.drive_precharge(Stimulus::ramp(0.0, vdd, t_release, 5.0e-12));
         slice.set_data(input, false);
         slice.drive_grant(input, Stimulus::ramp(0.0, vdd, t_edge, 5.0e-12));
-        let spec = slice_transient_spec(&self.cfg, t_edge + 400.0e-12);
-        let res = transient::run(&slice.netlist, &spec)?;
-        let w_grant = res.voltage(
-            slice
-                .netlist
-                .find_node(&format!("g{input}"))
-                .expect("grant node"),
-        );
-        let w_out = res.voltage(slice.out);
-        propagation_delay(
-            &w_grant,
-            Edge::Rising,
-            &w_out,
-            Edge::Falling,
-            vdd,
-            t_edge - 10.0e-12,
-        )
-        .ok_or(CircuitError::NoConvergence {
-            analysis: "transient",
-            time: t_edge,
-            residual: f64::NAN,
-        })
+        let grant = slice
+            .netlist
+            .find_node(&format!("g{input}"))
+            .expect("grant node");
+        SliceRun {
+            spec: slice_transient_spec(&self.cfg, t_edge + 400.0e-12),
+            slice,
+            measure: Measure::EvalDelay { grant, t_edge },
+        }
     }
 
     /// Pre-charge delay of a pre-charged scheme: pre-charge assertion →
     /// output rising back to the idle-high state.
-    fn dpc_precharge_delay(&self, scheme: Scheme) -> Result<f64, CircuitError> {
+    fn dpc_precharge_delay_run(&self, scheme: Scheme) -> SliceRun {
         let mut slice = BitSlice::build_with_models(scheme, &self.cfg, &self.models_nom);
         let input = if scheme.is_segmented() {
             slice.set_enable_far(true);
@@ -329,27 +416,15 @@ impl Characterizer {
         slice.set_data(input, false);
         slice.drive_grant(input, Stimulus::ramp(vdd, 0.0, t_off, 5.0e-12));
         slice.drive_precharge(Stimulus::ramp(vdd, 0.0, t_pre, 5.0e-12));
-        let spec = slice_transient_spec(&self.cfg, t_pre + 400.0e-12);
-        let res = transient::run(&slice.netlist, &spec)?;
-        let pre_node = slice
+        let pre = slice
             .netlist
             .find_node("pre_main")
             .expect("pre-charged slice has a pre_main node");
-        let w_pre = res.voltage(pre_node);
-        let w_out = res.voltage(slice.out);
-        propagation_delay(
-            &w_pre,
-            Edge::Falling,
-            &w_out,
-            Edge::Rising,
-            vdd,
-            t_pre - 10.0e-12,
-        )
-        .ok_or(CircuitError::NoConvergence {
-            analysis: "transient",
-            time: t_pre,
-            residual: f64::NAN,
-        })
+        SliceRun {
+            spec: slice_transient_spec(&self.cfg, t_pre + 400.0e-12),
+            slice,
+            measure: Measure::PrechargeDelay { pre, t_pre },
+        }
     }
 
     // --- leakage ----------------------------------------------------------
@@ -573,23 +648,36 @@ impl Characterizer {
     // --- energies ---------------------------------------------------------
 
     /// Per-slice switching energy per cycle at the configured static
-    /// probability (J). For the segmented schemes this blends the far
-    /// and near transfer paths by `slack_only_fraction` — near transfers
-    /// swing only half the output wire, which is segmentation's dynamic
-    /// power win.
-    fn cycle_energy(&self, scheme: Scheme) -> Result<f64, CircuitError> {
+    /// probability (J), from the measured path energies of
+    /// [`Self::cycle_energy_runs`]. For the segmented schemes this blends
+    /// the far and near transfer paths by `slack_only_fraction` — near
+    /// transfers swing only half the output wire, which is segmentation's
+    /// dynamic power win.
+    fn cycle_energy(&self, scheme: Scheme, paths: &[f64]) -> f64 {
         if scheme.is_segmented() {
-            let far = self.cycle_energy_for_path(scheme, true)?;
-            let near = self.cycle_energy_for_path(scheme, false)?;
+            let (far, near) = (paths[0], paths[1]);
             let f = self.cfg.slack_only_fraction;
-            Ok((1.0 - f) * far + f * near)
+            (1.0 - f) * far + f * near
         } else {
-            self.cycle_energy_for_path(scheme, true)
+            paths[0]
+        }
+    }
+
+    /// The cycle-energy runs: the far transfer path, then (segmented
+    /// schemes) the near one.
+    fn cycle_energy_runs(&self, scheme: Scheme) -> Vec<SliceRun> {
+        if scheme.is_segmented() {
+            vec![
+                self.cycle_energy_run(scheme, true),
+                self.cycle_energy_run(scheme, false),
+            ]
+        } else {
+            vec![self.cycle_energy_run(scheme, true)]
         }
     }
 
     /// Two-cycle transient energy measurement over one transfer path.
-    fn cycle_energy_for_path(&self, scheme: Scheme, use_far: bool) -> Result<f64, CircuitError> {
+    fn cycle_energy_run(&self, scheme: Scheme, use_far: bool) -> SliceRun {
         let vdd = self.cfg.vdd().0;
         let period = self.cfg.period();
         let mut slice = BitSlice::build_with_models(scheme, &self.cfg, &self.models_nom);
@@ -612,7 +700,7 @@ impl Characterizer {
 
         let t0 = 300.0e-12; // settle (includes the priming ramp below)
         let edge = 5.0e-12;
-        let e_dyn = if scheme.is_precharged() {
+        if scheme.is_precharged() {
             // Two full pre-charge/evaluate cycles: data 0 (full swing)
             // then data 1 (no swing) — exactly the 50 % static
             // probability average.
@@ -661,19 +749,12 @@ impl Characterizer {
                     (t0 + period - 10.0e-12, vdd),
                 ]),
             );
-            let spec = slice_transient_spec(&self.cfg, t0 + 2.0 * period);
-            let res = transient::run(&slice.netlist, &spec)?;
-            let e_two = res.supply_energy(&slice.netlist, slice.vdd_src, t0, t0 + 2.0 * period);
-            let leak_bg = self.room_leak_power(&slice)?;
-            // Add the per-cycle pre-charge control line energy (the pre
-            // rail toggles every cycle across the whole flit).
-            let e_ctrl = self.control_line_energy_per_bit();
-            (e_two - leak_bg * 2.0 * period) / 2.0 + e_ctrl
         } else {
             // Feedback schemes: a 1→0→1 data pattern gives one
             // transition per cycle; random data at p = ½ has ½
-            // transition per cycle, so scale by ½. The initial rise at
-            // 40 ps primes node A physically (see `keeper_delay`).
+            // transition per cycle, so the measurement scales by ½. The
+            // initial rise at 40 ps primes node A physically (see
+            // `keeper_delay_run`).
             slice.drive_data(
                 input,
                 Stimulus::Pwl(vec![
@@ -686,35 +767,44 @@ impl Characterizer {
                     (t0 + period + edge, vdd),
                 ]),
             );
-            let spec = slice_transient_spec(&self.cfg, t0 + 2.0 * period);
-            let res = transient::run(&slice.netlist, &spec)?;
-            let e_two = res.supply_energy(&slice.netlist, slice.vdd_src, t0, t0 + 2.0 * period);
-            let leak_bg = self.room_leak_power(&slice)?;
-            let p_transition =
-                2.0 * self.cfg.static_probability * (1.0 - self.cfg.static_probability);
-            (e_two - leak_bg * 2.0 * period) / 2.0 * (p_transition / 0.5)
-        };
-        Ok(e_dyn.max(0.0))
+        }
+        SliceRun {
+            spec: slice_transient_spec(&self.cfg, t0 + 2.0 * period),
+            slice,
+            measure: Measure::CycleEnergy { t0 },
+        }
     }
 
-    /// Standby entry energy per slice (J), averaged over pre-idle state.
-    fn transition_energy(&self, scheme: Scheme) -> Result<f64, CircuitError> {
+    /// Standby entry energy per slice (J), averaged over pre-idle state,
+    /// from the measured energies of [`Self::sleep_entry_runs`].
+    fn transition_energy(&self, scheme: Scheme, entries: &[f64]) -> f64 {
         let e_ctrl = self.control_line_energy_per_bit();
         if scheme.is_precharged() {
             // Idle state is unique (node A pre-charged high).
-            let e = self.sleep_entry_energy(scheme, true)?;
-            Ok(e + e_ctrl)
+            entries[0] + e_ctrl
         } else {
             let p1 = self.cfg.static_probability;
-            let e1 = self.sleep_entry_energy(scheme, true)?;
-            let e0 = self.sleep_entry_energy(scheme, false)?;
-            Ok(p1 * e1 + (1.0 - p1) * e0 + e_ctrl)
+            let (e1, e0) = (entries[0], entries[1]);
+            p1 * e1 + (1.0 - p1) * e0 + e_ctrl
+        }
+    }
+
+    /// The sleep-entry runs: from an idle state holding 1 on node A, then
+    /// (keeper schemes, whose idle state depends on the held value) 0.
+    fn sleep_entry_runs(&self, scheme: Scheme) -> Vec<SliceRun> {
+        if scheme.is_precharged() {
+            vec![self.sleep_entry_run(scheme, true)]
+        } else {
+            vec![
+                self.sleep_entry_run(scheme, true),
+                self.sleep_entry_run(scheme, false),
+            ]
         }
     }
 
     /// Supply energy drawn when the sleep signal asserts from an idle
     /// state holding `held` on node A.
-    fn sleep_entry_energy(&self, scheme: Scheme, held: bool) -> Result<f64, CircuitError> {
+    fn sleep_entry_run(&self, scheme: Scheme, held: bool) -> SliceRun {
         let vdd = self.cfg.vdd().0;
         let mut slice = BitSlice::build_with_models(scheme, &self.cfg, &self.models_nom);
         let input = self.select_worst_input(&mut slice);
@@ -744,12 +834,11 @@ impl Characterizer {
                     .set_stimulus(src, Stimulus::ramp(0.0, vdd, t_sleep, 5.0e-12));
             }
         }
-        let spec = slice_transient_spec(&self.cfg, t_stop);
-        let res = transient::run(&slice.netlist, &spec)?;
-        let e = res.supply_energy(&slice.netlist, slice.vdd_src, t_sleep - 5.0e-12, t_stop);
-        // Subtract the (room) leakage background over the window.
-        let leak_bg = self.room_leak_power(&slice)?;
-        Ok((e - leak_bg * (t_stop - t_sleep + 5.0e-12)).max(0.0))
+        SliceRun {
+            spec: slice_transient_spec(&self.cfg, t_stop),
+            slice,
+            measure: Measure::SleepEntry { t_sleep, t_stop },
+        }
     }
 
     /// Control-line (sleep/pre rail) switching energy amortized per bit:
@@ -770,6 +859,38 @@ impl Characterizer {
         let sol = dc::solve_with(&slice.netlist, &slice_dc_options(&self.cfg), None)?;
         Ok(sol.total_source_power(&slice.netlist).max(0.0))
     }
+}
+
+/// One transient measurement of a characterization: a slice driven by
+/// its stimuli, the run's spec, and what to read off the result.
+struct SliceRun {
+    slice: BitSlice,
+    spec: TransientSpec,
+    measure: Measure,
+}
+
+/// What a [`SliceRun`] measures (see [`Characterizer::measure`]).
+#[derive(Debug, Clone, Copy)]
+enum Measure {
+    /// Data edge at `t_edge` → output `edge` of a keeper scheme.
+    KeeperDelay {
+        input: usize,
+        edge: Edge,
+        t_edge: f64,
+    },
+    /// Grant rising at `t_edge` → output falling.
+    EvalDelay { grant: NodeId, t_edge: f64 },
+    /// Pre-charge asserting at `t_pre` → output rising.
+    PrechargeDelay { pre: NodeId, t_pre: f64 },
+    /// Switching energy per cycle over two cycles from `t0`.
+    CycleEnergy { t0: f64 },
+    /// Energy drawn from the sleep edge at `t_sleep` to `t_stop`.
+    SleepEntry { t_sleep: f64, t_stop: f64 },
+}
+
+/// The measurements in order, or the first error among them.
+fn first_error(measured: &[Result<f64, CircuitError>]) -> Result<Vec<f64>, CircuitError> {
+    measured.iter().cloned().collect()
 }
 
 /// Leakage power summary (W, whole crossbar).
@@ -803,10 +924,64 @@ mod tests {
         }
     }
 
+    /// `(high_to_low, low_to_high)` delays through the batch path.
+    fn delays(ch: &Characterizer, scheme: Scheme) -> Result<(f64, f64), CircuitError> {
+        let d = first_error(&ch.measure_batch(&ch.delay_runs(scheme)))?;
+        Ok((d[0], d[1]))
+    }
+
+    /// A transient outcome as bits: times, then every node's and every
+    /// branch's samples; an error as its debug text.
+    fn outcome_bits(
+        run: &SliceRun,
+        outcome: &Result<TransientResult, CircuitError>,
+    ) -> Result<Vec<u64>, String> {
+        let res = outcome.as_ref().map_err(|e| format!("{e:?}"))?;
+        let nl = &run.slice.netlist;
+        let mut bits: Vec<u64> = res.times().iter().map(|t| t.to_bits()).collect();
+        for (node, _) in nl.nodes() {
+            bits.extend(res.voltage(node).values().iter().map(|v| v.to_bits()));
+        }
+        for k in 0..nl.vsource_count() {
+            bits.extend(res.branch_current(k).values().iter().map(|v| v.to_bits()));
+        }
+        Ok(bits)
+    }
+
+    #[test]
+    fn batched_characterization_runs_equal_solo_runs() {
+        let ch = Characterizer::new(&CrossbarConfig::paper());
+        for scheme in [Scheme::Sc, Scheme::Sdfc] {
+            let runs: Vec<SliceRun> = ch
+                .delay_runs(scheme)
+                .into_iter()
+                .chain(ch.cycle_energy_runs(scheme))
+                .chain(ch.sleep_entry_runs(scheme))
+                .collect();
+            let jobs: Vec<TransientJob<'_>> = runs
+                .iter()
+                .map(|r| TransientJob {
+                    netlist: &r.slice.netlist,
+                    spec: &r.spec,
+                })
+                .collect();
+            let mut batch = vec![None; runs.len()];
+            transient::run_batch(&jobs, |i, r| batch[i] = Some(outcome_bits(&runs[i], &r)));
+            for (i, run) in runs.iter().enumerate() {
+                let solo = transient::run(&run.slice.netlist, &run.spec);
+                assert_eq!(
+                    batch[i].as_ref().expect("delivered"),
+                    &outcome_bits(run, &solo),
+                    "{scheme} run {i}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn sc_delays_are_tens_of_ps() {
         let ch = Characterizer::new(&fast_cfg());
-        let (hl, lh) = ch.delays(Scheme::Sc).unwrap();
+        let (hl, lh) = delays(&ch, Scheme::Sc).unwrap();
         assert!((5.0e-12..200.0e-12).contains(&hl), "H→L = {hl:.3e}");
         assert!((5.0e-12..200.0e-12).contains(&lh), "L→H = {lh:.3e}");
     }
@@ -817,8 +992,8 @@ mod tests {
         // H→L) but restores the high level more slowly (slower L→H) —
         // the signature asymmetry of Table 1.
         let ch = Characterizer::new(&fast_cfg());
-        let (sc_hl, sc_lh) = ch.delays(Scheme::Sc).unwrap();
-        let (dfc_hl, dfc_lh) = ch.delays(Scheme::Dfc).unwrap();
+        let (sc_hl, sc_lh) = delays(&ch, Scheme::Sc).unwrap();
+        let (dfc_hl, dfc_lh) = delays(&ch, Scheme::Dfc).unwrap();
         assert!(dfc_hl < sc_hl, "DFC H→L {dfc_hl:.3e} vs SC {sc_hl:.3e}");
         assert!(dfc_lh > sc_lh, "DFC L→H {dfc_lh:.3e} vs SC {sc_lh:.3e}");
     }

@@ -217,6 +217,9 @@ pub struct MosModel {
     vth_t: f64,
     /// Temperature-adjusted transconductance.
     k_t: f64,
+    /// Gate-tunnelling zero-bias offset `exp(−jg_slope·jg_vref)`, a
+    /// constant of the card hoisted out of every device evaluation.
+    jg_zero_bias: f64,
 }
 
 /// Small-signal + large-signal operating point of one device, as consumed
@@ -304,12 +307,14 @@ impl MosModel {
         let v_t = thermal_voltage(temperature_k);
         let vth_t = params.vth0 - params.vth_tc * (temperature_k - params.t_ref);
         let k_t = params.k_prime * (params.t_ref / temperature_k).powf(1.5);
+        let jg_zero_bias = (-params.jg_slope * params.jg_vref).exp();
         Ok(Self {
             params,
             temperature: temperature_k,
             v_t,
             vth_t,
             k_t,
+            jg_zero_bias,
         })
     }
 
@@ -475,7 +480,7 @@ impl MosModel {
     fn gate_tunnel_grad(&self, w: f64, v_g_x: f64) -> (f64, f64) {
         let p = &self.params;
         let area = 0.5 * w * p.length; // half the channel per terminal
-        let zero_bias = (-p.jg_slope * p.jg_vref).exp();
+        let zero_bias = self.jg_zero_bias;
         // Clamp the oxide bias at 2× the reference: keeps intermediate
         // Newton iterates (which can overshoot the rails) from blowing
         // the exponential out of float range while leaving the
