@@ -1,6 +1,6 @@
 //! # lnoc-bench — experiment harnesses
 //!
-//! One binary per paper artifact (see `DESIGN.md` §4):
+//! One binary per paper artifact or committed baseline:
 //!
 //! | binary | regenerates |
 //! |--------|-------------|
@@ -8,6 +8,8 @@
 //! | `figures` | Figures 1–3 as SPICE/DOT schematics (F1–F3) |
 //! | `idle_sweep` | minimum-idle-time vs clock frequency (X1) |
 //! | `noc_sweep` | mesh-level gating savings across traffic patterns and loads (X2) |
+//! | `gating_sweep` | in-loop per-VC-lane gating over the mesh × rate × policy × scheme × VC × fault grid → `BENCH_noc.json` (X3) |
+//! | `bench_circuit` | circuit-engine wall times against the `Reference` solver → `BENCH_circuit.json` |
 //!
 //! The Criterion benches (`benches/`) measure the *engine* itself
 //! (device evaluation, DC solve, transient step, netsim cycle rate) so
@@ -43,13 +45,28 @@ use std::path::{Path, PathBuf};
 pub fn out_dir() -> PathBuf {
     let dir = match std::env::var_os("LNOC_OUT_DIR") {
         Some(dir) => PathBuf::from(dir),
-        None => Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("..")
-            .join("..")
-            .join("out"),
+        None => repo_root().join("out"),
     };
     fs::create_dir_all(&dir).expect("create out/ directory");
     dir
+}
+
+/// Path of a committed baseline artifact (`BENCH_*.json`): the repo
+/// root, or `LNOC_OUT_DIR` when set, so an isolated run (a test, a
+/// scratch regeneration) never overwrites the committed file.
+///
+/// # Panics
+///
+/// Panics if `LNOC_OUT_DIR` is set and cannot be created.
+pub fn baseline_path(name: &str) -> PathBuf {
+    match std::env::var_os("LNOC_OUT_DIR") {
+        Some(_) => out_dir().join(name),
+        None => repo_root().join(name),
+    }
+}
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
 }
 
 /// Writes an artifact file and reports it on stdout.

@@ -528,6 +528,27 @@ pub fn failure_manifest(jobs: &[Job], report: &SweepReport) -> String {
     )
 }
 
+/// The value after `flag` in `args` (`--flag value` style), if the
+/// flag is present.
+pub fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .map(String::as_str)
+}
+
+/// The number after `flag` in `args`, if the flag is present.
+///
+/// # Panics
+///
+/// Panics on a malformed value (harness binaries want loud failures).
+pub fn arg_num<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    arg_value(args, flag).map(|v| {
+        v.parse()
+            .unwrap_or_else(|_| panic!("{flag} takes an integer, got {v}"))
+    })
+}
+
 /// The shared supervision CLI flags every sweep binary accepts.
 #[derive(Debug, Clone, Default)]
 pub struct SweepFlags {
@@ -561,26 +582,14 @@ impl SweepFlags {
     /// Panics on malformed values (harness binaries want loud
     /// failures).
     pub fn parse(args: &[String]) -> SweepFlags {
-        let value = |flag: &str| -> Option<&str> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str)
-        };
-        let num = |flag: &str| -> Option<u64> {
-            value(flag).map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("{flag} takes an integer, got {v}"))
-            })
-        };
         SweepFlags {
-            cache_dir: value("--cache-dir").map(PathBuf::from),
+            cache_dir: arg_value(args, "--cache-dir").map(PathBuf::from),
             resume: args.iter().any(|a| a == "--resume"),
-            deadline_cycles: num("--deadline-cycles").unwrap_or(0),
-            deadline_ms: num("--deadline-ms"),
-            max_retries: num("--max-retries").unwrap_or(2) as u32,
-            backoff_ms: num("--retry-backoff-ms").unwrap_or(200),
-            fuse: num("--fuse"),
+            deadline_cycles: arg_num(args, "--deadline-cycles").unwrap_or(0),
+            deadline_ms: arg_num(args, "--deadline-ms"),
+            max_retries: arg_num(args, "--max-retries").unwrap_or(2),
+            backoff_ms: arg_num(args, "--retry-backoff-ms").unwrap_or(200),
+            fuse: arg_num(args, "--fuse"),
             deterministic: args.iter().any(|a| a == "--deterministic"),
         }
     }

@@ -10,7 +10,11 @@ use serde::{Deserialize, Serialize};
 /// Transistor widths of one crossbar bit-slice (m).
 ///
 /// Defaults are sized so a 45 nm slice driving the crossbar-span wire
-/// lands in the paper's tens-of-ps delay regime; see `DESIGN.md` §5.
+/// lands in the paper's tens-of-ps delay regime: pass devices wide
+/// enough to drive the wire, a keeper weak enough to lose the ratioed
+/// fight, and a first inverter skewed low so it restores the degraded
+/// high the pass devices deliver (the field and `Default` comments give
+/// each reason).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SliceSizing {
     /// Crosspoint pass transistor width (N1–N4).
