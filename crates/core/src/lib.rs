@@ -9,7 +9,7 @@
 //!   assignment tables per device role.
 //! * [`config`] — the evaluation configuration (5×5, 128-bit flit,
 //!   45 nm, 3 GHz — [`CrossbarConfig::paper`]).
-//! * [`slice`] — netlist generators that realize Figures 1–3 as circuits.
+//! * [`slice`](mod@slice) — netlist generators that realize Figures 1–3 as circuits.
 //! * [`characterize`] — delay, active/standby leakage, mode-transition
 //!   energy, minimum idle time and total power per scheme.
 //! * [`table1`] — the end-to-end Table 1 pipeline with paper-vs-measured

@@ -2,7 +2,7 @@
 //! transient link/router failures.
 //!
 //! A [`FaultPlan`] describes *what should break and when* as data: a
-//! seed, fault counts, and an onset window. [`FaultSchedule::build`]
+//! seed, fault counts, and an onset window. `FaultSchedule::build`
 //! expands it — before the simulation starts — into a sorted list of
 //! **epochs**, each a cycle at which the fault set changes plus the
 //! [`FaultMap`] describing the network from that cycle on. The

@@ -837,7 +837,6 @@ mod tests {
     fn flit(id: u64, head: bool, tail: bool) -> Flit {
         Flit {
             packet_id: id,
-            src: 0,
             dst: 1,
             vc: 0,
             is_head: head,
@@ -1270,7 +1269,7 @@ mod tests {
             let mut lp = Ports::new(vcs);
             let mut rnd = xorshift(seed);
             let route = move |f: &Flit| RouteTarget {
-                out: Direction::from_index(f.dst % 5),
+                out: Direction::from_index(f.dst as usize % 5),
                 vc: (f.packet_id % vcs as u64) as u8,
             };
             let (mut dense_arbs, mut lazy_arbs) = (0u64, 0u64);
@@ -1282,14 +1281,13 @@ mod tests {
                 for _ in 0..arrivals {
                     let port = Direction::from_index((rnd() % 5) as usize);
                     let vc = (rnd() % vcs as u64) as u8;
-                    let dst = (rnd() % 5) as usize;
+                    let dst = (rnd() % 5) as u32;
                     let len = 1 + (rnd() % 3) as usize;
                     if dense.occupancy(port, vc as usize) + len <= 4 {
                         pkt += 1;
                         for k in 0..len {
                             let f = Flit {
                                 packet_id: pkt,
-                                src: 0,
                                 dst,
                                 vc,
                                 is_head: k == 0,

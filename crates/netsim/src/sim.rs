@@ -94,8 +94,8 @@
 //! is why both kernels produce **bit-identical [`NetworkStats`]**.
 //!
 //! **RNG discipline.** Every node draws from its own deterministic
-//! stream, keyed by `(seed, router id)` ([`node_rng`]), and packet ids
-//! are allocated per source ([`packet_id`]: source in the high bits,
+//! stream, keyed by `(seed, router id)` (`node_rng`), and packet ids
+//! are allocated per source (`packet_id`: source in the high bits,
 //! a private sequence number in the low bits). A node's draw sequence
 //! is therefore a pure function of its own history — independent of
 //! the order nodes are visited in, of what any other node draws, and
@@ -133,7 +133,10 @@ use crate::sleep::{SleepConfig, SleepFsm};
 use crate::stats::{IdleBank, NetworkStats};
 use crate::sync::{Mailboxes, PoisonGuard, ShardSlots, SlotReport, SpinBarrier};
 use crate::topology::{Direction, FaultMap, Mesh, NeighborTable, RouteTable, TileMap};
-use crate::traffic::{Flit, GapSampler, InjectionProcess, SourcePacket, TrafficPattern};
+use crate::traffic::{
+    packet_id, packet_source, Flit, GapSampler, InjectionProcess, SourcePacket, TrafficPattern,
+    MAX_ROUTERS,
+};
 use crate::wheel::TimeWheel;
 use lnoc_power::gating::{GatingCounters, GatingPolicy};
 use lnoc_power::router::RouterActivity;
@@ -386,25 +389,6 @@ pub(crate) fn node_rng(seed: u64, rid: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (rid as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15))
 }
 
-/// Bits of a packet id holding the source-private sequence number; the
-/// bits above carry the source router id.
-const PACKET_SEQ_BITS: u32 = 40;
-
-/// Allocates the globally unique id of source `src`'s `seq`-th packet.
-///
-/// Ids are per-source streams — `src` in the high bits, the source's
-/// private sequence number in the low bits — so id allocation needs no
-/// cross-node coordination (the property that lets tiled injection run
-/// in parallel). Uniqueness: sources are distinct in the high bits and
-/// sequences in the low bits; the result can never collide with
-/// [`Flit::INVALID`] (`u64::MAX`) while `src < 2^24 − 1`, far above
-/// any simulable mesh.
-pub(crate) fn packet_id(src: usize, seq: u64) -> u64 {
-    debug_assert!((src as u64) < (1 << (64 - PACKET_SEQ_BITS)) - 1);
-    debug_assert!(seq < (1 << PACKET_SEQ_BITS));
-    ((src as u64) << PACKET_SEQ_BITS) | seq
-}
-
 /// The engine steps every lane of its active routers on each cycle
 /// that is a multiple of this, so a lane left behind by lane-granular
 /// stepping never lags its router by more than 2³¹ cycles — well inside
@@ -431,13 +415,15 @@ struct Transfer {
     flit: Flit,
 }
 
+const _: () = assert!(std::mem::size_of::<Transfer>() == 32);
+
 /// A running mesh simulation.
 ///
 /// All per-router state lives in network-wide SoA slabs ordered by
 /// router id. Because the tile partition is made of full-width row
 /// bands ([`TileMap`]), every shard owns a *contiguous* slice of every
 /// slab — the sharded runner carves the slabs with `split_at_mut` and
-/// hands each worker a [`ShardView`] of disjoint slices, no index
+/// hands each worker a `ShardView` of disjoint slices, no index
 /// translation and no locks on the hot path.
 #[derive(Debug)]
 pub struct Simulation {
@@ -757,15 +743,22 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate configuration (empty mesh, zero-length
-    /// packets, zero buffers, a VC count outside `1..=`[`MAX_VCS`], a
-    /// zero source-queue cap, an [`GatingPolicy::Oracle`] in-loop
-    /// policy — the oracle needs future knowledge and only exists
-    /// offline — or a bursty process with zero mean dwell times).
+    /// Panics on a degenerate configuration (empty mesh, a mesh of more
+    /// than 2²⁴ − 1 routers — packet ids carry the source in 24 bits —
+    /// zero-length packets, zero buffers, a VC count outside
+    /// `1..=`[`MAX_VCS`], a zero source-queue cap, an
+    /// [`GatingPolicy::Oracle`] in-loop policy — the oracle needs future
+    /// knowledge and only exists offline — or a bursty process with
+    /// zero mean dwell times).
     pub fn new(cfg: MeshConfig) -> Self {
         assert!(
             cfg.width >= 2 && cfg.height >= 2,
             "mesh must be at least 2×2"
+        );
+        assert!(
+            cfg.width.saturating_mul(cfg.height) <= MAX_ROUTERS,
+            "meshes are capped at {MAX_ROUTERS} routers (packet ids carry \
+             the source router in 24 bits)"
         );
         assert!(cfg.packet_len_flits >= 1, "packets need at least one flit");
         assert!(cfg.buffer_depth >= 1, "buffers need at least one slot");
@@ -1178,7 +1171,7 @@ impl Simulation {
     /// counters describe exactly the same intervals.
     ///
     /// Both kernels run through the same two-phase loop: the
-    /// per-router slabs are carved into per-shard [`ShardView`]s (one
+    /// per-router slabs are carved into per-shard `ShardView`s (one
     /// for the reference) and each worker executes the cycle loop over
     /// its tiles, exchanging boundary traffic through the mailboxes at
     /// the phase barrier. Per-shard statistics are merged in ascending
@@ -1968,7 +1961,7 @@ impl ShardView<'_> {
             let rid = self.base + lr;
             let doomed = &mut slot.doomed;
             self.routers[lr].for_each_flit(|f| {
-                if path_diverges(ctx, old, new, rid, f.dst) {
+                if path_diverges(ctx, old, new, rid, f.dst as usize) {
                     doomed.push(f.packet_id);
                 }
             });
@@ -1976,7 +1969,7 @@ impl ShardView<'_> {
             // still being synthesized: same doom rule, from the
             // source.
             if let Some(front) = self.source_queues[lr].front() {
-                if front.sent > 0 && path_diverges(ctx, old, new, rid, front.dst) {
+                if front.sent > 0 && path_diverges(ctx, old, new, rid, front.dst as usize) {
                     doomed.push(front.packet_id);
                 }
             }
@@ -2044,7 +2037,7 @@ impl ShardView<'_> {
             // destination is reachable.
             if let Some(fm) = new {
                 let before = q.len();
-                q.retain(|p| p.sent > 0 || fm.reachable(rid, p.dst));
+                q.retain(|p| p.sent > 0 || fm.reachable(rid, p.dst as usize));
                 let removed_pkts = (before - q.len()) as u64;
                 unroutable += removed_pkts;
                 dropped_flits += removed_pkts * plen as u64;
@@ -2062,7 +2055,7 @@ impl ShardView<'_> {
         // by the shard owning its source (recoverable from the id).
         let mut dropped_pkts = 0u64;
         for &pid in &doomed {
-            if self.contains((pid >> PACKET_SEQ_BITS) as usize) {
+            if self.contains(packet_source(pid)) {
                 dropped_pkts += 1;
             }
         }
@@ -2162,7 +2155,7 @@ impl ShardView<'_> {
                     cycle,
                 );
             }
-            drained += self.drain_source(l, src, len, stats);
+            drained += self.drain_source(l, len, stats);
         }
         drained
     }
@@ -2199,7 +2192,7 @@ impl ShardView<'_> {
         self.next_seq[l] += 1;
         self.source_queues[l].push_back(SourcePacket {
             packet_id: id,
-            dst,
+            dst: dst as u32,
             injected_at: cycle,
             sent: 0,
             vc: ctx.mesh.injection_vc(id, ctx.vcs),
@@ -2218,20 +2211,14 @@ impl ShardView<'_> {
     /// touch router memory). The source is FIFO: the front packet
     /// waits for its own VC even if a sibling VC has room. Returns the
     /// flits moved (progress, for the watchdog).
-    fn drain_source(
-        &mut self,
-        l: usize,
-        src: usize,
-        len: usize,
-        stats: &mut Option<NetworkStats>,
-    ) -> u64 {
+    fn drain_source(&mut self, l: usize, len: usize, stats: &mut Option<NetworkStats>) -> u64 {
         let mut drained = 0u64;
         while let Some(pkt) = self.source_queues[l].front_mut() {
             if !self.routers[l].can_accept(Direction::Local, pkt.vc as usize) {
                 break;
             }
             let flit = pkt
-                .next_flit(src, len)
+                .next_flit(len)
                 .expect("queued descriptors have flits left");
             let done = pkt.remaining_flits(len) == 0;
             if done {
@@ -2342,7 +2329,7 @@ impl ShardView<'_> {
             while word != 0 {
                 let l = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                drained += self.drain_source(l, self.base + l, len, stats);
+                drained += self.drain_source(l, len, stats);
             }
         }
         drained
@@ -2578,16 +2565,16 @@ impl ShardView<'_> {
                     // route exists at every hop within a component.
                     let out = match fmap {
                         Some(fm) => fm
-                            .route(rid, flit.dst)
+                            .route(rid, flit.dst as usize)
                             .expect("unroutable packets are reaped at fault boundaries"),
                         None => match routes {
-                            Some(t) => t.route(rid, flit.dst),
-                            None => mesh.route_xy_at(at(rid), at(flit.dst)),
+                            Some(t) => t.route(rid, flit.dst as usize),
+                            None => mesh.route_xy_at(at(rid), at(flit.dst as usize)),
                         },
                     };
                     RouteTarget {
                         out,
-                        vc: mesh.hop_vc_at(at(rid), at(flit.src), flit.packet_id, out, v),
+                        vc: mesh.hop_vc_at(at(rid), at(flit.src()), flit.packet_id, out, v),
                     }
                 };
                 // Lazy credit reads: only evaluated for lanes a flit
@@ -2912,7 +2899,7 @@ impl ShardView<'_> {
                 for (lr, r) in self.routers.iter().enumerate() {
                     let rid = self.base + lr;
                     r.for_each_flit(|f| {
-                        if fm.reachable(rid, f.dst) {
+                        if fm.reachable(rid, f.dst as usize) {
                             routable += 1;
                         } else {
                             stranded += 1;
@@ -2949,7 +2936,7 @@ impl ShardView<'_> {
 
     /// Asserts in-order, contiguous, complete per-packet delivery.
     fn validate_ejection(&mut self, ctx: &RunCtx<'_>, rid: usize, flit: &Flit) {
-        assert_eq!(flit.dst, rid, "flit ejected at the wrong router");
+        assert_eq!(flit.dst as usize, rid, "flit ejected at the wrong router");
         let progress = &mut self.eject[rid - self.base];
         match progress.current {
             None => {
@@ -3164,6 +3151,18 @@ mod tests {
     fn tiny_mesh_rejected() {
         let _ = Simulation::new(MeshConfig {
             width: 1,
+            ..base_cfg()
+        });
+    }
+
+    /// 4096 × 4096 is exactly 2²⁴ routers, one past the id space; the
+    /// check fires before any per-router state is allocated.
+    #[test]
+    #[should_panic(expected = "meshes are capped at 16777215 routers")]
+    fn mesh_past_source_id_space_rejected() {
+        let _ = Simulation::new(MeshConfig {
+            width: 4096,
+            height: 4096,
             ..base_cfg()
         });
     }

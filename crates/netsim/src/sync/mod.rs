@@ -10,10 +10,10 @@
 //!    `Ordering::Relaxed` carries a lint waiver with a written
 //!    justification.
 //! 2. **Model checking.** Under `--features model` the re-exports at
-//!    the bottom of this file swap [`real`] for [`shadow`]: the same
+//!    the bottom of this file swap [`real`] for `shadow`: the same
 //!    `SpinBarrier` / `ShardSlots` / `Mailboxes` source compiles
 //!    against instrumented shadow atomics whose every access yields to
-//!    a deterministic DFS schedule explorer ([`model`]). The explorer
+//!    a deterministic DFS schedule explorer (`model`). The explorer
 //!    permutes thread interleavings *and* the values weak loads may
 //!    observe, so the orderings chosen here are not folklore: the
 //!    model-checker tests (`tests/model_checker.rs`) prove the
@@ -23,7 +23,7 @@
 //!    frozen mailbox parity).
 //!
 //! The primitives themselves are documented where they are used: the
-//! compute→exchange cycle protocol in [`crate::shard`] and the
+//! compute→exchange cycle protocol in `crate::shard` and the
 //! determinism argument in [`crate::sim`].
 
 pub mod real;

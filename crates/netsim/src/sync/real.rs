@@ -16,7 +16,7 @@ pub use std::sync::Mutex;
 /// of the caller's memory orderings. Under the `model` feature this
 /// helper is replaced by a scheduler-aware version that blocks the
 /// model thread instead of burning schedule steps
-/// ([`super::shadow::spin_until`]).
+/// (`super::shadow::spin_until`).
 pub fn spin_until(mut cond: impl FnMut() -> bool) {
     let mut spins = 0u32;
     while !cond() {

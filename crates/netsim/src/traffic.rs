@@ -308,17 +308,47 @@ impl GapSampler {
     }
 }
 
+/// Bits of a packet id holding the source-private sequence number; the
+/// bits above carry the source router id.
+const PACKET_SEQ_BITS: u32 = 40;
+
+/// Most routers a simulation can hold. Source ids live in the 24 bits
+/// above the sequence number, and source 2²⁴ − 1 is left out so that no
+/// packet id can reach [`Flit::INVALID`]'s `u64::MAX`.
+pub(crate) const MAX_ROUTERS: usize = (1 << (64 - PACKET_SEQ_BITS)) - 1;
+
+/// Allocates the globally unique id of source `src`'s `seq`-th packet.
+///
+/// Ids are per-source streams — `src` in the high bits, the source's
+/// private sequence number in the low bits — so id allocation needs no
+/// cross-node coordination (the property that lets tiled injection run
+/// in parallel). Uniqueness: sources are distinct in the high bits and
+/// sequences in the low bits; the result can never collide with
+/// [`Flit::INVALID`] (`u64::MAX`) because `src < MAX_ROUTERS`, which
+/// `Simulation::new` enforces.
+pub(crate) fn packet_id(src: usize, seq: u64) -> u64 {
+    debug_assert!(src < MAX_ROUTERS);
+    debug_assert!(seq < (1 << PACKET_SEQ_BITS));
+    ((src as u64) << PACKET_SEQ_BITS) | seq
+}
+
+/// The source router of the packet with id `packet_id` (the inverse of
+/// [`packet_id`] in its first argument).
+pub(crate) fn packet_source(packet_id: u64) -> usize {
+    (packet_id >> PACKET_SEQ_BITS) as usize
+}
+
 /// A packet waiting in a node's source queue, stored as one compact
 /// descriptor instead of `packet_len` expanded [`Flit`]s: flits are
 /// synthesized on the fly as the local input port accepts them, so a
 /// backed-up source queue costs 32 bytes per packet rather than
-/// 56 bytes per flit.
+/// 24 bytes per flit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SourcePacket {
-    /// Packet sequence number.
+    /// Packet id; its high bits name the source router.
     pub packet_id: u64,
     /// Destination router.
-    pub dst: usize,
+    pub dst: u32,
     /// Injection cycle (of the whole packet).
     pub injected_at: u64,
     /// Flits already handed to the local input port.
@@ -329,10 +359,10 @@ pub struct SourcePacket {
 }
 
 impl SourcePacket {
-    /// Synthesizes the next flit of this packet (for a source node
-    /// `src` and packet length `len`), advancing the descriptor.
-    /// Returns `None` once all `len` flits have been produced.
-    pub fn next_flit(&mut self, src: usize, len: usize) -> Option<Flit> {
+    /// Synthesizes the next flit of this packet (for packet length
+    /// `len`), advancing the descriptor. Returns `None` once all `len`
+    /// flits have been produced.
+    pub fn next_flit(&mut self, len: usize) -> Option<Flit> {
         if self.sent as usize >= len {
             return None;
         }
@@ -340,12 +370,11 @@ impl SourcePacket {
         self.sent += 1;
         Some(Flit {
             packet_id: self.packet_id,
-            src,
+            injected_at: self.injected_at,
             dst: self.dst,
             vc: self.vc,
             is_head: k == 0,
             is_tail: k + 1 == len,
-            injected_at: self.injected_at,
         })
     }
 
@@ -355,15 +384,19 @@ impl SourcePacket {
     }
 }
 
-/// One flit of a wormhole packet.
+/// One flit of a wormhole packet: 24 bytes, the unit every input
+/// buffer slot, transfer record and boundary message carries. The
+/// source router is not stored; [`Flit::src`] decodes it from the
+/// packet id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Flit {
-    /// Packet sequence number (unique per simulation).
+    /// Packet id (unique per simulation); its high bits name the
+    /// source router.
     pub packet_id: u64,
-    /// Source router.
-    pub src: usize,
+    /// Injection cycle of the packet's head.
+    pub injected_at: u64,
     /// Destination router.
-    pub dst: usize,
+    pub dst: u32,
     /// Virtual channel this flit occupies on its current link — the
     /// input-VC buffer it sits in (or will be written into). Restamped
     /// at every crossbar traversal with the output VC the packet won.
@@ -372,29 +405,33 @@ pub struct Flit {
     pub is_head: bool,
     /// Last flit of its packet (releases the switch).
     pub is_tail: bool,
-    /// Injection cycle of the packet's head.
-    pub injected_at: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<Flit>() == 24);
 
 impl Flit {
     /// The filler value used for unoccupied buffer slots. Real packet
-    /// ids are allocated sequentially from zero, so `u64::MAX` can
-    /// never collide with a live flit; routing an invalid flit is a
+    /// ids stay below `u64::MAX` (source ids stop at 2²⁴ − 2), so this
+    /// can never collide with a live flit; routing an invalid flit is a
     /// buffer-bookkeeping bug and is debug-asserted against in the
     /// router.
     pub const INVALID: Flit = Flit {
         packet_id: u64::MAX,
-        src: 0,
+        injected_at: 0,
         dst: 0,
         vc: 0,
         is_head: false,
         is_tail: false,
-        injected_at: 0,
     };
 
     /// Whether this is the [`Flit::INVALID`] filler.
     pub fn is_invalid(&self) -> bool {
         self.packet_id == Flit::INVALID.packet_id
+    }
+
+    /// Source router of this flit's packet, decoded from its id.
+    pub fn src(&self) -> usize {
+        packet_source(self.packet_id)
     }
 }
 
@@ -469,8 +506,9 @@ mod tests {
 
     #[test]
     fn source_packet_synthesizes_exact_flit_sequence() {
+        let id = packet_id(5, 42);
         let mut p = SourcePacket {
-            packet_id: 42,
+            packet_id: id,
             dst: 9,
             injected_at: 17,
             sent: 0,
@@ -478,18 +516,18 @@ mod tests {
         };
         let len = 3;
         assert_eq!(p.remaining_flits(len), 3);
-        let flits: Vec<Flit> = std::iter::from_fn(|| p.next_flit(5, len)).collect();
+        let flits: Vec<Flit> = std::iter::from_fn(|| p.next_flit(len)).collect();
         assert_eq!(flits.len(), 3);
         assert!(flits[0].is_head && !flits[0].is_tail);
         assert!(!flits[1].is_head && !flits[1].is_tail);
         assert!(!flits[2].is_head && flits[2].is_tail);
         for f in &flits {
-            assert_eq!((f.packet_id, f.src, f.dst, f.injected_at), (42, 5, 9, 17));
+            assert_eq!((f.packet_id, f.src(), f.dst, f.injected_at), (id, 5, 9, 17));
             assert_eq!(f.vc, 1, "flits inherit the packet's injection VC");
             assert!(!f.is_invalid());
         }
         assert_eq!(p.remaining_flits(len), 0);
-        assert_eq!(p.next_flit(5, len), None);
+        assert_eq!(p.next_flit(len), None);
         // Single-flit packets are head and tail at once.
         let mut single = SourcePacket {
             packet_id: 1,
@@ -498,7 +536,7 @@ mod tests {
             sent: 0,
             vc: 0,
         };
-        let f = single.next_flit(0, 1).unwrap();
+        let f = single.next_flit(1).unwrap();
         assert!(f.is_head && f.is_tail);
     }
 
@@ -512,9 +550,33 @@ mod tests {
             sent: 0,
             vc: 0,
         }
-        .next_flit(0, 1)
+        .next_flit(1)
         .unwrap();
         assert!(!real.is_invalid());
+    }
+
+    #[test]
+    fn packet_id_round_trips_through_flit_src() {
+        let last_seq = (1 << PACKET_SEQ_BITS) - 1;
+        for src in [0, 1, MAX_ROUTERS - 1] {
+            for seq in [0, last_seq] {
+                let id = packet_id(src, seq);
+                assert_eq!(id & last_seq, seq);
+                let f = SourcePacket {
+                    packet_id: id,
+                    dst: 0,
+                    injected_at: 0,
+                    sent: 0,
+                    vc: 0,
+                }
+                .next_flit(1)
+                .unwrap();
+                assert_eq!(f.src(), src, "seq {seq}");
+                assert!(!f.is_invalid(), "src {src}, seq {seq}");
+                assert_ne!(f, Flit::INVALID);
+            }
+        }
+        assert_eq!(MAX_ROUTERS - 1, (1 << 24) - 2);
     }
 
     /// The initial arm the simulator performs at construction: a live

@@ -4,7 +4,7 @@
 //! A router only realizes those savings if its idle intervals are
 //! actually longer than the breakeven — which depends on traffic. This
 //! module evaluates sleep policies against measured idle-interval
-//! histograms (produced by [`lnoc_netsim`]'s router statistics):
+//! histograms (produced by `lnoc_netsim`'s router statistics):
 //!
 //! * [`GatingPolicy::Never`] — baseline, no gating.
 //! * [`GatingPolicy::Immediate`] — sleep the moment the port goes idle
