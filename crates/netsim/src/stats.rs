@@ -59,9 +59,10 @@ pub struct NetworkStats {
     /// (`5 * vcs` per router, indexed `port * vcs + vc` with ports in
     /// [`crate::topology::Direction`] order), stored sparsely: rows
     /// materialize on first write and untouched routers share one
-    /// default row ([`IdleBank`]). Each histogram's bins reach only the
-    /// longest interval it recorded below the cap, so a lane costs
-    /// memory in proportion to what it recorded.
+    /// default row ([`IdleBank`]). Each histogram holds dense bins only
+    /// for the short lengths it recorded, one entry per distinct longer
+    /// length and its one open run inline, so a lane costs memory in
+    /// proportion to what it recorded.
     #[serde(skip)]
     pub idle_histograms: IdleBank,
     /// Per-router in-loop gating counters (all output VC lanes
@@ -70,12 +71,13 @@ pub struct NetworkStats {
 }
 
 impl NetworkStats {
-    /// Default idle-interval histogram bin count: intervals *shorter*
-    /// than this many cycles are binned exactly; intervals of this
-    /// length and longer land in the overflow bin (which still tracks
-    /// their exact total cycle count). Every simulation, test and
-    /// sweep in the workspace uses this cap unless it has a reason not
-    /// to, so their histograms merge on the exact bin-wise fast path.
+    /// Default idle-interval histogram cap: intervals *shorter* than
+    /// this many cycles are counted exactly by length; intervals of
+    /// this length and longer land in the overflow bin (which still
+    /// tracks their exact total cycle count). Every simulation, test
+    /// and sweep in the workspace uses this cap unless it has a reason
+    /// not to, so their histograms merge on the exact same-cap fast
+    /// path.
     pub const DEFAULT_IDLE_BINS: usize = 4096;
 
     /// Creates zeroed stats for `routers` routers with `vcs` virtual
@@ -221,6 +223,10 @@ impl NetworkStats {
 /// written and materializes a router's private row on its first
 /// `lane_mut`, so construction is O(routers) words and the run's
 /// histogram memory is proportional to routers actually touched.
+/// Materialized rows live in fixed blocks of 64 rows, allocated at
+/// full size: the bank grows a block at a time, never doubling and
+/// copying one array of every row, so a run leaves no freed
+/// doubling-sized buffers behind in the heap.
 ///
 /// [`IdleBank::record_open_untouched`] is the close-out's bulk path:
 /// it appends one open interval to the shared default row, which every
@@ -232,27 +238,32 @@ impl NetworkStats {
 pub struct IdleBank {
     lanes: usize,
     cap: usize,
-    /// Per-router index into `rows` (in units of rows); `u32::MAX`
-    /// marks an unmaterialized router whose content is `default_row`.
+    /// Per-router materialized row number; `u32::MAX` marks an
+    /// unmaterialized router whose content is `default_row`.
     idx: Vec<u32>,
     /// Materialized rows, `lanes` histograms each, in first-write
-    /// order.
-    rows: Vec<IdleHistogram>,
+    /// order: row `i` is row `i % BLOCK_ROWS` of block `i / BLOCK_ROWS`.
+    /// Every block but the last is full, and each is allocated at full
+    /// size.
+    blocks: Vec<Vec<IdleHistogram>>,
     /// Shared content of every unmaterialized router. Pristine until
     /// [`IdleBank::record_open_untouched`].
     default_row: Vec<IdleHistogram>,
 }
 
 impl IdleBank {
+    /// Materialized rows per block.
+    const BLOCK_ROWS: usize = 64;
+
     /// Creates a bank for `routers` routers with `lanes` histograms
-    /// each, every histogram capped at `cap` exact bins.
+    /// each, every histogram counting lengths below `cap` exactly.
     pub fn new(routers: usize, lanes: usize, cap: usize) -> Self {
         assert!(u32::try_from(routers).is_ok(), "router count fits u32");
         IdleBank {
             lanes,
             cap,
             idx: vec![u32::MAX; routers],
-            rows: Vec::new(),
+            blocks: Vec::new(),
             default_row: (0..lanes).map(|_| IdleHistogram::new(cap)).collect(),
         }
     }
@@ -267,13 +278,48 @@ impl IdleBank {
         self.lanes
     }
 
+    /// Number of materialized rows.
+    fn rows(&self) -> usize {
+        self.blocks.last().map_or(0, |last| {
+            (self.blocks.len() - 1) * Self::BLOCK_ROWS + last.len() / self.lanes
+        })
+    }
+
+    /// The block holding materialized row `i`, and the row's first
+    /// histogram in it.
+    fn locate(&self, i: u32) -> (usize, usize) {
+        let i = i as usize;
+        (i / Self::BLOCK_ROWS, i % Self::BLOCK_ROWS * self.lanes)
+    }
+
     /// A router's materialized row, if it has one.
     fn row(&self, router: usize) -> Option<&[IdleHistogram]> {
         let i = self.idx[router];
         (i != u32::MAX).then(|| {
-            let base = i as usize * self.lanes;
-            &self.rows[base..base + self.lanes]
+            let (block, base) = self.locate(i);
+            &self.blocks[block][base..base + self.lanes]
         })
+    }
+
+    /// Appends a row of `lanes` histograms to `blocks`, opening a new
+    /// block when the last one is full; returns its row number. (An
+    /// associated function, so a row can be cloned from `default_row`
+    /// while `blocks` is borrowed.)
+    fn push_row(
+        blocks: &mut Vec<Vec<IdleHistogram>>,
+        lanes: usize,
+        row: impl IntoIterator<Item = IdleHistogram>,
+    ) -> u32 {
+        let block_len = Self::BLOCK_ROWS * lanes;
+        if blocks.last().is_none_or(|b| b.len() == block_len) {
+            blocks.push(Vec::with_capacity(block_len));
+        }
+        let full_blocks = blocks.len() - 1;
+        let last = blocks.last_mut().expect("a block was just ensured");
+        let next = full_blocks * Self::BLOCK_ROWS + last.len() / lanes;
+        last.extend(row);
+        debug_assert_eq!(last.len() % lanes, 0, "rows are whole");
+        u32::try_from(next).expect("row index fits u32")
     }
 
     /// Read access to one lane's histogram — the router's own row when
@@ -291,16 +337,12 @@ impl IdleBank {
     /// router's observable content is unchanged by materialization).
     pub fn lane_mut(&mut self, router: usize, lane: usize) -> &mut IdleHistogram {
         assert!(lane < self.lanes, "lane out of range");
-        let base = match self.idx[router] {
-            u32::MAX => {
-                let next = self.rows.len() / self.lanes;
-                self.idx[router] = u32::try_from(next).expect("row index fits u32");
-                self.rows.extend(self.default_row.iter().cloned());
-                next * self.lanes
-            }
-            i => i as usize * self.lanes,
-        };
-        &mut self.rows[base + lane]
+        if self.idx[router] == u32::MAX {
+            let row = self.default_row.iter().cloned();
+            self.idx[router] = Self::push_row(&mut self.blocks, self.lanes, row);
+        }
+        let (block, base) = self.locate(self.idx[router]);
+        &mut self.blocks[block][base + lane]
     }
 
     /// Records one still-open idle interval of `len` cycles into
@@ -322,7 +364,8 @@ impl IdleBank {
     }
 
     /// Appends a bank covering the routers right after this one's.
-    /// Materialized rows are moved. Routers `bank` never materialized
+    /// Materialized rows are moved into this bank's blocks, each of
+    /// `bank`'s blocks freed once its rows have moved. Routers `bank` never materialized
     /// stay unmaterialized when the two default rows agree — a run's
     /// tiles close out their untouched routers over the same span, so
     /// every non-pristine default is the same row — and otherwise the
@@ -345,8 +388,17 @@ impl IdleBank {
                 bank.adopt_default(self.default_row.clone());
             }
         }
-        let offset = u32::try_from(self.rows.len() / self.lanes).expect("row index fits u32");
-        self.rows.extend(bank.rows);
+        let offset = u32::try_from(self.rows()).expect("row index fits u32");
+        for block in bank.blocks {
+            let mut hists = block.into_iter();
+            while hists.len() > 0 {
+                Self::push_row(
+                    &mut self.blocks,
+                    self.lanes,
+                    hists.by_ref().take(self.lanes),
+                );
+            }
+        }
         self.idx.extend(
             bank.idx
                 .into_iter()
@@ -542,5 +594,143 @@ mod tests {
         assert_eq!(rev.lane(1, 0).open_runs(), &[9]);
         assert_eq!(rev.lane(2, 0).interval_count(), 0);
         assert_eq!(rev.lane(3, 0).interval_count(), 0);
+    }
+
+    /// Plain `routers × lanes` model of an [`IdleBank`]'s content.
+    type Model = Vec<Vec<IdleHistogram>>;
+
+    /// Deterministic xorshift stream for the bank tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// Records a few random intervals (short, long, overflow and open)
+    /// into `touches` random routers of both the bank and the model.
+    fn touch(bank: &mut IdleBank, model: &mut Model, touches: usize, rng: &mut Rng) {
+        let cap = bank.cap as u64;
+        for _ in 0..touches {
+            let r = rng.next(model.len() as u64) as usize;
+            let l = rng.next(bank.lanes() as u64) as usize;
+            let len = match rng.next(4) {
+                0 => 1 + rng.next(IdleHistogram::DENSE_BINS as u64),
+                1 => rng.next(cap),
+                2 => cap + rng.next(1000),
+                _ => 1 + rng.next(2 * cap),
+            };
+            let kind = rng.next(3);
+            let op = |h: &mut IdleHistogram| match kind {
+                0 => h.record(len),
+                1 => h.record_n(len, 3),
+                _ => h.record_open(len),
+            };
+            op(bank.lane_mut(r, l));
+            op(&mut model[r][l]);
+        }
+    }
+
+    /// Closes out a tile: one open run of `span` cycles into every lane
+    /// of every router the bank never materialized (read off the bank
+    /// before the bulk record, as the simulator's close-out does).
+    fn close_out(bank: &mut IdleBank, model: &mut Model, span: u64) {
+        for (r, row) in model.iter_mut().enumerate() {
+            if bank.row(r).is_none() {
+                row.iter_mut().for_each(|h| h.record_open(span));
+            }
+        }
+        bank.record_open_untouched(span);
+    }
+
+    /// Checks every lane and the merged histogram (at the bank's cap
+    /// and at another one) against the model.
+    fn assert_bank_matches(bank: &IdleBank, model: &Model) {
+        assert_eq!(bank.routers(), model.len());
+        for (r, row) in model.iter().enumerate() {
+            for (l, h) in row.iter().enumerate() {
+                assert_eq!(bank.lane(r, l), h, "router {r} lane {l}");
+            }
+        }
+        let stats = NetworkStats {
+            idle_histograms: bank.clone(),
+            ..NetworkStats::new(0, bank.lanes() / 5, bank.cap)
+        };
+        for cap in [bank.cap, 100] {
+            let mut want = IdleHistogram::new(cap);
+            model.iter().flatten().for_each(|h| want.merge_rebinned(h));
+            assert_eq!(stats.merged_idle_histogram(cap), want, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn bank_rows_span_several_blocks() {
+        let routers = 3 * IdleBank::BLOCK_ROWS + 1;
+        let (lanes, cap) = (10, 4096);
+        let mut bank = IdleBank::new(routers, lanes, cap);
+        let mut model: Model = vec![vec![IdleHistogram::new(cap); lanes]; routers];
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        touch(&mut bank, &mut model, 600, &mut rng);
+        close_out(&mut bank, &mut model, 77);
+        // Every router materialized, in a scrambled first-write order:
+        // four blocks, the last holding one row.
+        for r in (0..routers).map(|i| i * 7 % routers) {
+            let _ = bank.lane_mut(r, 0);
+        }
+        assert_eq!(bank.rows(), routers);
+        assert_eq!(bank.blocks.len(), 4);
+        assert!(bank.blocks[..3]
+            .iter()
+            .all(|b| b.len() == IdleBank::BLOCK_ROWS * lanes));
+        assert_eq!(bank.blocks[3].len(), lanes);
+        touch(&mut bank, &mut model, 200, &mut rng);
+        assert_bank_matches(&bank, &model);
+    }
+
+    #[test]
+    fn bank_append_matches_model_across_block_boundaries() {
+        // Tiles whose materialized row counts are not multiples of the
+        // block size, some closed out (dirty default row) and some
+        // pristine, joined in order, dirty tile first and pristine
+        // first.
+        let (lanes, cap) = (10, 4096);
+        let tiles: [(usize, usize, bool); 6] = [
+            (70, 150, true),
+            (45, 30, false),
+            (130, 400, true),
+            (1, 0, true),
+            (64, 64, false),
+            (90, 10, true),
+        ];
+        for order in [tiles.to_vec(), tiles.iter().rev().copied().collect()] {
+            let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+            let mut joined: Option<(IdleBank, Model)> = None;
+            for (routers, touches, dirty) in order {
+                let mut bank = IdleBank::new(routers, lanes, cap);
+                let mut model: Model = vec![vec![IdleHistogram::new(cap); lanes]; routers];
+                touch(&mut bank, &mut model, touches, &mut rng);
+                if dirty {
+                    close_out(&mut bank, &mut model, 5_000);
+                }
+                assert_bank_matches(&bank, &model);
+                joined = Some(match joined {
+                    None => (bank, model),
+                    Some((mut acc, mut acc_model)) => {
+                        acc.append(bank);
+                        acc_model.extend(model);
+                        assert_bank_matches(&acc, &acc_model);
+                        (acc, acc_model)
+                    }
+                });
+            }
+            let (bank, _) = joined.expect("six tiles");
+            assert!(bank.blocks[..bank.blocks.len() - 1]
+                .iter()
+                .all(|b| b.len() == IdleBank::BLOCK_ROWS * lanes));
+        }
     }
 }

@@ -73,9 +73,9 @@ impl fmt::Display for GatingPolicy {
 
 /// Histogram of idle-interval lengths in cycles.
 ///
-/// Bin `k` counts intervals of exactly `k` cycles (bin 0 unused) for
-/// every `k` below the configured cap; intervals of the cap or longer
-/// land in an overflow count that also keeps their exact cycle sum.
+/// Every length below the configured cap is counted exactly; intervals
+/// of the cap or longer land in an overflow count that also keeps their
+/// exact cycle sum.
 ///
 /// *Closed* intervals (ended by a wakeup) and *open* intervals (still
 /// running when the measurement window closed) are tracked separately:
@@ -84,43 +84,90 @@ impl fmt::Display for GatingPolicy {
 /// penalty. Use [`IdleHistogram::record`] for closed intervals and
 /// [`IdleHistogram::record_open`] for trailing open ones.
 ///
-/// The bins are sized to what was recorded: they cover lengths up to
-/// the longest one recorded below the cap, growing amortized (doubling,
-/// clamped at `cap` entries) as longer intervals arrive. A network
-/// simulation keeps `5 × vcs` histograms per router, and at the
-/// injection rates the leakage study sweeps most lanes record nothing,
-/// only a trailing open run, or only short intervals; a lane that
-/// records only overflow lengths and open runs holds no bins at all.
+/// The record is sized to what was recorded. Lengths below
+/// [`IdleHistogram::DENSE_BINS`] are counted in dense bins indexed by
+/// length, which grow amortized (doubling, clamped at that bound) to
+/// the longest such length recorded, so recording one stays an O(1)
+/// indexed add. The rarer lengths from that bound up to the cap are
+/// kept as a sorted list with one `(length, count)` entry per distinct
+/// length, and open intervals are stored inline while there is at most
+/// one. A network simulation keeps `5 × vcs` histograms per router, and
+/// at the injection rates the leakage study sweeps most lanes record
+/// nothing, only a trailing open run, or a few intervals; a lane that
+/// records only long or overflow intervals and at most one open run
+/// holds no dense bins and no open-run heap block.
 /// Equality compares *contents*, so histograms that differ only in how
 /// many trailing zero bins they hold are equal.
 #[derive(Debug, Clone, Eq, Serialize, Deserialize)]
 pub struct IdleHistogram {
-    /// Configured cap: lengths below it are binned exactly.
+    /// Configured cap: lengths below it are counted exactly.
     cap: usize,
-    /// Bin `k` counts intervals of exactly `k` cycles; never longer
-    /// than `cap`, and empty until the first interval shorter than the
-    /// cap is recorded.
-    counts: Vec<u64>,
+    /// Bin `k` counts intervals of exactly `k` cycles; empty until the
+    /// first interval shorter than `min(cap, DENSE_BINS)` is recorded,
+    /// and never longer than that bound.
+    dense: Box<[u64]>,
+    /// `(length, count)` of the closed intervals from `DENSE_BINS` up
+    /// to the cap, ascending by length, every count nonzero.
+    long: Box<[(u64, u64)]>,
     /// Number of closed intervals of `cap` cycles or more.
     overflow_n: u64,
     /// Total cycles of those overflow intervals.
     overflow_len_sum: u64,
-    open_runs: Vec<u64>,
+    open_runs: OpenRuns,
+}
+
+const _: () = assert!(std::mem::size_of::<IdleHistogram>() == 80);
+
+/// Open-interval lengths in record order, inline while there is at
+/// most one: nearly every simulated lane records exactly one (its
+/// trailing idle interval), which then costs no heap block.
+#[derive(Debug, Clone, Eq)]
+enum OpenRuns {
+    /// One run, or none as `One(0)` (0-length runs are never recorded).
+    One(u64),
+    /// Two runs or more.
+    Many(Vec<u64>),
+}
+
+impl OpenRuns {
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            OpenRuns::One(0) => &[],
+            OpenRuns::One(len) => std::slice::from_ref(len),
+            OpenRuns::Many(runs) => runs,
+        }
+    }
+
+    /// Appends a run of `len > 0` cycles.
+    fn push(&mut self, len: u64) {
+        match self {
+            OpenRuns::One(0) => *self = OpenRuns::One(len),
+            OpenRuns::One(first) => *self = OpenRuns::Many(vec![*first, len]),
+            OpenRuns::Many(runs) => runs.push(len),
+        }
+    }
+}
+
+impl PartialEq for OpenRuns {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
 }
 
 impl PartialEq for IdleHistogram {
     fn eq(&self, other: &Self) -> bool {
         // Content equality: bins past the shorter array are implicit
         // zeros.
-        let (short, long) = if self.counts.len() <= other.counts.len() {
-            (&self.counts, &other.counts)
+        let (fewer, more) = if self.dense.len() <= other.dense.len() {
+            (&self.dense, &other.dense)
         } else {
-            (&other.counts, &self.counts)
+            (&other.dense, &self.dense)
         };
-        let (head, tail) = long.split_at(short.len());
+        let (head, tail) = more.split_at(fewer.len());
         self.cap == other.cap
-            && short == head
+            && **fewer == *head
             && tail.iter().all(|&c| c == 0)
+            && self.long == other.long
             && self.overflow_n == other.overflow_n
             && self.overflow_len_sum == other.overflow_len_sum
             && self.open_runs == other.open_runs
@@ -128,15 +175,23 @@ impl PartialEq for IdleHistogram {
 }
 
 impl IdleHistogram {
+    /// Lengths below this bound (and below the cap) are counted in
+    /// dense bins indexed by length, longer ones in a sorted list. Short
+    /// intervals, the common case on a loaded lane, stay an indexed add,
+    /// while a lane's dense bins never exceed 512 bytes however long the
+    /// intervals it records.
+    pub const DENSE_BINS: usize = 64;
+
     /// Creates a histogram tracking interval lengths up to `max_len`.
     /// Allocation-free until the first interval is recorded.
     pub fn new(max_len: usize) -> Self {
         IdleHistogram {
             cap: max_len,
-            counts: Vec::new(),
+            dense: Box::default(),
+            long: Box::default(),
             overflow_n: 0,
             overflow_len_sum: 0,
-            open_runs: Vec::new(),
+            open_runs: OpenRuns::One(0),
         }
     }
 
@@ -145,14 +200,34 @@ impl IdleHistogram {
         self.cap
     }
 
-    /// Grows the bins to hold at least `len` entries (`len <= cap`):
-    /// to twice the current length when that is larger, clamped at the
-    /// cap, so repeated growth stays amortized O(1) per bin.
+    /// Grows the dense bins to hold at least `len` entries (`len` at
+    /// most `min(cap, DENSE_BINS)`): to twice the current length when
+    /// that is larger, clamped at that bound, so repeated growth stays
+    /// amortized O(1) per bin.
     fn grow_to(&mut self, len: usize) {
-        if len > self.counts.len() {
-            let len = len.max(2 * self.counts.len()).min(self.cap);
-            self.counts.reserve_exact(len - self.counts.len());
-            self.counts.resize(len, 0);
+        if len > self.dense.len() {
+            let len = len
+                .max(2 * self.dense.len())
+                .min(self.cap.min(Self::DENSE_BINS));
+            let mut dense = std::mem::take(&mut self.dense).into_vec();
+            dense.reserve_exact(len - dense.len());
+            dense.resize(len, 0);
+            self.dense = dense.into_boxed_slice();
+        }
+    }
+
+    /// Adds `count` intervals of `len` cycles to the sorted long list;
+    /// a new length is inserted in place, the list reallocated to its
+    /// exact new size.
+    fn add_long(&mut self, len: u64, count: u64) {
+        match self.long.binary_search_by_key(&len, |&(l, _)| l) {
+            Ok(i) => self.long[i].1 += count,
+            Err(i) => {
+                let mut long = std::mem::take(&mut self.long).into_vec();
+                long.reserve_exact(1);
+                long.insert(i, (len, count));
+                self.long = long.into_boxed_slice();
+            }
         }
     }
 
@@ -161,8 +236,10 @@ impl IdleHistogram {
         self.record_n(len, 1);
     }
 
-    /// Records `count` idle intervals of `len` cycles each in O(1)
-    /// amortized (0-length or 0-count ignored).
+    /// Records `count` idle intervals of `len` cycles each: O(1)
+    /// amortized below [`IdleHistogram::DENSE_BINS`] and past the cap,
+    /// a binary search (plus an insertion for a new length) in between
+    /// (0-length or 0-count ignored).
     pub fn record_n(&mut self, len: u64, count: u64) {
         if len == 0 || count == 0 {
             return;
@@ -170,10 +247,12 @@ impl IdleHistogram {
         if len >= self.cap as u64 {
             self.overflow_n += count;
             self.overflow_len_sum += len * count;
-        } else {
+        } else if len < Self::DENSE_BINS as u64 {
             let k = len as usize;
             self.grow_to(k + 1);
-            self.counts[k] += count;
+            self.dense[k] += count;
+        } else {
+            self.add_long(len, count);
         }
     }
 
@@ -190,18 +269,22 @@ impl IdleHistogram {
 
     /// Number of recorded intervals (closed + open).
     pub fn interval_count(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.overflow_n + self.open_runs.len() as u64
+        self.dense.iter().sum::<u64>()
+            + self.long.iter().map(|&(_, n)| n).sum::<u64>()
+            + self.overflow_n
+            + self.open_runs().len() as u64
     }
 
     /// Total idle cycles across all intervals (closed + open).
     pub fn total_idle_cycles(&self) -> u64 {
         let in_bins: u64 = self
-            .counts
+            .dense
             .iter()
             .enumerate()
             .map(|(len, &n)| len as u64 * n)
             .sum();
-        in_bins + self.overflow_len_sum + self.open_runs.iter().sum::<u64>()
+        let long: u64 = self.long.iter().map(|&(len, n)| len * n).sum();
+        in_bins + long + self.overflow_len_sum + self.open_runs().iter().sum::<u64>()
     }
 
     /// Iterates `(interval_length, count)` pairs of the *closed*
@@ -213,35 +296,50 @@ impl IdleHistogram {
             .overflow_len_sum
             .checked_div(self.overflow_n)
             .unwrap_or(0);
-        self.counts
+        self.dense
             .iter()
             .enumerate()
             .filter(|(_, &n)| n > 0)
             .map(|(len, &n)| (len as u64, n))
+            .chain(self.long.iter().copied())
             .chain((self.overflow_n > 0).then_some((overflow_avg, self.overflow_n)))
     }
 
     /// Lengths of the intervals that were still open at the end of the
-    /// measurement window.
+    /// measurement window, in record order.
     pub fn open_runs(&self) -> &[u64] {
-        &self.open_runs
+        self.open_runs.as_slice()
     }
 
     /// Merges another histogram of the same cap into this one, in
-    /// O(`other`'s bins): the bins grow only as far as `other`'s do.
+    /// O(`other`'s record): the dense bins grow only as far as
+    /// `other`'s do, and each of `other`'s long lengths is a binary
+    /// search (plus an insertion when it is new here).
     ///
     /// # Panics
     ///
     /// Panics if the histograms have different caps.
     pub fn merge(&mut self, other: &IdleHistogram) {
-        assert_eq!(self.cap, other.cap, "bin count mismatch");
-        self.grow_to(other.counts.len());
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+        assert_eq!(
+            self.cap, other.cap,
+            "merging idle histograms of different caps"
+        );
+        self.grow_to(other.dense.len());
+        for (a, b) in self.dense.iter_mut().zip(other.dense.iter()) {
             *a += b;
+        }
+        if self.long.is_empty() {
+            self.long = other.long.clone();
+        } else {
+            for &(len, n) in other.long.iter() {
+                self.add_long(len, n);
+            }
         }
         self.overflow_n += other.overflow_n;
         self.overflow_len_sum += other.overflow_len_sum;
-        self.open_runs.extend_from_slice(&other.open_runs);
+        for &len in other.open_runs() {
+            self.open_runs.push(len);
+        }
     }
 
     /// Merges another histogram whose cap may differ, preserving
@@ -254,15 +352,20 @@ impl IdleHistogram {
         if self.cap == other.cap {
             return self.merge(other);
         }
-        for (len, &n) in other.counts.iter().enumerate() {
-            self.record_n(len as u64, n);
+        let dense = other
+            .dense
+            .iter()
+            .enumerate()
+            .map(|(len, &n)| (len as u64, n));
+        for (len, n) in dense.chain(other.long.iter().copied()) {
+            self.record_n(len, n);
         }
         if let Some(avg) = other.overflow_len_sum.checked_div(other.overflow_n) {
             let rem = other.overflow_len_sum - avg * other.overflow_n;
             self.record_n(avg, other.overflow_n - rem);
             self.record_n(avg + 1, rem);
         }
-        for &len in &other.open_runs {
+        for &len in other.open_runs() {
             self.record_open(len);
         }
     }
@@ -606,35 +709,50 @@ mod tests {
 
     #[test]
     fn overflow_and_open_runs_allocate_no_bins() {
-        let mut h = IdleHistogram::new(64);
+        // Long and overflow intervals plus one open run: no dense bins
+        // and no open-run heap block.
+        let mut h = IdleHistogram::new(4096);
         h.record(64);
+        h.record(4095);
+        h.record(4096);
         h.record_n(1_000_000, 7);
-        h.record_open(3);
         h.record_open(10_000);
-        assert_eq!(h.counts.capacity(), 0);
-        assert_eq!(h.interval_count(), 10);
-        assert_eq!(h.total_idle_cycles(), 64 + 7_000_000 + 3 + 10_000);
-        let mut merged = IdleHistogram::new(64);
+        assert!(h.dense.is_empty());
+        assert!(matches!(h.open_runs, OpenRuns::One(10_000)));
+        assert_eq!(h.interval_count(), 11);
+        assert_eq!(h.total_idle_cycles(), 64 + 4095 + 4096 + 7_000_000 + 10_000);
+        let mut merged = IdleHistogram::new(4096);
         merged.merge(&h);
-        assert_eq!(merged.counts.capacity(), 0);
+        assert!(merged.dense.is_empty());
+        assert!(matches!(merged.open_runs, OpenRuns::One(10_000)));
         assert_eq!(merged, h);
+        // The second open run moves them to the heap, in record order.
+        h.record_open(3);
+        assert!(matches!(h.open_runs, OpenRuns::Many(_)));
+        assert_eq!(h.open_runs(), &[10_000, 3]);
+        assert!(h.dense.is_empty());
     }
 
     #[test]
     fn bins_never_exceed_the_cap() {
-        for cap in [1, 2, 3, 5, 64, 100, 4096] {
-            // Straight to the longest binned length, then every length
-            // on a rising ramp: capacity stays within `cap` entries.
+        for cap in [1, 2, 3, 5, 63, 64, 65, 100, 4096] {
+            // Straight to the longest length below the cap, then every
+            // length on a rising ramp: the dense bins stay within
+            // `min(cap, DENSE_BINS)` entries and the long list holds
+            // one entry per distinct length above them.
+            let bound = cap.min(IdleHistogram::DENSE_BINS);
             let mut jump = IdleHistogram::new(cap);
             jump.record(cap as u64 - 1);
+            assert!(jump.dense.len() <= bound, "cap {cap}");
             let mut ramp = IdleHistogram::new(cap);
             for len in 1..cap as u64 {
                 ramp.record(len);
-                assert!(ramp.counts.capacity() <= cap, "cap {cap}, len {len}");
+                assert!(ramp.dense.len() <= bound, "cap {cap}, len {len}");
             }
-            assert!(jump.counts.capacity() <= cap, "cap {cap}");
             ramp.record(cap as u64 - 1);
-            assert!(ramp.counts.capacity() <= cap, "cap {cap}");
+            assert!(ramp.dense.len() <= bound, "cap {cap}");
+            assert_eq!(ramp.long.len(), cap - bound, "cap {cap}");
+            assert!(ramp.long.windows(2).all(|w| w[0].0 < w[1].0));
         }
     }
 
@@ -643,10 +761,12 @@ mod tests {
         let mut src = IdleHistogram::new(4096);
         src.record(3);
         src.record(17);
+        src.record(700);
         src.record_n(9_999, 2);
         let mut dst = IdleHistogram::new(4096);
         dst.merge(&src);
-        assert!(dst.counts.capacity() <= src.counts.len());
+        assert!(dst.dense.len() <= src.dense.len());
+        assert_eq!(dst.long.len(), 1);
         assert_eq!(dst, src);
     }
 
@@ -659,12 +779,35 @@ mod tests {
         let mut b = IdleHistogram::new(64);
         b.record(16);
         b.record(15);
-        assert!(a.counts.len() > b.counts.len());
+        assert!(a.dense.len() > b.dense.len());
         assert_eq!(a, b);
         assert_eq!(b, a);
         b.record(20);
         assert_ne!(a, b);
         assert_ne!(b, a);
+    }
+
+    #[test]
+    fn long_lengths_merge_in_order() {
+        // Long lists of different shapes interleave into one sorted
+        // list, counts of shared lengths adding up.
+        let mut a = IdleHistogram::new(4096);
+        let mut b = IdleHistogram::new(4096);
+        for len in [900, 64, 3000] {
+            a.record(len);
+        }
+        for len in [65, 900, 4095, 64] {
+            b.record_n(len, 2);
+        }
+        a.merge(&b);
+        let got: Vec<_> = a.iter_lengths().collect();
+        assert_eq!(got, vec![(64, 3), (65, 2), (900, 3), (3000, 1), (4095, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "different caps")]
+    fn merge_rejects_mixed_caps() {
+        IdleHistogram::new(64).merge(&IdleHistogram::new(128));
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! Oracle test for the compact `IdleHistogram` bin layout.
+//! Oracle test for the compact `IdleHistogram` layout: dense bins below
+//! `IdleHistogram::DENSE_BINS`, a sorted list of the longer lengths
+//! below the cap, an overflow count and inline-first open runs.
 //!
 //! Random sequences of `record`, `record_n`, `record_open`, `merge` and
 //! `merge_rebinned` run on three compact histograms and, op for op, on
 //! a dense model that allocates one bin per length below the cap plus
-//! an overflow bin up front. Every content-level view must agree, and
-//! `evaluate_policy` must give bit-identical outcomes under every
-//! policy.
+//! an overflow bin up front. Caps and lengths straddle both the dense
+//! bound and the cap, each case limits the open runs per histogram to
+//! none, one or any number, and the merges combine histograms of
+//! different shapes and (re-binning) different caps. Every
+//! content-level view must agree, and `evaluate_policy` must give
+//! bit-identical outcomes under every policy.
 
 use lnoc_power::gating::{
     evaluate_policy, GatingOutcome, GatingParams, GatingPolicy, IdleHistogram,
@@ -171,16 +176,38 @@ impl Dense {
 /// Keeps every total below this, so no u64 sum can overflow.
 const TOTAL_LIMIT: u128 = 1 << 62;
 
+/// The dense-bin bound of the layout under test.
+const DENSE: u64 = IdleHistogram::DENSE_BINS as u64;
+
+/// Decodes a cap from a selector: the simulator default, the dense
+/// bound or one off it, a cap a little past it, or a small one.
+fn cap(sel: usize) -> usize {
+    let dense = DENSE as usize;
+    match sel {
+        0 => 4096,
+        1 => dense - 1,
+        2 => dense,
+        3 => dense + 1,
+        4..=7 => dense + 29 * sel,
+        s => s - 8,
+    }
+}
+
 /// Decodes an interval length from op bits: 0, `cap − 1`, `cap`,
-/// `cap + 1`, far past the cap, or a short random length.
+/// `cap + 1`, far past the cap, the dense bound or one off it, a
+/// random length from the dense bound on, or a short random length.
 fn length(cap: usize, w: u64) -> u64 {
     let cap = cap as u64;
-    match (w >> 16) % 8 {
+    match (w >> 16) % 12 {
         0 => 0,
         1 => cap.saturating_sub(1),
         2 => cap,
         3 => cap + 1,
         4 => cap + 10_000_000 + (w >> 24) % 1000,
+        5 => DENSE - 1,
+        6 => DENSE,
+        7 => DENSE + 1,
+        8 | 9 => DENSE + (w >> 24) % (cap.saturating_sub(DENSE) + 4),
         _ => 1 + (w >> 24) % (cap + 4),
     }
 }
@@ -209,8 +236,9 @@ fn policies(cap: usize, th: u32) -> [GatingPolicy; 7] {
 proptest! {
     #[test]
     fn compact_histogram_matches_dense_model(
-        cap_a in 0usize..40,
-        cap_b_sel in 0usize..52,
+        cap_a_sel in 0usize..48,
+        cap_b_sel in 0usize..58,
+        max_open_sel in 0usize..4,
         ops in proptest::collection::vec(0u64..u64::MAX, 1..80),
         th in 0u32..80,
         p_idle_uw in 1.0f64..50.0,
@@ -218,14 +246,16 @@ proptest! {
         e_fj in 1.0f64..200.0,
         wake in 0u32..4,
     ) {
-        // Histograms 0 and 1 share a cap; histogram 2's cap equals it,
-        // is the simulator default, or is another small cap.
+        // Histograms 0 and 1 share a cap; histogram 2's cap equals it
+        // or is drawn independently.
+        let cap_a = cap(cap_a_sel);
         let cap_b = match cap_b_sel {
             0..=9 => cap_a,
-            10..=11 => 4096,
-            s => s - 12,
+            s => cap(s - 10),
         };
         let caps = [cap_a, cap_a, cap_b];
+        // Open runs per histogram: none, at most one, or any number.
+        let max_open = [0, 1, 1, usize::MAX][max_open_sel];
         let mut compact: Vec<IdleHistogram> = caps.iter().map(|&c| IdleHistogram::new(c)).collect();
         let mut dense: Vec<Dense> = caps.iter().map(|&c| Dense::new(c)).collect();
 
@@ -250,7 +280,9 @@ proptest! {
                     dense[t].record_n(len, n);
                 }
                 3 => {
-                    if dense[t].total() + len as u128 >= TOTAL_LIMIT {
+                    if dense[t].total() + len as u128 >= TOTAL_LIMIT
+                        || (len > 0 && dense[t].open.len() >= max_open)
+                    {
                         continue;
                     }
                     compact[t].record_open(len);
@@ -261,7 +293,9 @@ proptest! {
                     // histogram may merge a copy of itself); 5: merge
                     // from any source, re-binning across caps.
                     let s = if kind == 4 && caps[s] != caps[t] { t } else { s };
-                    if dense[t].total() + dense[s].total() >= TOTAL_LIMIT {
+                    if dense[t].total() + dense[s].total() >= TOTAL_LIMIT
+                        || dense[t].open.len() + dense[s].open.len() > max_open
+                    {
                         continue;
                     }
                     let (src_c, src_d) = (compact[s].clone(), dense[s].clone());
@@ -289,6 +323,7 @@ proptest! {
             prop_assert_eq!(h.total_idle_cycles() as u128, d.total());
             prop_assert_eq!(h.interval_count(), d.interval_count());
             prop_assert_eq!(h.open_runs(), &d.open[..]);
+            prop_assert!(d.open.len() <= max_open);
             for policy in policies(d.cap, th) {
                 let got = evaluate_policy(h, &params, policy, clock);
                 let want = d.evaluate(&params, policy, clock);
