@@ -637,8 +637,9 @@ fn run_point(
             .unwrap_or_else(|p| p.into_inner())
             .insert(point.block.mesh);
         // The 512×512 and 1024×1024 showcase rows skip the throwaway:
-        // at minutes per stepping run the page-fault warm-up is noise,
-        // and doubling the row's cost is not.
+        // their timed runs take a fraction of a second, but building
+        // the mesh (outside the timer) takes seconds and hundreds of
+        // megabytes, so a throwaway would double the row's real cost.
         if first_at_this_size && point.routers() <= 16384 {
             let _ =
                 Simulation::new(sim_cfg.clone()).try_run(point.block.warmup, point.block.measure);

@@ -61,9 +61,12 @@
 //! computed once when the flit reaches the front. Stepping every lane
 //! every cycle (`all_live`) is the dense oracle through the same code.
 //!
-//! The input VC buffers live in one flat ring-buffer allocation and
-//! [`Router::step_fast`] performs no heap allocation — the hot loop of
-//! the whole simulator.
+//! A router's input VC buffers are one ring block drawn from its
+//! tile's [`RingPool`], and only while it buffers a flit: the push that
+//! makes it non-empty takes a block, and the pop or purge that empties
+//! it gives the block back. Ring memory therefore follows the most
+//! routers buffering at once, not the mesh size. [`Router::step_fast`]
+//! performs no heap allocation — the hot loop of the whole simulator.
 //!
 //! [`Mesh::hop_vc`]: crate::topology::Mesh::hop_vc
 
@@ -150,7 +153,8 @@ struct Lane {
     /// held by doomed packets whose remaining flits were purged
     /// upstream.
     owner_pkt: u64,
-    /// Ring-buffer index of the input VC's front flit.
+    /// Ring-buffer index of the input VC's front flit, within the
+    /// lane's `depth` slots of the router's ring block.
     head: u32,
     /// Flits buffered in the input VC.
     len: u32,
@@ -176,8 +180,8 @@ impl Lane {
 
 /// One router's block of the simulation-owned SoA per-lane state, lent
 /// to [`Router::step_fast`] for one cycle (or to
-/// [`Router::settle_lanes`]). All slices have `5 * V` entries, indexed
-/// `port * V + vc`.
+/// [`Router::settle_lanes`]), with its tile's [`RingPool`]. All slices
+/// have `5 * V` entries, indexed `port * V + vc`.
 ///
 /// A lane is *settled through* the cycle its watermark names: its idle
 /// run, FSM and share of the counters account every cycle up to and
@@ -199,6 +203,10 @@ pub struct PortLane<'a> {
     /// watermark and less than 2³² cycles past it (see
     /// [`Router::settle_lanes`]).
     pub settled: &'a mut [u32],
+    /// The tile's ring pool, which holds the router's input rings
+    /// while it buffers flits and takes the block back when a step
+    /// empties it (settlement never touches it).
+    pub rings: &'a mut RingPool,
 }
 
 /// Cycles a lane with watermark `mark` lags behind `through`, given an
@@ -208,14 +216,122 @@ fn lane_lag(mark: u32, anchor: u64, through: u64) -> u64 {
     (through - anchor) + (anchor as u32).wrapping_sub(mark) as u64
 }
 
+/// Block id of a router that holds no ring block.
+const NO_BLOCK: u32 = u32::MAX;
+
+/// One tile's store of input-ring blocks. A block holds one router's
+/// `5 * V` input VC rings, lane `l` owning the slots
+/// `l*depth..(l+1)*depth`. A router holds a block only while it buffers
+/// a flit, so ring memory follows the most routers of the tile buffering
+/// at once rather than the tile's size.
+///
+/// Blocks are carved from chunks of [`RingPool::CHUNK_BLOCKS`] blocks
+/// (the last chunk stops at the tile's router count), allocated when
+/// every carved block is in use and never reallocated or moved; a
+/// returned block goes on a last-in first-out free list and is handed
+/// out again before any new one is carved.
+#[derive(Debug)]
+pub struct RingPool {
+    /// Flits per block: `5 * V * depth`.
+    block_len: usize,
+    /// Routers that can draw on the pool: no more blocks are ever
+    /// carved.
+    routers: u32,
+    /// Block `b` is block `b % CHUNK_BLOCKS` of chunk `b / CHUNK_BLOCKS`.
+    chunks: Vec<Box<[Flit]>>,
+    /// Blocks carved so far (ids `0..carved`). Fresh blocks are carved
+    /// only when none is free, so this is also the most blocks ever in
+    /// use at once.
+    carved: u32,
+    /// Returned block ids, reused last-in first-out.
+    free: Vec<u32>,
+}
+
+impl RingPool {
+    /// Blocks per chunk.
+    pub const CHUNK_BLOCKS: usize = 64;
+
+    /// An empty pool for `routers` routers with `vcs` virtual channels
+    /// of `buffer_depth` flits per port. Allocates nothing until the
+    /// first block is taken.
+    pub fn new(routers: usize, buffer_depth: usize, vcs: usize) -> Self {
+        RingPool {
+            block_len: 5 * vcs * buffer_depth,
+            routers: u32::try_from(routers).expect("router count fits u32"),
+            chunks: Vec::new(),
+            carved: 0,
+            free: Vec::new(),
+        }
+    }
+
+    /// The most blocks that were ever in use at once.
+    #[cfg(test)]
+    pub(crate) fn high_water(&self) -> usize {
+        self.carved as usize
+    }
+
+    /// Blocks in use now.
+    #[cfg(test)]
+    pub(crate) fn in_use(&self) -> usize {
+        self.carved as usize - self.free.len()
+    }
+
+    /// Hands out a block: the last one returned, else a fresh one.
+    fn take(&mut self) -> u32 {
+        if let Some(id) = self.free.pop() {
+            return id;
+        }
+        let id = self.carved;
+        if id as usize == self.chunks.len() * Self::CHUNK_BLOCKS {
+            let blocks = Self::CHUNK_BLOCKS.min((self.routers - id) as usize);
+            assert!(blocks > 0, "more ring blocks taken than routers");
+            self.chunks
+                .push(vec![Flit::INVALID; blocks * self.block_len].into_boxed_slice());
+        }
+        self.carved += 1;
+        id
+    }
+
+    /// Takes back a block handed out by [`RingPool::take`].
+    fn give(&mut self, id: u32) {
+        debug_assert!(id < self.carved);
+        self.free.push(id);
+    }
+
+    /// Block `id`'s chunk and its slot range there.
+    fn locate(&self, id: u32) -> (usize, std::ops::Range<usize>) {
+        let k = id as usize % Self::CHUNK_BLOCKS;
+        let slots = k * self.block_len..(k + 1) * self.block_len;
+        (id as usize / Self::CHUNK_BLOCKS, slots)
+    }
+
+    /// Block `id`'s slots (none for [`NO_BLOCK`]).
+    fn ring(&self, id: u32) -> &[Flit] {
+        if id == NO_BLOCK {
+            return &[];
+        }
+        let (chunk, slots) = self.locate(id);
+        &self.chunks[chunk][slots]
+    }
+
+    /// Block `id`'s slots, writable (none for [`NO_BLOCK`]).
+    fn ring_mut(&mut self, id: u32) -> &mut [Flit] {
+        if id == NO_BLOCK {
+            return &mut [];
+        }
+        let (chunk, slots) = self.locate(id);
+        &mut self.chunks[chunk][slots]
+    }
+}
+
 /// One wormhole router.
 #[derive(Debug, Clone)]
 pub struct Router {
     /// This router's id in the mesh.
     pub id: usize,
-    /// All `5 * V` input VC buffers in one flat allocation: lane `l`
-    /// owns the slot range `l*depth..(l+1)*depth` as a ring buffer.
-    slots: Box<[Flit]>,
+    /// The [`RingPool`] block holding the `5 * V` input VC rings, or
+    /// [`NO_BLOCK`]: held exactly while `occupied` is non-zero.
+    block: u32,
     /// Per-lane cursors, route caches and output-lane allocation state.
     lanes: Box<[Lane]>,
     /// Flits per input VC buffer.
@@ -252,7 +368,8 @@ pub struct Departure {
 
 impl Router {
     /// Creates an empty, ungated router with `vcs` virtual channels of
-    /// `buffer_depth` flits each per port.
+    /// `buffer_depth` flits each per port. Its rings come from a
+    /// [`RingPool`] of the same geometry once it buffers a flit.
     ///
     /// # Panics
     ///
@@ -262,7 +379,7 @@ impl Router {
         let lanes = 5 * vcs;
         Router {
             id,
-            slots: vec![Flit::INVALID; lanes * buffer_depth].into_boxed_slice(),
+            block: NO_BLOCK,
             lanes: vec![Lane::EMPTY; lanes].into_boxed_slice(),
             depth: buffer_depth as u32,
             occupied: 0,
@@ -302,12 +419,12 @@ impl Router {
         self.lanes[lane].len as usize
     }
 
-    fn front(&self, lane: usize) -> Option<&Flit> {
+    fn front<'r>(&self, ring: &'r [Flit], lane: usize) -> Option<&'r Flit> {
         let l = self.lanes[lane];
-        (l.len > 0).then(|| &self.slots[lane * self.depth as usize + l.head as usize])
+        (l.len > 0).then(|| &ring[lane * self.depth as usize + l.head as usize])
     }
 
-    fn push_back(&mut self, lane: usize, flit: Flit) {
+    fn push_back(&mut self, ring: &mut [Flit], lane: usize, flit: Flit) {
         debug_assert!(self.lanes[lane].len < self.depth);
         debug_assert!(!flit.is_invalid(), "buffered a filler flit");
         let l = &mut self.lanes[lane];
@@ -319,13 +436,13 @@ impl Router {
             tail -= self.depth;
         }
         l.len += 1;
-        self.slots[lane * self.depth as usize + tail as usize] = flit;
+        ring[lane * self.depth as usize + tail as usize] = flit;
         self.occupied |= 1 << lane;
     }
 
     /// Pops input lane `lane`'s front flit; its cached route goes with
     /// it.
-    fn pop_front(&mut self, lane: usize) -> Option<Flit> {
+    fn pop_front(&mut self, ring: &[Flit], lane: usize) -> Option<Flit> {
         let l = &mut self.lanes[lane];
         if l.len == 0 {
             return None;
@@ -337,9 +454,18 @@ impl Router {
         if l.len == 0 {
             self.occupied &= !(1 << lane);
         }
-        let flit = self.slots[lane * self.depth as usize + head as usize];
+        let flit = ring[lane * self.depth as usize + head as usize];
         debug_assert!(!flit.is_invalid(), "popped a filler flit");
         Some(flit)
+    }
+
+    /// Gives the ring block back to `pool` once the router buffers
+    /// nothing.
+    fn release_if_empty(&mut self, pool: &mut RingPool) {
+        if self.occupied == 0 && self.block != NO_BLOCK {
+            pool.give(self.block);
+            self.block = NO_BLOCK;
+        }
     }
 
     /// Whether the input VC buffer `(port, vc)` can accept a flit.
@@ -348,20 +474,26 @@ impl Router {
     }
 
     /// Pushes an arriving flit into the input VC buffer named by
-    /// `flit.vc`.
+    /// `flit.vc`, first taking a ring block from `pool` if the router
+    /// buffered nothing.
     ///
     /// # Panics
     ///
     /// Panics if that VC buffer is full — callers hold one credit per
     /// free slot, so an overflow means the credit accounting broke.
-    pub fn accept(&mut self, port: Direction, flit: Flit) {
+    pub fn accept(&mut self, pool: &mut RingPool, port: Direction, flit: Flit) {
         let vc = flit.vc as usize;
         assert!(
             self.can_accept(port, vc),
             "VC buffer overflow at router {} port {port} vc {vc}",
             self.id
         );
-        self.push_back(port.index() * self.vcs as usize + vc, flit);
+        if self.block == NO_BLOCK {
+            debug_assert_eq!(pool.block_len, self.lanes() * self.depth as usize);
+            self.block = pool.take();
+        }
+        let ring = pool.ring_mut(self.block);
+        self.push_back(ring, port.index() * self.vcs as usize + vc, flit);
     }
 
     /// Buffer occupancy of one input VC.
@@ -389,8 +521,10 @@ impl Router {
     }
 
     /// Calls `f` with every buffered flit, in input-lane order and FIFO
-    /// order within a lane — the fault layer's boundary scan.
-    pub(crate) fn for_each_flit(&self, mut f: impl FnMut(&Flit)) {
+    /// order within a lane — the fault layer's boundary scan. `pool` is
+    /// the one the router's ring block came from.
+    pub(crate) fn for_each_flit(&self, pool: &RingPool, mut f: impl FnMut(&Flit)) {
+        let ring = pool.ring(self.block);
         let depth = self.depth as usize;
         for lane in 0..self.lanes() {
             let l = self.lanes[lane];
@@ -399,7 +533,7 @@ impl Router {
                 if idx >= depth {
                     idx -= depth;
                 }
-                f(&self.slots[lane * depth + idx]);
+                f(&ring[lane * depth + idx]);
             }
         }
     }
@@ -412,27 +546,31 @@ impl Router {
     ///
     /// `on_removed` receives each removed flit and the input lane
     /// (`port * V + vc`) it was buffered in, so the caller can return
-    /// the freed slot's credit upstream. Returns the number of flits
+    /// the freed slot's credit upstream. A router the purge empties
+    /// gives its ring block back to `pool`. Returns the number of flits
     /// removed.
     pub(crate) fn purge_packets(
         &mut self,
+        pool: &mut RingPool,
         doomed: impl Fn(u64) -> bool,
         mut on_removed: impl FnMut(usize, &Flit),
     ) -> usize {
         let mut removed = 0;
+        let ring = pool.ring_mut(self.block);
         for lane in 0..self.lanes() {
             // Pop exactly the original occupancy; survivors re-pushed
             // at the tail come back around in their original order.
             for _ in 0..self.buf_len(lane) {
-                let flit = self.pop_front(lane).expect("occupancy counted");
+                let flit = self.pop_front(ring, lane).expect("occupancy counted");
                 if doomed(flit.packet_id) {
                     on_removed(lane, &flit);
                     removed += 1;
                 } else {
-                    self.push_back(lane, flit);
+                    self.push_back(ring, lane, flit);
                 }
             }
         }
+        self.release_if_empty(pool);
         for ol in 0..self.lanes() {
             if !self.lanes[ol].owner.is_free() && doomed(self.lanes[ol].owner_pkt) {
                 self.lanes[ol].owner = PortOwner::FREE;
@@ -453,11 +591,16 @@ impl Router {
     /// Input lane `il`'s front flit's route as `(output lane, is_head)`,
     /// computed on first use and cached until the flit leaves the
     /// front. The lane must be occupied.
-    fn front_route(&mut self, il: usize, route: &impl Fn(&Flit) -> RouteTarget) -> (usize, bool) {
+    fn front_route(
+        &mut self,
+        ring: &[Flit],
+        il: usize,
+        route: &impl Fn(&Flit) -> RouteTarget,
+    ) -> (usize, bool) {
         let mut c = self.lanes[il].front;
         if c == NO_ROUTE {
             let v = self.vcs as usize;
-            let f = self.front(il).expect("routing an empty lane");
+            let f = self.front(ring, il).expect("routing an empty lane");
             debug_assert!(!f.is_invalid(), "routing a filler flit");
             let t = route(f);
             c = (t.out.index() * v + t.vc as usize) as u8 | if f.is_head { HEAD_BIT } else { 0 };
@@ -499,34 +642,44 @@ impl Router {
     /// ignoring this cycle's port usage — used for the Immediate
     /// policy's after-send park decision, where the pops that just
     /// happened have already changed the fronts.
-    fn candidate_for_lane(&mut self, ol: usize, route: &impl Fn(&Flit) -> RouteTarget) -> bool {
+    fn candidate_for_lane(
+        &mut self,
+        ring: &[Flit],
+        ol: usize,
+        route: &impl Fn(&Flit) -> RouteTarget,
+    ) -> bool {
         let mut heads = 0u64;
         let mut occ = self.occupied;
         while occ != 0 {
             let il = occ.trailing_zeros() as usize;
             occ &= occ - 1;
-            if self.front_route(il, route) == (ol, true) {
+            if self.front_route(ring, il, route) == (ol, true) {
                 heads |= 1 << il;
             }
         }
         self.select_candidate(ol, 0, heads).is_some()
     }
 
-    /// Settles lane `l` over `lag` idle cycles in closed form: the idle
+    /// Settles one lane — its idle run and FSM, billing the router's
+    /// `counters` — over `lag` idle cycles in closed form: the idle
     /// run grows, and the FSM replays its idle future
     /// ([`SleepFsm::settle_idle_bulk`]). Returns the arbitrations those
     /// cycles perform (one per awake cycle; every cycle when ungated).
-    fn settle_lane(&self, ports: &mut PortLane<'_>, l: usize, lag: u64) -> u64 {
+    fn settle_lane(
+        &self,
+        idle_run: &mut u64,
+        fsm: &mut SleepFsm,
+        counters: &mut GatingCounters,
+        lag: u64,
+    ) -> u64 {
         if lag == 0 {
             return 0;
         }
-        let before = ports.idle_run[l];
-        ports.idle_run[l] = before + lag;
+        let before = *idle_run;
+        *idle_run = before + lag;
         match &self.sleep_cfg {
             None => lag,
-            Some(cfg) => {
-                ports.fsm[l].settle_idle_bulk(lag, before, cfg.threshold(), ports.counters)
-            }
+            Some(cfg) => fsm.settle_idle_bulk(lag, before, cfg.threshold(), counters),
         }
     }
 
@@ -543,7 +696,12 @@ impl Router {
         let mut arbitrations = 0;
         for l in 0..self.lanes() {
             let lag = lane_lag(ports.settled[l], anchor, through);
-            arbitrations += self.settle_lane(ports, l, lag);
+            arbitrations += self.settle_lane(
+                &mut ports.idle_run[l],
+                &mut ports.fsm[l],
+                ports.counters,
+                lag,
+            );
             ports.settled[l] = through as u32;
         }
         arbitrations
@@ -581,7 +739,8 @@ impl Router {
     /// ejection port always sinks) — callers must evaluate it against
     /// cycle-start credit state so results are independent of router
     /// iteration order. `ports` is this router's block of the
-    /// simulation-owned SoA lane state.
+    /// simulation-owned SoA lane state; its ring pool gets the router's
+    /// ring block back if the step empties it.
     ///
     /// Only live output lanes are visited — owned, or requested by a
     /// waiting head flit — unless `all_live` is set, which visits every
@@ -612,9 +771,19 @@ impl Router {
         all_live: bool,
         route: impl Fn(&Flit) -> RouteTarget,
         lane_ready: impl Fn(Direction, usize) -> bool,
-        mut ports: PortLane<'_>,
+        ports: PortLane<'_>,
         mut on_depart: impl FnMut(Departure),
     ) -> FastOutcome {
+        let PortLane {
+            idle_run,
+            fsm,
+            counters,
+            settled,
+            rings,
+        } = ports;
+        // The router's rings, resolved once; the block goes back to the
+        // pool after the last pop if the step empties the router.
+        let ring = rings.ring(self.block);
         let v = self.vcs as usize;
         let nlanes = 5 * v;
         let vmask = (1u64 << v) - 1;
@@ -630,7 +799,7 @@ impl Router {
         while occ != 0 {
             let il = occ.trailing_zeros() as usize;
             occ &= occ - 1;
-            let (ol, is_head) = self.front_route(il, &route);
+            let (ol, is_head) = self.front_route(ring, il, &route);
             if is_head {
                 head_wants |= 1 << ol;
                 heads[ol] |= 1 << il;
@@ -664,8 +833,8 @@ impl Router {
                     sa_start + j
                 };
                 let ol = oi * v + ovc;
-                let lag = lane_lag(ports.settled[ol], now - 1, now - 1);
-                arbitrations += self.settle_lane(&mut ports, ol, lag);
+                let lag = lane_lag(settled[ol], now - 1, now - 1);
+                arbitrations += self.settle_lane(&mut idle_run[ol], &mut fsm[ol], counters, lag);
 
                 let free = self.lanes[ol].owner.is_free();
                 let candidate = self.select_candidate(ol, blocked, heads[ol]);
@@ -677,7 +846,7 @@ impl Router {
 
                 let can_transmit = if GATED {
                     let cfg = self.sleep_cfg.expect("GATED implies a sleep config");
-                    ports.fsm[ol].gate(wants, cfg.wake_latency)
+                    fsm[ol].gate(wants, cfg.wake_latency)
                 } else {
                     true
                 };
@@ -686,11 +855,11 @@ impl Router {
                     arbitrations += 1;
                 }
 
-                let ended = ports.idle_run[ol];
+                let ended = idle_run[ol];
                 let mut sent = false;
                 if can_transmit && wants && winner_vc.is_none() {
                     let il = candidate.expect("wants implies candidate");
-                    let mut flit = self.pop_front(il).expect("front exists");
+                    let mut flit = self.pop_front(ring, il).expect("front exists");
                     if free {
                         // VC allocation: the head flit claims the lane
                         // (released again immediately for single-flit
@@ -721,7 +890,7 @@ impl Router {
                 }
 
                 // Idle-run bookkeeping for the power model, per lane.
-                ports.idle_run[ol] = if sent { 0 } else { ended + 1 };
+                idle_run[ol] = if sent { 0 } else { ended + 1 };
 
                 if GATED {
                     let cfg = self.sleep_cfg.expect("GATED implies a sleep config");
@@ -738,11 +907,11 @@ impl Router {
                     let wants_after = sent
                         && cfg.threshold() == Some(0)
                         && lane_ready(out, ovc)
-                        && self.candidate_for_lane(ol, &route);
+                        && self.candidate_for_lane(ring, ol, &route);
                     let run = if sent { ended } else { ended + 1 };
-                    ports.fsm[ol].settle(sent, stalled, wants_after, run, &cfg, ports.counters);
+                    fsm[ol].settle(sent, stalled, wants_after, run, &cfg, counters);
                 }
-                ports.settled[ol] = now as u32;
+                settled[ol] = now as u32;
             }
             if let Some(wvc) = winner_vc {
                 if v > 1 {
@@ -752,6 +921,7 @@ impl Router {
             }
         }
 
+        self.release_if_empty(rings);
         FastOutcome { arbitrations }
     }
 }
@@ -790,24 +960,28 @@ mod tests {
     use crate::sleep::SleepState;
     use lnoc_power::gating::GatingPolicy;
 
-    /// Standalone owner of one router's SoA lane block for unit tests
-    /// (the simulation owns these arrays network-wide), with its own
+    /// Standalone owner of one router's SoA lane block and ring pool for
+    /// unit tests (the simulation owns these per tile), with its own
     /// cycle counter.
     struct Ports {
         idle: Vec<u64>,
         fsm: Vec<SleepFsm>,
         counters: GatingCounters,
         settled: Vec<u32>,
+        pool: RingPool,
         now: u64,
     }
 
     impl Ports {
-        fn new(vcs: usize) -> Self {
+        /// Lane state and a one-block ring pool for `r`'s geometry.
+        fn of(r: &Router) -> Self {
+            let lanes = r.lanes();
             Ports {
-                idle: vec![0; 5 * vcs],
-                fsm: vec![SleepFsm::default(); 5 * vcs],
+                idle: vec![0; lanes],
+                fsm: vec![SleepFsm::default(); lanes],
                 counters: GatingCounters::default(),
-                settled: vec![0; 5 * vcs],
+                settled: vec![0; lanes],
+                pool: RingPool::new(1, r.depth as usize, r.vcs()),
                 now: 0,
             }
         }
@@ -818,6 +992,7 @@ mod tests {
                 fsm: &mut self.fsm,
                 counters: &mut self.counters,
                 settled: &mut self.settled,
+                rings: &mut self.pool,
             }
         }
 
@@ -860,8 +1035,8 @@ mod tests {
     #[test]
     fn single_flit_passes_through() {
         let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::new(1);
-        r.accept(Direction::West, flit(1, true, true));
+        let mut p = Ports::of(&r);
+        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
         let out = p.step(&mut r, to(Direction::East), |_, _| true);
         let deps: Vec<_> = out.departures().collect();
         assert_eq!(deps.len(), 1);
@@ -875,12 +1050,12 @@ mod tests {
     #[test]
     fn wormhole_holds_lane_for_whole_packet() {
         let mut r = Router::new(0, 8, 1);
-        let mut p = Ports::new(1);
-        r.accept(Direction::West, flit(1, true, false));
-        r.accept(Direction::West, flit(1, false, false));
-        r.accept(Direction::West, flit(1, false, true));
+        let mut p = Ports::of(&r);
+        r.accept(&mut p.pool, Direction::West, flit(1, true, false));
+        r.accept(&mut p.pool, Direction::West, flit(1, false, false));
+        r.accept(&mut p.pool, Direction::West, flit(1, false, true));
         // A competing head on another input wants the same output.
-        r.accept(Direction::North, flit(2, true, true));
+        r.accept(&mut p.pool, Direction::North, flit(2, true, true));
 
         let mut winners = Vec::new();
         for _ in 0..4 {
@@ -901,8 +1076,8 @@ mod tests {
     #[test]
     fn no_credit_blocks() {
         let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::new(1);
-        r.accept(Direction::West, flit(1, true, true));
+        let mut p = Ports::of(&r);
+        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
         let out = p.step(&mut r, to(Direction::East), |_, _| false);
         assert_eq!(out.departures().count(), 0);
         assert_eq!(r.total_occupancy(), 1);
@@ -915,8 +1090,8 @@ mod tests {
         // the router is empty yet must not be treated as quiescent (the
         // held lane must not arbitrate).
         let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::new(1);
-        r.accept(Direction::West, flit(1, true, false));
+        let mut p = Ports::of(&r);
+        r.accept(&mut p.pool, Direction::West, flit(1, true, false));
         let out = p.step(&mut r, to(Direction::East), |_, _| true);
         assert_eq!(out.departures().count(), 1);
         assert_eq!(r.total_occupancy(), 0);
@@ -926,10 +1101,11 @@ mod tests {
     #[test]
     fn buffer_overflow_panics() {
         let mut r = Router::new(0, 1, 1);
-        r.accept(Direction::West, flit(1, true, true));
+        let mut p = Ports::of(&r);
+        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
         assert!(!r.can_accept(Direction::West, 0));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            r.accept(Direction::West, flit(2, true, true));
+            r.accept(&mut p.pool, Direction::West, flit(2, true, true));
         }));
         assert!(result.is_err());
     }
@@ -938,10 +1114,11 @@ mod tests {
     fn vc_buffers_are_independent() {
         // Filling VC 0 must leave VC 1 accepting, and vice versa.
         let mut r = Router::new(0, 1, 2);
-        r.accept(Direction::West, vflit(1, 0, true, true));
+        let mut p = Ports::of(&r);
+        r.accept(&mut p.pool, Direction::West, vflit(1, 0, true, true));
         assert!(!r.can_accept(Direction::West, 0));
         assert!(r.can_accept(Direction::West, 1));
-        r.accept(Direction::West, vflit(2, 1, true, true));
+        r.accept(&mut p.pool, Direction::West, vflit(2, 1, true, true));
         assert!(!r.can_accept(Direction::West, 1));
         assert_eq!(r.occupancy(Direction::West, 0), 1);
         assert_eq!(r.occupancy(Direction::West, 1), 1);
@@ -952,10 +1129,10 @@ mod tests {
     fn ring_buffer_wraps_cleanly() {
         // Push/pop more flits than the depth so heads wrap around.
         let mut r = Router::new(0, 3, 1);
-        let mut p = Ports::new(1);
+        let mut p = Ports::of(&r);
         for round in 0..5u64 {
-            r.accept(Direction::West, flit(round, true, true));
-            r.accept(Direction::West, flit(round + 100, true, true));
+            r.accept(&mut p.pool, Direction::West, flit(round, true, true));
+            r.accept(&mut p.pool, Direction::West, flit(round + 100, true, true));
             let f1 = p.step(&mut r, to(Direction::East), |_, _| true);
             let f2 = p.step(&mut r, to(Direction::East), |_, _| true);
             assert_eq!(f1.departures().next().unwrap().flit.packet_id, round);
@@ -971,9 +1148,9 @@ mod tests {
         // two flits must leave on different cycles even though both
         // outputs are free.
         let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::new(1);
-        r.accept(Direction::West, flit(1, true, true));
-        r.accept(Direction::West, flit(2, true, true));
+        let mut p = Ports::of(&r);
+        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
+        r.accept(&mut p.pool, Direction::West, flit(2, true, true));
         let route = |f: &Flit| RouteTarget {
             out: if f.packet_id == 1 {
                 Direction::East
@@ -995,9 +1172,9 @@ mod tests {
         // port, to different outputs: one read per port per cycle, so
         // they leave on consecutive cycles.
         let mut r = Router::new(0, 4, 2);
-        let mut p = Ports::new(2);
-        r.accept(Direction::West, vflit(1, 0, true, true));
-        r.accept(Direction::West, vflit(2, 1, true, true));
+        let mut p = Ports::of(&r);
+        r.accept(&mut p.pool, Direction::West, vflit(1, 0, true, true));
+        r.accept(&mut p.pool, Direction::West, vflit(2, 1, true, true));
         let route = |f: &Flit| RouteTarget {
             out: if f.packet_id == 1 {
                 Direction::East
@@ -1020,10 +1197,10 @@ mod tests {
         // port's single crossbar line carries one flit per cycle, and
         // switch allocation round-robins between the lanes.
         let mut r = Router::new(0, 4, 2);
-        let mut p = Ports::new(2);
+        let mut p = Ports::of(&r);
         for _ in 0..2 {
-            r.accept(Direction::West, vflit(1, 0, true, true));
-            r.accept(Direction::North, vflit(2, 0, true, true));
+            r.accept(&mut p.pool, Direction::West, vflit(1, 0, true, true));
+            r.accept(&mut p.pool, Direction::North, vflit(2, 0, true, true));
         }
         let route = |f: &Flit| RouteTarget {
             out: Direction::East,
@@ -1050,9 +1227,9 @@ mod tests {
         // VC 0 of the output has no credit; a packet on VC 1 must still
         // flow — the head-of-line blocking VCs exist to remove.
         let mut r = Router::new(0, 4, 2);
-        let mut p = Ports::new(2);
-        r.accept(Direction::West, vflit(1, 0, true, true));
-        r.accept(Direction::North, vflit(2, 1, true, true));
+        let mut p = Ports::of(&r);
+        r.accept(&mut p.pool, Direction::West, vflit(1, 0, true, true));
+        r.accept(&mut p.pool, Direction::North, vflit(2, 1, true, true));
         let route = |f: &Flit| RouteTarget {
             out: Direction::East,
             vc: if f.packet_id == 1 { 0 } else { 1 },
@@ -1072,11 +1249,11 @@ mod tests {
     #[test]
     fn round_robin_rotates_between_competitors() {
         let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::new(1);
+        let mut p = Ports::of(&r);
         // Two single-flit packets per input, both to East.
         for _ in 0..2 {
-            r.accept(Direction::West, flit(10, true, true));
-            r.accept(Direction::North, flit(20, true, true));
+            r.accept(&mut p.pool, Direction::West, flit(10, true, true));
+            r.accept(&mut p.pool, Direction::North, flit(20, true, true));
         }
         let mut order = Vec::new();
         for _ in 0..4 {
@@ -1094,12 +1271,12 @@ mod tests {
     #[test]
     fn idle_runs_are_tracked_per_lane() {
         let mut r = Router::new(0, 4, 2);
-        let mut p = Ports::new(2);
+        let mut p = Ports::of(&r);
         // Three idle cycles on every lane.
         for _ in 0..3 {
             let _ = p.step(&mut r, to(Direction::East), |_, _| true);
         }
-        r.accept(Direction::West, flit(1, true, true));
+        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
         let out = p.step(&mut r, to(Direction::East), |_, _| true);
         let east0 = Direction::East.index() * 2;
         // East VC 0's 3-cycle idle run ended when the flit crossed; its
@@ -1122,7 +1299,7 @@ mod tests {
                 wake_latency: wake,
             }),
         );
-        let mut p = Ports::new(1);
+        let mut p = Ports::of(&r);
         // Idle past the threshold: the lane sleeps.
         for _ in 0..4 {
             let _ = p.step(&mut r, to(Direction::East), |_, _| true);
@@ -1130,7 +1307,7 @@ mod tests {
         assert_eq!(p.fsm[Direction::East.index()].state(), SleepState::Asleep);
 
         // A flit arrives; it must wait out exactly `wake` cycles.
-        r.accept(Direction::West, flit(1, true, true));
+        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
         let mut stalls = 0;
         loop {
             let out = p.step(&mut r, to(Direction::East), |_, _| true);
@@ -1156,11 +1333,11 @@ mod tests {
             wake_latency: 1,
         };
         let mut r = Router::with_gating(0, 8, 2, Some(cfg));
-        let mut p = Ports::new(2);
+        let mut p = Ports::of(&r);
         // A long worm on VC 0 keeps the port busy…
-        r.accept(Direction::West, vflit(1, 0, true, false));
+        r.accept(&mut p.pool, Direction::West, vflit(1, 0, true, false));
         for _ in 0..6 {
-            r.accept(Direction::West, vflit(1, 0, false, false));
+            r.accept(&mut p.pool, Direction::West, vflit(1, 0, false, false));
         }
         let route = |_: &Flit| RouteTarget {
             out: Direction::East,
@@ -1187,7 +1364,7 @@ mod tests {
     #[test]
     fn ungated_router_has_zero_counters() {
         let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::new(1);
+        let mut p = Ports::of(&r);
         for _ in 0..10 {
             let _ = p.step(&mut r, to(Direction::East), |_, _| true);
         }
@@ -1206,11 +1383,11 @@ mod tests {
                 wake_latency: 1,
             }),
         );
-        let mut p = Ports::new(1);
+        let mut p = Ports::of(&r);
         for _ in 0..5 {
             let _ = p.step(&mut r, to(Direction::East), |_, _| true);
         }
-        r.accept(Direction::West, flit(1, true, true));
+        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
         let out = p.step(&mut r, to(Direction::East), |_, _| true);
         assert_eq!(out.departures().count(), 1, "Never gating never stalls");
         assert_eq!(p.counters.sleep_entries, 0);
@@ -1265,8 +1442,8 @@ mod tests {
             .map(|policy| SleepConfig { policy, wake_latency: wake });
             let mut dense = Router::with_gating(0, 4, vcs, gating);
             let mut lazy = Router::with_gating(0, 4, vcs, gating);
-            let mut dp = Ports::new(vcs);
-            let mut lp = Ports::new(vcs);
+            let mut dp = Ports::of(&dense);
+            let mut lp = Ports::of(&lazy);
             let mut rnd = xorshift(seed);
             let route = move |f: &Flit| RouteTarget {
                 out: Direction::from_index(f.dst as usize % 5),
@@ -1294,8 +1471,8 @@ mod tests {
                                 is_tail: k + 1 == len,
                                 injected_at: now,
                             };
-                            dense.accept(port, f);
-                            lazy.accept(port, f);
+                            dense.accept(&mut dp.pool, port, f);
+                            lazy.accept(&mut lp.pool, port, f);
                         }
                     }
                 }
@@ -1338,11 +1515,11 @@ mod tests {
         });
         let play = |start: u64| {
             let mut r = Router::with_gating(0, 4, 2, cfg);
-            let mut p = Ports::new(2);
+            let mut p = Ports::of(&r);
             p.now = start;
             p.settled.fill(start as u32);
             let _ = p.step(&mut r, to(Direction::East), |_, _| true);
-            r.accept(Direction::West, flit(1, true, true));
+            r.accept(&mut p.pool, Direction::West, flit(1, true, true));
             let mut deps = Vec::new();
             let mut arbs = 0;
             for gap in [2u64, 7, 1] {
@@ -1384,9 +1561,9 @@ mod tests {
             }
         };
         let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::new(1);
-        r.accept(Direction::West, flit(1, true, true));
-        r.accept(Direction::West, flit(2, true, true));
+        let mut p = Ports::of(&r);
+        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
+        r.accept(&mut p.pool, Direction::West, flit(2, true, true));
         for _ in 0..3 {
             assert_eq!(p.step(&mut r, route, |_, _| false).departures().count(), 0);
         }
@@ -1403,13 +1580,13 @@ mod tests {
     fn route_cache_is_cleared_by_purge_and_epoch_change() {
         let west = Direction::West.index();
         let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::new(1);
-        r.accept(Direction::West, flit(1, true, false));
-        r.accept(Direction::West, flit(2, true, true));
+        let mut p = Ports::of(&r);
+        r.accept(&mut p.pool, Direction::West, flit(1, true, false));
+        r.accept(&mut p.pool, Direction::West, flit(2, true, true));
         let _ = p.step(&mut r, to(Direction::East), |_, _| false);
         assert_eq!(r.cached_route(west), Some((Direction::East.index(), true)));
         // Purging the front packet exposes a new front flit.
-        r.purge_packets(|pid| pid == 1, |_, _| {});
+        r.purge_packets(&mut p.pool, |pid| pid == 1, |_, _| {});
         assert_eq!(r.cached_route(west), None);
         let _ = p.step(&mut r, to(Direction::East), |_, _| false);
         assert_eq!(r.cached_route(west), Some((Direction::East.index(), true)));
@@ -1426,10 +1603,10 @@ mod tests {
         // Occupied and owned masks track push, pop, allocation, tail
         // release and purge.
         let mut r = Router::new(0, 4, 2);
-        let mut p = Ports::new(2);
+        let mut p = Ports::of(&r);
         assert!(r.is_quiet() && scanned_quiet(&r));
-        r.accept(Direction::West, vflit(1, 1, true, false));
-        r.accept(Direction::West, vflit(1, 1, false, true));
+        r.accept(&mut p.pool, Direction::West, vflit(1, 1, true, false));
+        r.accept(&mut p.pool, Direction::West, vflit(1, 1, false, true));
         assert!(!r.is_quiet() && !scanned_quiet(&r));
         let _ = p.step(&mut r, to(Direction::East), |_, _| true);
         assert_eq!(r.total_occupancy(), 1);
@@ -1440,11 +1617,64 @@ mod tests {
             "the tail released the lane"
         );
         // A worm whose tail is purged upstream leaves an owned lane.
-        r.accept(Direction::North, flit(2, true, false));
+        r.accept(&mut p.pool, Direction::North, flit(2, true, false));
         let _ = p.step(&mut r, to(Direction::East), |_, _| true);
         assert_eq!(r.total_occupancy(), 0);
         assert!(!r.is_quiet() && !scanned_quiet(&r));
-        r.purge_packets(|pid| pid == 2, |_, _| {});
+        r.purge_packets(&mut p.pool, |pid| pid == 2, |_, _| {});
         assert!(r.is_quiet() && scanned_quiet(&r));
+    }
+
+    #[test]
+    fn ring_block_goes_back_when_empty_and_order_survives_a_new_one() {
+        // Two routers share a pool. `r` sends the same traffic twice:
+        // between the rounds it empties and gives its block back, `other`
+        // takes that block, and `r` refills into a fresh one. FIFO order
+        // within each lane and the output port's VC round-robin carry
+        // over unchanged. A purge gives the block back the same way.
+        let mut r = Router::new(0, 4, 2);
+        let mut p = Ports::of(&r);
+        p.pool = RingPool::new(2, 4, 2);
+        let mut other = Router::new(1, 4, 2);
+        let route = |f: &Flit| RouteTarget {
+            out: Direction::East,
+            vc: (f.packet_id % 2) as u8,
+        };
+        // One round of `r`'s traffic, with `held` blocks already taken
+        // by other routers.
+        let round = |r: &mut Router, p: &mut Ports, base: u64, held: usize| {
+            for k in 0..2 {
+                let id = base + 2 * k;
+                r.accept(&mut p.pool, Direction::West, vflit(id, 0, true, true));
+                r.accept(&mut p.pool, Direction::North, vflit(id + 1, 1, true, true));
+            }
+            assert_eq!(p.pool.in_use(), held + 1);
+            let mut sent = Vec::new();
+            while r.total_occupancy() > 0 {
+                for d in p.step(r, route, |_, _| true).departures() {
+                    sent.push((d.flit.packet_id - base, d.flit.vc));
+                }
+            }
+            assert_eq!(r.block, NO_BLOCK, "an empty router holds no block");
+            sent
+        };
+        let first = round(&mut r, &mut p, 0, 0);
+        assert_eq!(p.pool.in_use(), 0);
+        other.accept(&mut p.pool, Direction::South, flit(99, true, true));
+        assert_eq!(other.block, 0, "the returned block is handed out first");
+        let second = round(&mut r, &mut p, 100, 1);
+        assert_eq!(p.pool.high_water(), 2);
+        assert_eq!(first, vec![(0, 0), (1, 1), (2, 0), (3, 1)]);
+        assert_eq!(second, first);
+
+        // A purge that keeps a flit keeps the block; one that empties
+        // the router gives it back.
+        r.accept(&mut p.pool, Direction::West, flit(7, true, true));
+        r.accept(&mut p.pool, Direction::North, flit(8, true, true));
+        r.purge_packets(&mut p.pool, |pid| pid == 7, |_, _| {});
+        assert_ne!(r.block, NO_BLOCK);
+        r.purge_packets(&mut p.pool, |pid| pid == 8, |_, _| {});
+        assert_eq!(r.block, NO_BLOCK);
+        assert_eq!(p.pool.in_use(), 1, "only `other` still holds a block");
     }
 }

@@ -31,9 +31,10 @@
 //!     skipped span is settled by the same bulk idle accounting.
 //!   - **Tiles.** The mesh is partitioned into full-width row bands
 //!     ([`crate::topology::TileMap`]). Each band owns a contiguous
-//!     slice of every per-router SoA slab (buffers, lanes, credits, RNG
-//!     streams, source queues), its own worklist bitset and its own
-//!     wheel, and bands step concurrently on worker threads
+//!     slice of every per-router SoA slab (routers, lanes, credits, RNG
+//!     streams, source queues), its own pool of input-ring blocks, its
+//!     own worklist bitset and its own wheel, and bands step
+//!     concurrently on worker threads
 //!     ([`MeshConfig::shards`] / [`MeshConfig::threads`] — pure
 //!     geometry: neither changes a result).
 //! * [`SimKernel::Reference`] — the dense oracle: one tile, every
@@ -127,7 +128,7 @@
 //!   allocation.
 
 use crate::fault::{FaultPlan, FaultSchedule};
-use crate::router::{PortLane, RouteTarget, Router, MAX_VCS};
+use crate::router::{PortLane, RingPool, RouteTarget, Router, MAX_VCS};
 use crate::shard::{boundary_mailboxes, BoundaryMsg};
 use crate::sleep::{SleepConfig, SleepFsm};
 use crate::stats::{IdleBank, NetworkStats};
@@ -424,7 +425,10 @@ const _: () = assert!(std::mem::size_of::<Transfer>() == 32);
 /// bands ([`TileMap`]), every shard owns a *contiguous* slice of every
 /// slab — the sharded runner carves the slabs with `split_at_mut` and
 /// hands each worker a `ShardView` of disjoint slices, no index
-/// translation and no locks on the hot path.
+/// translation and no locks on the hot path. The input VC buffers are
+/// not a slab: each tile draws them from its own [`RingPool`], one
+/// block per router that buffers a flit, so they cost what is buffered
+/// rather than `5·V·depth` flits per router.
 #[derive(Debug)]
 pub struct Simulation {
     cfg: MeshConfig,
@@ -502,9 +506,9 @@ pub struct Simulation {
     threads: usize,
 }
 
-/// Per-shard persistent state: the tile's worklist bitset, per-cycle
-/// scratch, mailbox staging buffers, and the tile's share of the
-/// network-wide conservation counters.
+/// Per-shard persistent state: the tile's worklist bitset, ring pool,
+/// per-cycle scratch, mailbox staging buffers, and the tile's share of
+/// the network-wide conservation counters.
 #[derive(Debug)]
 struct ShardScratch {
     /// Shard index.
@@ -513,6 +517,9 @@ struct ShardScratch {
     base: usize,
     /// Routers in the tile.
     len: usize,
+    /// Input-ring blocks of the tile's routers: a router holds one
+    /// exactly while it buffers a flit.
+    rings: RingPool,
     /// The tile's worklist as a bitset over *local* router indices
     /// (bit `lr` set ⇔ router `base + lr` steps this cycle). A bitset
     /// keeps the traversal in router-index order — cache-linear over
@@ -862,6 +869,7 @@ impl Simulation {
                     shard: s,
                     base: range.start,
                     len: range.len(),
+                    rings: RingPool::new(range.len(), cfg.buffer_depth, v),
                     active_bits: vec![0; range.len().div_ceil(64)],
                     transfers: Vec::new(),
                     outgoing: vec![Vec::new(); tiles.neighbors(s).len()],
@@ -1753,7 +1761,11 @@ impl ShardView<'_> {
                         BoundaryMsg::Arrival { rid, port, flit } => {
                             let rid = rid as usize;
                             let lr = rid - self.base;
-                            self.routers[lr].accept(Direction::from_index(port as usize), flit);
+                            self.routers[lr].accept(
+                                &mut self.scratch.rings,
+                                Direction::from_index(port as usize),
+                                flit,
+                            );
                             self.scratch.buffered_flits += 1;
                             if stats.is_some() {
                                 self.activity[lr].buffer_writes += 1;
@@ -1960,7 +1972,7 @@ impl ShardView<'_> {
         for lr in 0..self.len {
             let rid = self.base + lr;
             let doomed = &mut slot.doomed;
-            self.routers[lr].for_each_flit(|f| {
+            self.routers[lr].for_each_flit(&self.scratch.rings, |f| {
                 if path_diverges(ctx, old, new, rid, f.dst as usize) {
                     doomed.push(f.packet_id);
                 }
@@ -2005,7 +2017,8 @@ impl ShardView<'_> {
         let mut unroutable = 0u64;
         for lr in 0..self.len {
             let rid = self.base + lr;
-            let removed = self.routers[lr].purge_packets(is_doomed, |lane, _flit| {
+            let rings = &mut self.scratch.rings;
+            let removed = self.routers[lr].purge_packets(rings, is_doomed, |lane, _flit| {
                 let port = Direction::from_index(lane / v);
                 if port != Direction::Local {
                     let up = ctx
@@ -2224,7 +2237,7 @@ impl ShardView<'_> {
             if done {
                 self.source_queues[l].pop_front();
             }
-            self.routers[l].accept(Direction::Local, flit);
+            self.routers[l].accept(&mut self.scratch.rings, Direction::Local, flit);
             self.scratch.buffered_flits += 1;
             self.scratch.queued_flits -= 1;
             drained += 1;
@@ -2532,6 +2545,7 @@ impl ShardView<'_> {
             active_bits,
             transfers,
             routers_stepped,
+            rings,
             ..
         } = &mut **scratch;
         let at = |rid: usize| {
@@ -2591,6 +2605,7 @@ impl ShardView<'_> {
                     fsm: &mut fsm[lane_base..lane_base + lanes],
                     counters: &mut counters[lr],
                     settled: &mut settled[lane_base..lane_base + lanes],
+                    rings: &mut *rings,
                 };
                 let mut departed = 0u64;
                 let mut link_departed = 0u64;
@@ -2710,7 +2725,11 @@ impl ShardView<'_> {
                             [(from - self.base) * lanes + d.index() * v + t.flit.vc as usize] -= 1;
                     }
                     if self.contains(next) {
-                        self.routers[next - self.base].accept(d.opposite(), t.flit);
+                        self.routers[next - self.base].accept(
+                            &mut self.scratch.rings,
+                            d.opposite(),
+                            t.flit,
+                        );
                         if maintain {
                             // The receiver was already accounted idle
                             // for this whole cycle; it steps from the
@@ -2841,6 +2860,7 @@ impl ShardView<'_> {
                 fsm: &mut self.fsm[base..base + lanes],
                 counters: &mut self.counters[lr],
                 settled: &mut self.settled[base..base + lanes],
+                rings: &mut self.scratch.rings,
             },
             anchor,
             through,
@@ -2898,7 +2918,7 @@ impl ShardView<'_> {
                 let mut stranded = 0u64;
                 for (lr, r) in self.routers.iter().enumerate() {
                     let rid = self.base + lr;
-                    r.for_each_flit(|f| {
+                    r.for_each_flit(&self.scratch.rings, |f| {
                         if fm.reachable(rid, f.dst as usize) {
                             routable += 1;
                         } else {
@@ -3874,5 +3894,128 @@ mod tests {
             );
             assert!(tiled.leaps_total() > 20, "the run must leap");
         }
+    }
+
+    /// Routers of tile `s` that buffer at least one flit.
+    fn buffering(sim: &Simulation, s: usize) -> usize {
+        let sc = &sim.scratch[s];
+        sim.routers[sc.base..sc.base + sc.len]
+            .iter()
+            .filter(|r| r.total_occupancy() > 0)
+            .count()
+    }
+
+    /// Queues one packet at `src` for `dst` before the next run, with
+    /// the bookkeeping of an accepted injection offer.
+    fn script_packet(sim: &mut Simulation, src: usize, dst: usize) {
+        let id = packet_id(src, sim.next_seq[src]);
+        sim.next_seq[src] += 1;
+        sim.source_queues[src].push_back(SourcePacket {
+            packet_id: id,
+            dst: dst as u32,
+            injected_at: sim.cycle,
+            sent: 0,
+            vc: sim.mesh.injection_vc(id, sim.cfg.vcs),
+        });
+        let len = sim.cfg.packet_len_flits as u64;
+        let sc = &mut sim.scratch[sim.tiles.shard_of(src)];
+        let l = src - sc.base;
+        sc.flits_injected += len;
+        sc.queued_flits += len;
+        sc.active_bits[l / 64] |= 1 << (l % 64);
+    }
+
+    #[test]
+    fn ring_blocks_follow_the_routers_buffering_at_once() {
+        // Nothing offered, nothing buffered: no block is ever taken.
+        let mut idle = Simulation::new(MeshConfig {
+            injection_rate: 0.0,
+            ..base_cfg()
+        });
+        idle.run(100, 1_000);
+        assert_eq!(idle.scratch[0].rings.high_water(), 0);
+
+        // Packets queued before the first cycle all drain into their
+        // local buffers on it, and nothing is offered after. So within
+        // any later cycle the count of routers buffering only falls
+        // (steps) and then only rises (transfers), and the most at once
+        // is the larger of the source count and every cycle's final
+        // count.
+        let mut sim = Simulation::new(MeshConfig {
+            width: 6,
+            height: 6,
+            vcs: 2,
+            injection_rate: 0.0,
+            shards: 1,
+            ..base_cfg()
+        });
+        let sources = [(0, 35), (5, 30), (12, 17), (20, 2), (33, 8), (14, 15)];
+        for (src, dst) in sources {
+            script_packet(&mut sim, src, dst);
+        }
+        let mut peak = sources.len();
+        let mut cycles = 0;
+        while sim.in_flight_flits() > 0 {
+            sim.run(0, 1);
+            let now = buffering(&sim, 0);
+            assert_eq!(sim.scratch[0].rings.in_use(), now, "cycle {cycles}");
+            peak = peak.max(now);
+            cycles += 1;
+            assert!(cycles < 200, "scripted packets must drain");
+        }
+        assert!(peak > sources.len(), "worms must span several routers");
+        assert_eq!(sim.scratch[0].rings.high_water(), peak);
+        assert_eq!(sim.scratch[0].rings.in_use(), 0);
+
+        // Loaded and tiled: every tile holds exactly one block per
+        // router buffering, at every cycle's end.
+        let mut tiled = Simulation::new(MeshConfig {
+            width: 8,
+            height: 8,
+            vcs: 2,
+            injection_rate: 0.2,
+            shards: 2,
+            threads: 2,
+            ..base_cfg()
+        });
+        for cycle in 0..300 {
+            tiled.run(0, 1);
+            for s in 0..2 {
+                let rings = &tiled.scratch[s].rings;
+                assert_eq!(rings.in_use(), buffering(&tiled, s), "cycle {cycle}");
+                assert!(rings.high_water() <= tiled.scratch[s].len);
+            }
+        }
+    }
+
+    #[test]
+    fn fault_purge_returns_the_ring_blocks_it_empties() {
+        // One packet heads for router 5, which dies at cycle 4 while the
+        // worm is spread along the way: the purge drops every flit, and
+        // no router it empties still holds a block when the cycle ends
+        // (the router-level test checks the purge's own return).
+        let mut sim = Simulation::new(MeshConfig {
+            width: 6,
+            height: 6,
+            injection_rate: 0.0,
+            shards: 1,
+            faults: Some(FaultPlan {
+                link_faults: 0,
+                events: vec![crate::FaultEvent {
+                    at: 4,
+                    kind: crate::FaultKind::RouterDown { router: 5 },
+                }],
+                ..FaultPlan::default()
+            }),
+            ..base_cfg()
+        });
+        script_packet(&mut sim, 0, 5);
+        sim.run(0, 3);
+        assert!(buffering(&sim, 0) > 1, "the worm spans several routers");
+        assert_eq!(sim.scratch[0].rings.in_use(), buffering(&sim, 0));
+        sim.run(0, 1);
+        assert_eq!(sim.flits_dropped_by_fault_total(), 4);
+        assert_eq!(sim.in_flight_flits(), 0);
+        assert_eq!(sim.scratch[0].rings.in_use(), 0);
     }
 }

@@ -85,15 +85,17 @@ impl fmt::Display for GatingPolicy {
 /// [`IdleHistogram::record_open`] for trailing open ones.
 ///
 /// The record is sized to what was recorded. Lengths below
-/// [`IdleHistogram::DENSE_BINS`] are counted in dense bins indexed by
-/// length, which grow amortized (doubling, clamped at that bound) to
-/// the longest such length recorded, so recording one stays an O(1)
-/// indexed add. The rarer lengths from that bound up to the cap are
-/// kept as a sorted list with one `(length, count)` entry per distinct
-/// length, and open intervals are stored inline while there is at most
-/// one. A network simulation keeps `5 × vcs` histograms per router, and
-/// at the injection rates the leakage study sweeps most lanes record
-/// nothing, only a trailing open run, or a few intervals; a lane that
+/// [`IdleHistogram::DENSE_BINS`] are counted in 4-byte dense bins
+/// indexed by length, which grow amortized (doubling, clamped at that
+/// bound) to the longest such length recorded, so recording one stays
+/// an O(1) indexed add; a bin keeps its count modulo 2³², and the
+/// multiple of 2³² above that is carried exactly in the sorted list
+/// below. The rarer lengths from that bound up to the cap are kept as
+/// a sorted list with one `(length, count)` entry per distinct length,
+/// and open intervals are stored inline while there is at most one. A
+/// network simulation keeps `5 × vcs` histograms per router, and at the
+/// injection rates the leakage study sweeps most lanes record nothing,
+/// only a trailing open run, or a few intervals; a lane that
 /// records only long or overflow intervals and at most one open run
 /// holds no dense bins and no open-run heap block.
 /// Equality compares *contents*, so histograms that differ only in how
@@ -102,12 +104,15 @@ impl fmt::Display for GatingPolicy {
 pub struct IdleHistogram {
     /// Configured cap: lengths below it are counted exactly.
     cap: usize,
-    /// Bin `k` counts intervals of exactly `k` cycles; empty until the
-    /// first interval shorter than `min(cap, DENSE_BINS)` is recorded,
-    /// and never longer than that bound.
-    dense: Box<[u64]>,
-    /// `(length, count)` of the closed intervals from `DENSE_BINS` up
-    /// to the cap, ascending by length, every count nonzero.
+    /// Bin `k` counts intervals of exactly `k` cycles, modulo 2³²;
+    /// empty until the first interval shorter than
+    /// `min(cap, DENSE_BINS)` is recorded, and never longer than that
+    /// bound.
+    dense: Box<[u32]>,
+    /// `(length, count)`, ascending by length, every count nonzero: the
+    /// closed intervals from `DENSE_BINS` up to the cap, preceded by a
+    /// *carry* entry for each dense length whose count reached 2³²,
+    /// holding the count minus its bin (a multiple of 2³²).
     long: Box<[(u64, u64)]>,
     /// Number of closed intervals of `cap` cycles or more.
     overflow_n: u64,
@@ -178,7 +183,7 @@ impl IdleHistogram {
     /// Lengths below this bound (and below the cap) are counted in
     /// dense bins indexed by length, longer ones in a sorted list. Short
     /// intervals, the common case on a loaded lane, stay an indexed add,
-    /// while a lane's dense bins never exceed 512 bytes however long the
+    /// while a lane's dense bins never exceed 256 bytes however long the
     /// intervals it records.
     pub const DENSE_BINS: usize = 64;
 
@@ -216,6 +221,18 @@ impl IdleHistogram {
         }
     }
 
+    /// Adds `count` intervals of dense length `k` (the bins already
+    /// reach it): the bin keeps the sum modulo 2³², and any multiple of
+    /// 2³² it passes joins the length's carry entry in the long list.
+    fn add_dense(&mut self, k: usize, count: u64) {
+        let sum = self.dense[k] as u64 + count;
+        self.dense[k] = sum as u32;
+        let carry = sum & !(u32::MAX as u64);
+        if carry != 0 {
+            self.add_long(k as u64, carry);
+        }
+    }
+
     /// Adds `count` intervals of `len` cycles to the sorted long list;
     /// a new length is inserted in place, the list reallocated to its
     /// exact new size.
@@ -250,7 +267,7 @@ impl IdleHistogram {
         } else if len < Self::DENSE_BINS as u64 {
             let k = len as usize;
             self.grow_to(k + 1);
-            self.dense[k] += count;
+            self.add_dense(k, count);
         } else {
             self.add_long(len, count);
         }
@@ -269,7 +286,7 @@ impl IdleHistogram {
 
     /// Number of recorded intervals (closed + open).
     pub fn interval_count(&self) -> u64 {
-        self.dense.iter().sum::<u64>()
+        self.dense.iter().map(|&n| n as u64).sum::<u64>()
             + self.long.iter().map(|&(_, n)| n).sum::<u64>()
             + self.overflow_n
             + self.open_runs().len() as u64
@@ -281,7 +298,7 @@ impl IdleHistogram {
             .dense
             .iter()
             .enumerate()
-            .map(|(len, &n)| len as u64 * n)
+            .map(|(len, &n)| len as u64 * n as u64)
             .sum();
         let long: u64 = self.long.iter().map(|&(len, n)| len * n).sum();
         in_bins + long + self.overflow_len_sum + self.open_runs().iter().sum::<u64>()
@@ -296,12 +313,21 @@ impl IdleHistogram {
             .overflow_len_sum
             .checked_div(self.overflow_n)
             .unwrap_or(0);
+        let split = self
+            .long
+            .partition_point(|&(len, _)| len < Self::DENSE_BINS as u64);
+        let (carries, long) = self.long.split_at(split);
+        let mut carries = carries.iter().peekable();
         self.dense
             .iter()
             .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(len, &n)| (len as u64, n))
-            .chain(self.long.iter().copied())
+            .filter_map(move |(len, &low)| {
+                let len = len as u64;
+                let carry = carries.next_if(|&&(l, _)| l == len).map_or(0, |&(_, c)| c);
+                let n = low as u64 + carry;
+                (n > 0).then_some((len, n))
+            })
+            .chain(long.iter().copied())
             .chain((self.overflow_n > 0).then_some((overflow_avg, self.overflow_n)))
     }
 
@@ -325,8 +351,8 @@ impl IdleHistogram {
             "merging idle histograms of different caps"
         );
         self.grow_to(other.dense.len());
-        for (a, b) in self.dense.iter_mut().zip(other.dense.iter()) {
-            *a += b;
+        for (k, &n) in other.dense.iter().enumerate() {
+            self.add_dense(k, n as u64);
         }
         if self.long.is_empty() {
             self.long = other.long.clone();
@@ -356,7 +382,9 @@ impl IdleHistogram {
             .dense
             .iter()
             .enumerate()
-            .map(|(len, &n)| (len as u64, n));
+            .map(|(len, &n)| (len as u64, n as u64));
+        // Carry entries are counts of their dense length like any other,
+        // so recording them with the bins re-adds the whole count.
         for (len, n) in dense.chain(other.long.iter().copied()) {
             self.record_n(len, n);
         }

@@ -4,9 +4,11 @@
 //!
 //! Random sequences of `record`, `record_n`, `record_open`, `merge` and
 //! `merge_rebinned` run on three compact histograms and, op for op, on
-//! a dense model that allocates one bin per length below the cap plus
-//! an overflow bin up front. Caps and lengths straddle both the dense
-//! bound and the cap, each case limits the open runs per histogram to
+//! a dense model that allocates one `u64` bin per length below the cap
+//! plus an overflow bin up front. Caps and lengths straddle both the
+//! dense bound and the cap, repeat counts straddle 2³² (the compact
+//! dense bins hold 32 bits and carry the rest), each case limits the
+//! open runs per histogram to
 //! none, one or any number, and the merges combine histograms of
 //! different shapes and (re-binning) different caps. Every
 //! content-level view must agree, and `evaluate_policy` must give
@@ -212,12 +214,15 @@ fn length(cap: usize, w: u64) -> u64 {
     }
 }
 
-/// Decodes a repeat count from op bits: 0 or up to a million.
+/// Decodes a repeat count from op bits: 0, 1, up to a million, or
+/// within 2 048 of 2³² on either side, so a few records or merges take
+/// a dense bin to `u32::MAX` and past it.
 fn count(w: u64) -> u64 {
-    match (w >> 40) % 4 {
+    match (w >> 40) % 6 {
         0 => 0,
         1 => 1,
-        _ => 1 + (w >> 44) % 1_000_000,
+        2 | 3 => 1 + (w >> 44) % 1_000_000,
+        _ => (1 << 32) - 2048 + (w >> 44) % 4096,
     }
 }
 
@@ -344,5 +349,67 @@ proptest! {
                 prop_assert_eq!(compact[i] == compact[j], dense[i] == dense[j]);
             }
         }
+    }
+}
+
+/// Every content-level view of `h` against the model `d`.
+fn assert_matches(h: &IdleHistogram, d: &Dense) {
+    assert_eq!(h.iter_lengths().collect::<Vec<_>>(), d.lengths());
+    assert_eq!(h.total_idle_cycles() as u128, d.total());
+    assert_eq!(h.interval_count(), d.interval_count());
+    assert_eq!(*h, d.to_compact());
+}
+
+#[test]
+fn dense_counts_reach_and_cross_u32_max_exactly() {
+    let max = u32::MAX as u64;
+    let mut h = IdleHistogram::new(4096);
+    let mut d = Dense::new(4096);
+    // `record_n` to exactly `u32::MAX`, one more to 2³², then past 2³³.
+    for n in [max, 1, max, max + 2] {
+        h.record_n(5, n);
+        d.record_n(5, n);
+        assert_matches(&h, &d);
+    }
+    assert_eq!(h.iter_lengths().next(), Some((5, 3 * max + 3)));
+    // One `record` at a time across the limit.
+    h.record_n(9, max - 1);
+    d.record_n(9, max - 1);
+    for _ in 0..3 {
+        h.record(9);
+        d.record_n(9, 1);
+        assert_matches(&h, &d);
+    }
+
+    // `merge`: bins each below the limit sum past it, carries add up,
+    // and a histogram can merge a copy of itself.
+    let mut m = IdleHistogram::new(4096);
+    let mut dm = Dense::new(4096);
+    m.record_n(9, max - 7);
+    dm.record_n(9, max - 7);
+    m.record_n(63, max);
+    dm.record_n(63, max);
+    m.merge(&h);
+    dm.merge(&d);
+    assert_matches(&m, &dm);
+    let copy = m.clone();
+    m.merge(&copy);
+    dm.merge(&dm.clone());
+    assert_matches(&m, &dm);
+    // An empty histogram merging a carried one takes its carries.
+    let mut e = IdleHistogram::new(4096);
+    e.merge(&m);
+    assert_eq!(e, m);
+
+    // `merge_rebinned` into a cap that moves a carried length into the
+    // overflow count, and into one that keeps it dense.
+    for cap in [6, 100] {
+        let mut r = IdleHistogram::new(cap);
+        let mut dr = Dense::new(cap);
+        r.record_n(5, max);
+        dr.record_n(5, max);
+        r.merge_rebinned(&m);
+        dr.merge_rebinned(&dm);
+        assert_matches(&r, &dr);
     }
 }

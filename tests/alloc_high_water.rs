@@ -1,10 +1,12 @@
-//! Live-heap high-water gate for `Simulation::try_run`.
+//! Live-heap gates for `Simulation::new` and `Simulation::try_run`.
 //!
 //! A counting global allocator keeps, per thread, the number of heap
-//! bytes that thread has live and their peak. Each point below reads
-//! the peak that `try_run` reaches above what was live when it started,
-//! which covers the statistics record (idle histograms included) and
-//! every transient buffer of the run. On one tile and one thread the
+//! bytes that thread has live and their peak. The construction gate
+//! reads the heap `Simulation::new` leaves live, per router. Each run
+//! point reads the peak that `try_run` reaches above what was live when
+//! it started, which covers the statistics record (idle histograms
+//! included), the input-ring blocks routers take while they buffer
+//! flits, and every transient buffer of the run. On one tile and one thread the
 //! run allocates only on the calling thread and its allocation sequence
 //! is a pure function of the configuration, so unlike a process's RSS
 //! (which also holds heap the allocator kept from earlier work) the
@@ -75,13 +77,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-// The bounds: readings of the current code plus a 10 % margin (the
-// 32×32 point read 3 562 728 B, the 16×16 one 2 026 856 B; before the
-// idle histograms kept long lengths in a sorted list, the 32×32 point
-// read 131 838 616 B). A change that lowers a reading should lower its
-// bound with it.
-const BOUND_SPARSE: isize = 3_920_000;
-const BOUND_SATURATED: isize = 2_230_000;
+// The bounds: readings of the current code plus a 10 % margin. The
+// 32×32 point reads 3 344 836 B, the 16×16 one 1 729 644 B; they read
+// 3 562 728 B and 2 026 856 B while every router owned its input rings
+// from construction and idle bins held 8-byte counts, and the 32×32
+// point read 131 838 616 B before the idle histograms kept long lengths
+// in a sorted list. `Simulation::new` at 128×128 leaves 518 B per router
+// at one VC and 778 B at two (1 006 B and 1 746 B with eager rings). A
+// change that lowers a reading should lower its bound with it.
+const BOUND_SPARSE: isize = 3_680_000;
+const BOUND_SATURATED: isize = 1_910_000;
+const BOUND_NEW_V1: isize = 570;
+const BOUND_NEW_V2: isize = 856;
 
 /// Peak live heap of this thread during `try_run(warmup, measure)`
 /// above the heap it had live when the run started, in bytes.
@@ -149,4 +156,42 @@ fn try_run_live_heap_stays_under_recorded_bounds() {
         }
     }
     assert!(over.is_empty(), "live heap over its bound: {over:?}");
+}
+
+/// Live heap that `Simulation::new` leaves on this thread, per router.
+fn construction_bytes_per_router(cfg: MeshConfig) -> isize {
+    let n = (cfg.width * cfg.height) as isize;
+    let before = LIVE.get();
+    let sim = Simulation::new(cfg);
+    let live = LIVE.get() - before;
+    drop(sim);
+    live / n
+}
+
+#[test]
+fn construction_live_heap_per_router_stays_under_recorded_bounds() {
+    let mut over = Vec::new();
+    for (vcs, bound) in [(1, BOUND_NEW_V1), (2, BOUND_NEW_V2)] {
+        let cfg = MeshConfig {
+            width: 128,
+            height: 128,
+            vcs,
+            injection_rate: 2e-6,
+            pattern: TrafficPattern::NearestNeighbor,
+            seed: 3,
+            kernel: SimKernel::Engine,
+            shards: 1,
+            threads: 1,
+            ..MeshConfig::default()
+        };
+        let got = construction_bytes_per_router(cfg);
+        eprintln!("128x128, {vcs} VC(s): Simulation::new leaves {got} B/router (bound {bound} B)");
+        if got > bound {
+            over.push(format!("{vcs} VC(s): {got} B/router > {bound} B"));
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "construction heap over its bound: {over:?}"
+    );
 }
