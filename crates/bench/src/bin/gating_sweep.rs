@@ -102,7 +102,7 @@ const DEPTH_PER_VC: usize = 4;
 
 /// Cache-key domain: versions the job payload encoding. Bump whenever
 /// the payload format or the digested field set changes.
-const DIGEST_DOMAIN: &str = "x3.schema9.v1";
+const DIGEST_DOMAIN: &str = "x3.schema9.v2";
 
 /// A gating policy in Minimum Idle Time terms: the threshold policies
 /// are scheme- and VC-specific (each scheme × granularity has its own
@@ -957,7 +957,7 @@ fn main() {
             seed: 5,
             ..MeshConfig::default()
         };
-        let digest = mesh_config(DigestBuilder::new("x3.inject-deadlock.v1"), &wedge)
+        let digest = mesh_config(DigestBuilder::new("x3.inject-deadlock.v2"), &wedge)
             .field("warmup", 0u64)
             .field("measure", 5_000u64)
             .finish();

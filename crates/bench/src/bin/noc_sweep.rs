@@ -20,7 +20,7 @@ use lnoc_power::report::TextTable;
 use lnoc_power::router::RouterPowerModel;
 use rayon::prelude::*;
 
-const DIGEST_DOMAIN: &str = "x2.v1";
+const DIGEST_DOMAIN: &str = "x2.v2";
 
 const USAGE: &str = "\
 noc_sweep — X2 network-level gating savings across patterns and loads

@@ -112,10 +112,8 @@ pub fn mesh_config(b: DigestBuilder, cfg: &MeshConfig) -> DigestBuilder {
         injection,
         gating,
         kernel,
-        validate_ejection,
         source_queue_cap,
         watchdog_cycles,
-        panic_on_deadlock,
         cycle_budget,
         shards,
         threads,
@@ -137,10 +135,8 @@ pub fn mesh_config(b: DigestBuilder, cfg: &MeshConfig) -> DigestBuilder {
         .field("mesh.injection", format_args!("{injection:?}"))
         .field("mesh.gating", format_args!("{gating:?}"))
         .field("mesh.kernel", kernel.name())
-        .field("mesh.validate_ejection", validate_ejection)
         .field("mesh.source_queue_cap", source_queue_cap)
         .field("mesh.watchdog_cycles", watchdog_cycles)
-        .field("mesh.panic_on_deadlock", panic_on_deadlock)
         .field("mesh.cycle_budget", cycle_budget)
         .field("mesh.shards", shards)
         .field("mesh.threads", threads)

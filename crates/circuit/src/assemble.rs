@@ -382,11 +382,6 @@ impl Assembler {
         self.dim
     }
 
-    /// Number of non-ground node unknowns.
-    pub fn node_unknowns(&self) -> usize {
-        self.n_nodes - 1
-    }
-
     /// The fixed sparsity pattern.
     pub fn pattern(&self) -> &CscPattern {
         &self.pattern

@@ -475,11 +475,6 @@ impl NewtonWorkspace {
         self.asm.dim()
     }
 
-    /// `true` when this workspace solves through the sparse backend.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.backend, Backend::Sparse(_))
-    }
-
     /// Mirrors [`Netlist::set_stimulus`] into the assembler's snapshot for
     /// callers that keep a workspace alive across stimulus swaps. `branch`
     /// is the voltage-source insertion index.

@@ -264,20 +264,10 @@ impl SparseLu {
         }
     }
 
-    /// Whether factors are available for [`SparseLu::solve_in_place`].
-    pub fn is_factored(&self) -> bool {
-        self.factored
-    }
-
     /// How many times the full pivot-searching factorization ran (1 after
     /// the first factorize; grows only when the stability fallback trips).
     pub fn full_factorization_count(&self) -> usize {
         self.full_factorizations
-    }
-
-    /// Stored factor nonzeros `(nnz(L), nnz(U))` — fill diagnostics.
-    pub fn factor_nnz(&self) -> (usize, usize) {
-        (self.li.len(), self.ui.len())
     }
 
     /// Full left-looking LU with threshold partial pivoting. Discovers the

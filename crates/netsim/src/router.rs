@@ -46,7 +46,7 @@
 //! [`GatingCounters`] are **not** stored inside the router. The
 //! simulation owns them as flat network-wide SoA arrays (indexed
 //! `router * 5 * V + port * V + vc`) and lends this router's lane block
-//! to [`Router::step_fast`] as a [`PortLane`]. Gating is therefore per
+//! to [`Router::step`] as a [`PortLane`]. Gating is therefore per
 //! **VC lane**: an empty VC bank can sleep while a sibling VC of the
 //! same port carries a worm.
 //!
@@ -65,7 +65,7 @@
 //! tile's [`RingPool`], and only while it buffers a flit: the push that
 //! makes it non-empty takes a block, and the pop or purge that empties
 //! it gives the block back. Ring memory therefore follows the most
-//! routers buffering at once, not the mesh size. [`Router::step_fast`]
+//! routers buffering at once, not the mesh size. [`Router::step`]
 //! performs no heap allocation — the hot loop of the whole simulator.
 //!
 //! [`Mesh::hop_vc`]: crate::topology::Mesh::hop_vc
@@ -82,7 +82,7 @@ use serde::{Deserialize, Serialize};
 pub const MAX_VCS: usize = 8;
 
 /// Maximum lanes per router (`5 * MAX_VCS`) — sizes the fixed per-cycle
-/// scratch arrays so [`Router::step_fast`] stays allocation-free for
+/// scratch arrays so [`Router::step`] stays allocation-free for
 /// any VC count.
 pub const MAX_LANES: usize = 5 * MAX_VCS;
 
@@ -179,7 +179,7 @@ impl Lane {
 }
 
 /// One router's block of the simulation-owned SoA per-lane state, lent
-/// to [`Router::step_fast`] for one cycle (or to
+/// to [`Router::step`] for one cycle (or to
 /// [`Router::settle_lanes`]), with its tile's [`RingPool`]. All slices
 /// have `5 * V` entries, indexed `port * V + vc`.
 ///
@@ -707,29 +707,13 @@ impl Router {
         arbitrations
     }
 
-    /// One dense cycle — every lane visited — with departures collected
-    /// by value: [`Router::step_fast`] with `all_live` set, for callers
-    /// that want a result object rather than a stream.
-    pub fn step(
-        &mut self,
-        now: u64,
-        route: impl Fn(&Flit) -> RouteTarget,
-        lane_ready: impl Fn(Direction, usize) -> bool,
-        ports: PortLane<'_>,
-    ) -> StepOutcome {
-        let mut departures = [None; 5];
-        let outcome = self.step_fast(now, true, route, lane_ready, ports, |dep| {
-            departures[dep.output.index()] = Some(dep);
-        });
-        StepOutcome {
-            departures,
-            arbitrations: outcome.arbitrations,
-        }
-    }
-
     /// One VC-allocation + switch-allocation + traversal cycle at cycle
     /// `now`, with departures streamed through `on_depart` — the
-    /// engine's hot path.
+    /// engine's hot path. Returns the cycle's arbitration events (for
+    /// the arbiter energy model): one per awake, unallocated output lane
+    /// per cycle — for the visited lanes this cycle, plus the cycles
+    /// they caught up on. Lanes the step left behind bill theirs when
+    /// they are settled.
     ///
     /// `route` maps a flit to its [`RouteTarget`] (output port + output
     /// VC) and is called once per flit, when it reaches the front of
@@ -748,7 +732,7 @@ impl Router {
     /// refresh). A visited lane first catches up the cycles through
     /// `now − 1` it sat out. Monomorphized on gating so ungated runs
     /// never touch the FSM lanes (or their cache lines) at all.
-    pub fn step_fast(
+    pub fn step(
         &mut self,
         now: u64,
         all_live: bool,
@@ -756,7 +740,7 @@ impl Router {
         lane_ready: impl Fn(Direction, usize) -> bool,
         ports: PortLane<'_>,
         on_depart: impl FnMut(Departure),
-    ) -> FastOutcome {
+    ) -> u64 {
         if self.sleep_cfg.is_some() {
             self.step_impl::<true>(now, all_live, route, lane_ready, ports, on_depart)
         } else {
@@ -773,7 +757,7 @@ impl Router {
         lane_ready: impl Fn(Direction, usize) -> bool,
         ports: PortLane<'_>,
         mut on_depart: impl FnMut(Departure),
-    ) -> FastOutcome {
+    ) -> u64 {
         let PortLane {
             idle_run,
             fsm,
@@ -922,35 +906,7 @@ impl Router {
         }
 
         self.release_if_empty(rings);
-        FastOutcome { arbitrations }
-    }
-}
-
-/// What happened in one [`Router::step_fast`] cycle (departures, with
-/// the idle runs they ended, stream through `on_depart`).
-#[derive(Debug, Clone, Copy)]
-pub struct FastOutcome {
-    /// Arbitration events (for the arbiter energy model): one per
-    /// awake, unallocated output lane per cycle — for the visited lanes
-    /// this cycle, plus the cycles they caught up on. Lanes the step
-    /// left behind bill theirs when they are settled.
-    pub arbitrations: u64,
-}
-
-/// What happened in one router cycle.
-#[derive(Debug, Clone, Copy)]
-pub struct StepOutcome {
-    /// Flit leaving each output port this cycle (indexed by
-    /// [`Direction::index`]).
-    pub departures: [Option<Departure>; 5],
-    /// Arbitration events (for the arbiter energy model).
-    pub arbitrations: u64,
-}
-
-impl StepOutcome {
-    /// Iterates the departures that actually happened.
-    pub fn departures(&self) -> impl Iterator<Item = Departure> + '_ {
-        self.departures.iter().flatten().copied()
+        arbitrations
     }
 }
 
@@ -996,16 +952,19 @@ mod tests {
             }
         }
 
-        /// One dense step of `r` on the next cycle.
+        /// One dense step of `r` on the next cycle — every lane
+        /// visited — returning its departures in output-port order.
         fn step(
             &mut self,
             r: &mut Router,
             route: impl Fn(&Flit) -> RouteTarget,
             ready: impl Fn(Direction, usize) -> bool,
-        ) -> StepOutcome {
+        ) -> Vec<Departure> {
             self.now += 1;
             let now = self.now;
-            r.step(now, route, ready, self.lane())
+            let mut departures = Vec::new();
+            r.step(now, true, route, ready, self.lane(), |d| departures.push(d));
+            departures
         }
     }
 
@@ -1037,8 +996,7 @@ mod tests {
         let mut r = Router::new(0, 4, 1);
         let mut p = Ports::of(&r);
         r.accept(&mut p.pool, Direction::West, flit(1, true, true));
-        let out = p.step(&mut r, to(Direction::East), |_, _| true);
-        let deps: Vec<_> = out.departures().collect();
+        let deps = p.step(&mut r, to(Direction::East), |_, _| true);
         assert_eq!(deps.len(), 1);
         assert_eq!(deps[0].output, Direction::East);
         assert_eq!(deps[0].input, Direction::West);
@@ -1060,7 +1018,7 @@ mod tests {
         let mut winners = Vec::new();
         for _ in 0..4 {
             let out = p.step(&mut r, to(Direction::East), |_, _| true);
-            for d in out.departures() {
+            for d in out {
                 winners.push(d.flit.packet_id);
             }
         }
@@ -1079,7 +1037,7 @@ mod tests {
         let mut p = Ports::of(&r);
         r.accept(&mut p.pool, Direction::West, flit(1, true, true));
         let out = p.step(&mut r, to(Direction::East), |_, _| false);
-        assert_eq!(out.departures().count(), 0);
+        assert_eq!(out.len(), 0);
         assert_eq!(r.total_occupancy(), 1);
         assert!(!r.is_quiet());
     }
@@ -1093,7 +1051,7 @@ mod tests {
         let mut p = Ports::of(&r);
         r.accept(&mut p.pool, Direction::West, flit(1, true, false));
         let out = p.step(&mut r, to(Direction::East), |_, _| true);
-        assert_eq!(out.departures().count(), 1);
+        assert_eq!(out.len(), 1);
         assert_eq!(r.total_occupancy(), 0);
         assert!(!r.is_quiet(), "owned output lane keeps the router active");
     }
@@ -1135,8 +1093,8 @@ mod tests {
             r.accept(&mut p.pool, Direction::West, flit(round + 100, true, true));
             let f1 = p.step(&mut r, to(Direction::East), |_, _| true);
             let f2 = p.step(&mut r, to(Direction::East), |_, _| true);
-            assert_eq!(f1.departures().next().unwrap().flit.packet_id, round);
-            assert_eq!(f2.departures().next().unwrap().flit.packet_id, round + 100);
+            assert_eq!(f1[0].flit.packet_id, round);
+            assert_eq!(f2[0].flit.packet_id, round + 100);
         }
         assert_eq!(r.total_occupancy(), 0);
     }
@@ -1160,10 +1118,10 @@ mod tests {
             vc: 0,
         };
         let first = p.step(&mut r, route, |_, _| true);
-        assert_eq!(first.departures().count(), 1, "one read per input port");
-        assert_eq!(first.departures().next().unwrap().output, Direction::East);
+        assert_eq!(first.len(), 1, "one read per input port");
+        assert_eq!(first[0].output, Direction::East);
         let second = p.step(&mut r, route, |_, _| true);
-        assert_eq!(second.departures().next().unwrap().output, Direction::Local);
+        assert_eq!(second[0].output, Direction::Local);
     }
 
     #[test]
@@ -1184,9 +1142,9 @@ mod tests {
             vc: 0,
         };
         let first = p.step(&mut r, route, |_, _| true);
-        assert_eq!(first.departures().count(), 1);
+        assert_eq!(first.len(), 1);
         let second = p.step(&mut r, route, |_, _| true);
-        assert_eq!(second.departures().count(), 1);
+        assert_eq!(second.len(), 1);
         assert_eq!(r.total_occupancy(), 0);
     }
 
@@ -1210,8 +1168,8 @@ mod tests {
         let mut vcs_seen = Vec::new();
         for _ in 0..4 {
             let out = p.step(&mut r, route, |_, _| true);
-            per_cycle.push(out.departures().count());
-            for d in out.departures() {
+            per_cycle.push(out.len());
+            for d in out {
                 vcs_seen.push(d.flit.vc);
             }
         }
@@ -1238,7 +1196,7 @@ mod tests {
         let mut delivered = Vec::new();
         for _ in 0..2 {
             let out = p.step(&mut r, route, ready);
-            for d in out.departures() {
+            for d in out {
                 delivered.push((d.flit.packet_id, d.flit.vc));
             }
         }
@@ -1258,7 +1216,7 @@ mod tests {
         let mut order = Vec::new();
         for _ in 0..4 {
             let out = p.step(&mut r, to(Direction::East), |_, _| true);
-            for d in out.departures() {
+            for d in out {
                 order.push(d.flit.packet_id);
             }
         }
@@ -1281,7 +1239,7 @@ mod tests {
         let east0 = Direction::East.index() * 2;
         // East VC 0's 3-cycle idle run ended when the flit crossed; its
         // sibling VC 1 lane stays idle.
-        assert_eq!(out.departures().next().unwrap().idle_run, 3);
+        assert_eq!(out[0].idle_run, 3);
         assert_eq!(p.idle[east0], 0);
         assert!(p.idle[east0 + 1] >= 4, "sibling lane keeps idling");
         assert!(p.idle[Direction::North.index() * 2] >= 4);
@@ -1311,7 +1269,7 @@ mod tests {
         let mut stalls = 0;
         loop {
             let out = p.step(&mut r, to(Direction::East), |_, _| true);
-            if out.departures().count() == 1 {
+            if out.len() == 1 {
                 break;
             }
             stalls += 1;
@@ -1389,7 +1347,7 @@ mod tests {
         }
         r.accept(&mut p.pool, Direction::West, flit(1, true, true));
         let out = p.step(&mut r, to(Direction::East), |_, _| true);
-        assert_eq!(out.departures().count(), 1, "Never gating never stalls");
+        assert_eq!(out.len(), 1, "Never gating never stalls");
         assert_eq!(p.counters.sleep_entries, 0);
         assert_eq!(p.counters.cycles_busy, 1);
         // 5 idle cycles × 5 lanes + 4 idle lanes on the send cycle.
@@ -1483,11 +1441,9 @@ mod tests {
                 let mut dense_deps = Vec::new();
                 let mut lazy_deps = Vec::new();
                 dense_arbs += dense
-                    .step_fast(now, true, route, ready, dp.lane(), |d| dense_deps.push(d))
-                    .arbitrations;
+                    .step(now, true, route, ready, dp.lane(), |d| dense_deps.push(d));
                 lazy_arbs += lazy
-                    .step_fast(now, false, route, ready, lp.lane(), |d| lazy_deps.push(d))
-                    .arbitrations;
+                    .step(now, false, route, ready, lp.lane(), |d| lazy_deps.push(d));
                 proptest::prop_assert!(dense_deps == lazy_deps, "departures diverged at cycle {now}");
                 proptest::prop_assert_eq!(dense.is_quiet(), scanned_quiet(&dense));
                 proptest::prop_assert_eq!(lazy.is_quiet(), scanned_quiet(&lazy));
@@ -1525,16 +1481,14 @@ mod tests {
             for gap in [2u64, 7, 1] {
                 p.now += gap;
                 let now = p.now;
-                arbs += r
-                    .step_fast(
-                        now,
-                        false,
-                        to(Direction::East),
-                        |_, _| true,
-                        p.lane(),
-                        |d| deps.push(d),
-                    )
-                    .arbitrations;
+                arbs += r.step(
+                    now,
+                    false,
+                    to(Direction::East),
+                    |_, _| true,
+                    p.lane(),
+                    |d| deps.push(d),
+                );
             }
             let now = p.now + 5;
             arbs += r.settle_lanes(&mut p.lane(), now, now);
@@ -1565,14 +1519,14 @@ mod tests {
         r.accept(&mut p.pool, Direction::West, flit(1, true, true));
         r.accept(&mut p.pool, Direction::West, flit(2, true, true));
         for _ in 0..3 {
-            assert_eq!(p.step(&mut r, route, |_, _| false).departures().count(), 0);
+            assert_eq!(p.step(&mut r, route, |_, _| false).len(), 0);
         }
         assert_eq!(calls.get(), 1, "a waiting front flit is routed once");
         let first = p.step(&mut r, route, |_, _| true);
-        assert_eq!(first.departures().next().unwrap().output, Direction::East);
+        assert_eq!(first[0].output, Direction::East);
         assert_eq!(r.cached_route(0), None, "the pop dropped the cache");
         let second = p.step(&mut r, route, |_, _| true);
-        assert_eq!(second.departures().next().unwrap().output, Direction::North);
+        assert_eq!(second[0].output, Direction::North);
         assert_eq!(calls.get(), 2);
     }
 
@@ -1595,7 +1549,7 @@ mod tests {
         r.clear_route_cache();
         assert_eq!(r.cached_route(west), None);
         let out = p.step(&mut r, to(Direction::South), |_, _| true);
-        assert_eq!(out.departures().next().unwrap().output, Direction::South);
+        assert_eq!(out[0].output, Direction::South);
     }
 
     #[test]
@@ -1651,7 +1605,7 @@ mod tests {
             assert_eq!(p.pool.in_use(), held + 1);
             let mut sent = Vec::new();
             while r.total_occupancy() > 0 {
-                for d in p.step(r, route, |_, _| true).departures() {
+                for d in p.step(r, route, |_, _| true) {
                     sent.push((d.flit.packet_id - base, d.flit.vc));
                 }
             }

@@ -12,7 +12,7 @@
 //!     output VC lane held mid-packet, or a waiting source packet.
 //!     Inside a stepped router only the *live* output lanes are
 //!     visited — owned, or requested by a waiting head flit
-//!     ([`Router::step_fast`]); each input lane's front flit is routed
+//!     ([`Router::step`]); each input lane's front flit is routed
 //!     once, when it reaches the front. Every other lane, and every
 //!     lane of a quiescent router, can only idle, and an idle lane's
 //!     future is closed-form in whatever sleep state it is in
@@ -117,15 +117,12 @@
 //!   ([`MeshConfig::watchdog_cycles`]) aborts with a per-lane
 //!   diagnostic instead of spinning forever if a regression ever
 //!   reintroduces a cycle.
-//! * Ejection order is validated on the fly: every packet must arrive
-//!   at its destination head-first, contiguously, with exactly
-//!   `packet_len_flits` flits. The check is always on in debug builds
-//!   and behind [`MeshConfig::validate_ejection`] in release, so sweep
-//!   binaries do not pay per-flit assertion cost.
+//! * Ejection is checked on the fly, in every build: every packet must
+//!   arrive at its destination head-first, contiguously, with exactly
+//!   `packet_len_flits` flits — one O(1) check per ejected flit.
 //! * The per-cycle scratch (transfers, worklist, wheel) is reused
-//!   across cycles and [`Router::step_fast`] is
-//!   allocation-free, so the steady-state loop performs no heap
-//!   allocation.
+//!   across cycles and [`Router::step`] is allocation-free, so the
+//!   steady-state loop performs no heap allocation.
 
 use crate::fault::{FaultPlan, FaultSchedule};
 use crate::router::{PortLane, RingPool, RouteTarget, Router, MAX_VCS};
@@ -133,7 +130,7 @@ use crate::shard::{boundary_mailboxes, BoundaryMsg};
 use crate::sleep::{SleepConfig, SleepFsm};
 use crate::stats::{IdleBank, NetworkStats};
 use crate::sync::{Mailboxes, PoisonGuard, ShardSlots, SlotReport, SpinBarrier};
-use crate::topology::{Direction, FaultMap, Mesh, NeighborTable, RouteTable, TileMap};
+use crate::topology::{Direction, FaultMap, Mesh, NeighborTable, TileMap};
 use crate::traffic::{
     packet_id, packet_source, Flit, GapSampler, InjectionProcess, SourcePacket, TrafficPattern,
     MAX_ROUTERS,
@@ -263,10 +260,6 @@ pub struct MeshConfig {
     pub gating: Option<SleepConfig>,
     /// Cycle-loop kernel (see [`SimKernel`]).
     pub kernel: SimKernel,
-    /// Run the per-flit in-order ejection validation in release builds
-    /// too. Debug builds (and therefore `cargo test`) always validate;
-    /// release sweeps default to skipping the assertion cost.
-    pub validate_ejection: bool,
     /// Maximum packets a node's source queue holds (≥ 1). Offers made
     /// while the queue is full are rejected and counted in
     /// [`NetworkStats::packets_dropped_at_source`] — without the cap, a
@@ -282,13 +275,6 @@ pub struct MeshConfig {
     /// [`Simulation::run`] panics with the same text. `0` disables
     /// the watchdog.
     pub watchdog_cycles: u64,
-    /// Escape hatch for deadlock debugging: when set, the watchdog
-    /// panics at the fire site inside the worker (the historical
-    /// behaviour) even under [`Simulation::try_run`], so a test or a
-    /// debugger sees the stack of the wedged worker instead of a
-    /// returned error. The panic payload is the same diagnostic text
-    /// either way.
-    pub panic_on_deadlock: bool,
     /// Upper bound on cycles one `run`/`try_run` call may execute
     /// (`0` = unlimited). If `warmup + measure` exceeds the budget the
     /// worker loop stops at the boundary and the run aborts with
@@ -364,10 +350,8 @@ impl Default for MeshConfig {
             injection: InjectionProcess::Bernoulli,
             gating: None,
             kernel: SimKernel::Engine,
-            validate_ejection: false,
             source_queue_cap: MeshConfig::DEFAULT_SOURCE_QUEUE_CAP,
             watchdog_cycles: MeshConfig::DEFAULT_WATCHDOG_CYCLES,
-            panic_on_deadlock: false,
             cycle_budget: 0,
             shards: 0,
             threads: 0,
@@ -395,6 +379,10 @@ pub(crate) fn node_rng(seed: u64, rid: usize) -> StdRng {
 /// stepping never lags its router by more than 2³¹ cycles — well inside
 /// the 32-bit watermarks ([`PortLane::settled`]).
 const WATERMARK_REFRESH: u64 = 1 << 31;
+
+/// Longest mesh side: the route closure reads each router's `(x, y)`
+/// from a `u16` cache ([`Simulation::new`] rejects longer sides).
+const MAX_SIDE: usize = 1 << 16;
 
 /// Per-destination ejection progress, for on-the-fly validation of
 /// in-order, contiguous packet delivery.
@@ -485,15 +473,15 @@ pub struct Simulation {
 
     // ---- Shared immutable lookup state ----
     neighbors: NeighborTable,
-    routes: Option<RouteTable>,
     /// Expanded fault schedule (`None` when [`MeshConfig::faults`] is
     /// unset or the plan produces no events). Epochs are applied at
     /// cycle boundaries by the three-pass reap in [`run_worker`];
     /// `ShardScratch::epoch` tracks how many each tile has applied.
     faults: Option<FaultSchedule>,
-    /// Cached `(x, y)` per router id, so the hot route closure's
-    /// dateline-class computation ([`Mesh::hop_vc_at`]) performs no
-    /// divisions — the same treatment [`NeighborTable`] gives
+    /// Cached `(x, y)` per router id, so the hot route closure — XY
+    /// routing ([`Mesh::route_xy_at`]) and the dateline class
+    /// ([`Mesh::hop_vc_at`]) — never divides a router id into
+    /// coordinates, the same treatment [`NeighborTable`] gives
     /// neighbour lookup.
     xy: Vec<(u16, u16)>,
 
@@ -713,7 +701,6 @@ struct RunCtx<'a> {
     vcs: usize,
     lanes: usize,
     neighbors: &'a NeighborTable,
-    routes: Option<&'a RouteTable>,
     xy: &'a [(u16, u16)],
     tiles: &'a TileMap,
     mail: &'a Mailboxes<BoundaryMsg>,
@@ -752,7 +739,8 @@ impl Simulation {
     ///
     /// Panics on a degenerate configuration (empty mesh, a mesh of more
     /// than 2²⁴ − 1 routers — packet ids carry the source in 24 bits —
-    /// zero-length packets, zero buffers, a VC count outside
+    /// a side longer than 2¹⁶ routers — routing caches coordinates as
+    /// `u16` — zero-length packets, zero buffers, a VC count outside
     /// `1..=`[`MAX_VCS`], a zero source-queue cap, an
     /// [`GatingPolicy::Oracle`] in-loop policy — the oracle needs future
     /// knowledge and only exists offline — or a bursty process with
@@ -766,6 +754,11 @@ impl Simulation {
             cfg.width.saturating_mul(cfg.height) <= MAX_ROUTERS,
             "meshes are capped at {MAX_ROUTERS} routers (packet ids carry \
              the source router in 24 bits)"
+        );
+        assert!(
+            cfg.width <= MAX_SIDE && cfg.height <= MAX_SIDE,
+            "mesh sides are capped at {MAX_SIDE} routers (routing caches \
+             router coordinates in 16 bits)"
         );
         assert!(cfg.packet_len_flits >= 1, "packets need at least one flit");
         assert!(cfg.buffer_depth >= 1, "buffers need at least one slot");
@@ -936,9 +929,6 @@ impl Simulation {
                     (x as u16, y as u16)
                 })
                 .collect(),
-            routes: (kernel != SimKernel::Reference)
-                .then(|| RouteTable::build(&mesh))
-                .flatten(),
             faults,
             tiles,
             scratch,
@@ -1164,8 +1154,6 @@ impl Simulation {
     /// [`MeshConfig::cycle_budget`] overrun comes back as
     /// `Err(`[`SimAbort`]`)` instead of a panic, so an orchestrator can
     /// record the failure and move on to the next configuration.
-    /// (Exception: with [`MeshConfig::panic_on_deadlock`] set, the
-    /// watchdog still panics at the fire site inside the worker.)
     ///
     /// After an `Err` the simulation holds the network frozen at the
     /// abort cycle — consistent (flit and credit conservation hold,
@@ -1228,7 +1216,6 @@ impl Simulation {
                 settled,
                 last_stepped,
                 neighbors,
-                routes,
                 faults,
                 xy,
                 tiles,
@@ -1242,7 +1229,6 @@ impl Simulation {
                 vcs,
                 lanes,
                 neighbors: &*neighbors,
-                routes: routes.as_ref(),
                 xy: xy.as_slice(),
                 tiles: &*tiles,
                 mail: &mail,
@@ -1591,10 +1577,9 @@ fn assert_credits(
 /// across two paths — so any divergence kills the whole packet and
 /// its flits are purged network-wide.
 ///
-/// `old = None` means healthy routing (the XY table), which every
-/// kernel computes identically ([`RouteTable`] is XY by
-/// construction), so the doomed set is kernel- and
-/// shard-count-independent.
+/// `old = None` means healthy dimension-order routing
+/// ([`Mesh::route_xy`]), which every kernel computes identically, so
+/// the doomed set is kernel- and shard-count-independent.
 fn path_diverges(
     ctx: &RunCtx<'_>,
     old: Option<&FaultMap>,
@@ -1813,11 +1798,6 @@ impl ShardView<'_> {
             .expect("buffered > 0 in some shard");
         if who == self.scratch.shard {
             let diagnostic = self.watchdog_report(ctx, cycle, buffered);
-            if ctx.cfg.panic_on_deadlock {
-                // Escape hatch: fail at the fire site so the wedged
-                // worker's stack survives into the panic.
-                panic!("{diagnostic}");
-            }
             let mut slot = ctx.abort.lock().expect("abort slot poisoned");
             *slot = Some(SimAbort::Deadlock {
                 cycle,
@@ -2503,10 +2483,11 @@ impl ShardView<'_> {
     }
 
     /// Steps this tile's worklist — in router-index order straight off
-    /// the bitset, with lazy credit reads and table-driven routing
-    /// ([`Router::step_fast`]). The credit state is the cycle-start
-    /// snapshot (maintained incrementally, or just rebuilt by the
-    /// reference), so results are visit-order independent.
+    /// the bitset, with lazy credit reads and dimension-order routing
+    /// on cached coordinates ([`Router::step`]). The credit state is
+    /// the cycle-start snapshot (maintained incrementally, or just
+    /// rebuilt by the reference), so results are visit-order
+    /// independent.
     ///
     /// The engine steps only each router's live lanes; the reference
     /// steps every lane, and so does the engine once every
@@ -2516,7 +2497,6 @@ impl ShardView<'_> {
     fn route_active(&mut self, ctx: &RunCtx<'_>, cycle: u64, stats: &mut Option<NetworkStats>) {
         let visit_reversed = ctx.visit_reversed;
         let mesh = ctx.mesh;
-        let routes = ctx.routes;
         let xy = ctx.xy;
         let v = ctx.vcs;
         let lanes = ctx.lanes;
@@ -2581,10 +2561,7 @@ impl ShardView<'_> {
                         Some(fm) => fm
                             .route(rid, flit.dst as usize)
                             .expect("unroutable packets are reaped at fault boundaries"),
-                        None => match routes {
-                            Some(t) => t.route(rid, flit.dst as usize),
-                            None => mesh.route_xy_at(at(rid), at(flit.dst as usize)),
-                        },
+                        None => mesh.route_xy_at(at(rid), at(flit.dst as usize)),
                     };
                     RouteTarget {
                         out,
@@ -2610,7 +2587,7 @@ impl ShardView<'_> {
                 let mut departed = 0u64;
                 let mut link_departed = 0u64;
                 let mut histograms = stats.as_mut().map(|s| &mut s.idle_histograms);
-                let outcome = routers[lr].step_fast(cycle, all_live, route, ready, lane, |dep| {
+                let arbitrations = routers[lr].step(cycle, all_live, route, ready, lane, |dep| {
                     departed += 1;
                     if dep.output != Direction::Local {
                         link_departed += 1;
@@ -2636,7 +2613,7 @@ impl ShardView<'_> {
                 if stats.is_some() {
                     let a = &mut activity[lr];
                     a.cycles += 1;
-                    a.arbitrations += outcome.arbitrations;
+                    a.arbitrations += arbitrations;
                     a.crossbar_traversals += departed;
                     a.buffer_reads += departed;
                     a.link_traversals += link_departed;
@@ -2693,9 +2670,7 @@ impl ShardView<'_> {
             match t.output {
                 Direction::Local => {
                     self.scratch.buffered_flits -= 1;
-                    if cfg!(debug_assertions) || ctx.cfg.validate_ejection {
-                        self.validate_ejection(ctx, from, &t.flit);
-                    }
+                    self.check_ejection(ctx, from, &t.flit);
                     if let Some(s) = stats.as_mut() {
                         s.flits_delivered += 1;
                         if t.flit.is_tail {
@@ -2882,9 +2857,7 @@ impl ShardView<'_> {
     /// whether the active fault map still offers it a route — "true
     /// routing deadlock" and "stranded by a fault the reap should
     /// have caught" are different bugs — and prints the fault-map
-    /// summary. The caller either panics with the text
-    /// ([`MeshConfig::panic_on_deadlock`]) or wraps it in
-    /// [`SimAbort::Deadlock`].
+    /// summary. The caller wraps the text in [`SimAbort::Deadlock`].
     fn watchdog_report(&self, ctx: &RunCtx<'_>, cycle: u64, buffered: u64) -> String {
         let v = ctx.vcs;
         let lanes = ctx.lanes;
@@ -2955,7 +2928,7 @@ impl ShardView<'_> {
     }
 
     /// Asserts in-order, contiguous, complete per-packet delivery.
-    fn validate_ejection(&mut self, ctx: &RunCtx<'_>, rid: usize, flit: &Flit) {
+    fn check_ejection(&mut self, ctx: &RunCtx<'_>, rid: usize, flit: &Flit) {
         assert_eq!(flit.dst as usize, rid, "flit ejected at the wrong router");
         let progress = &mut self.eject[rid - self.base];
         match progress.current {
@@ -3183,6 +3156,19 @@ mod tests {
         let _ = Simulation::new(MeshConfig {
             width: 4096,
             height: 4096,
+            ..base_cfg()
+        });
+    }
+
+    /// 65 537 × 2 is well inside the router cap, but its last column's
+    /// x coordinate does not fit the `u16` cache; the check fires
+    /// before any per-router state is allocated.
+    #[test]
+    #[should_panic(expected = "mesh sides are capped at 65536 routers")]
+    fn mesh_side_past_u16_coordinates_rejected() {
+        let _ = Simulation::new(MeshConfig {
+            width: (1 << 16) + 1,
+            height: 2,
             ..base_cfg()
         });
     }
@@ -3545,7 +3531,7 @@ mod tests {
     #[test]
     fn transient_fault_heals_and_traffic_resumes() {
         // One transient link fault: the map goes back to pristine, so
-        // post-heal routing is the healthy XY table again and traffic
+        // post-heal routing is healthy XY routing again and traffic
         // keeps flowing to the end of the run.
         let mut sim = Simulation::new(MeshConfig {
             injection_rate: 0.05,
@@ -3725,22 +3711,6 @@ mod tests {
             .downcast::<String>()
             .expect("panic carries the diagnostic string");
         assert_eq!(msg, *diagnostic, "run and try_run agree byte-for-byte");
-    }
-
-    #[test]
-    fn panic_on_deadlock_hatch_fires_inside_try_run() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut sim = Simulation::new(MeshConfig {
-                panic_on_deadlock: true,
-                ..deadlocking_cfg()
-            });
-            sim.try_run(0, 50_000)
-        }));
-        let msg = *result
-            .expect_err("the hatch panics at the fire site")
-            .downcast::<String>()
-            .expect("panic carries the diagnostic string");
-        assert!(msg.contains("watchdog"), "{msg}");
     }
 
     #[test]

@@ -198,8 +198,8 @@ impl Mesh {
 
     /// [`Mesh::route_xy`] with both routers' coordinates already in
     /// hand — identical result by construction. The simulation kernels
-    /// cache every router's `(x, y)`, so routing on meshes too large
-    /// for a [`RouteTable`] performs no divisions per flit.
+    /// cache every router's `(x, y)`, so routing a flit never divides
+    /// a router id into coordinates.
     pub fn route_xy_at(&self, (hx, hy): (usize, usize), (dx, dy): (usize, usize)) -> Direction {
         let step_x = self.dim_step(hx, dx, self.width);
         if step_x > 0 {
@@ -381,43 +381,6 @@ impl NeighborTable {
         debug_assert!(dir != Direction::Local);
         let id = self.ids[rid * 4 + dir.index()];
         (id != NO_NEIGHBOR).then_some(id as usize)
-    }
-}
-
-/// Precomputed dimension-order routes: `dirs[src * n + dst]` is the
-/// [`Direction::index`] of [`Mesh::route_xy`]`(src, dst)`. One byte per
-/// pair, so the table is only built for meshes up to
-/// [`RouteTable::MAX_ROUTERS`] routers (1 MiB at the cap); larger
-/// networks fall back to computing routes on the fly.
-#[derive(Debug, Clone)]
-pub struct RouteTable {
-    dirs: Vec<u8>,
-    n: usize,
-}
-
-impl RouteTable {
-    /// Largest router count the table is built for (32×32).
-    pub const MAX_ROUTERS: usize = 1024;
-
-    /// Builds the table when the mesh is small enough.
-    pub fn build(mesh: &Mesh) -> Option<Self> {
-        let n = mesh.len();
-        if n > Self::MAX_ROUTERS {
-            return None;
-        }
-        let mut dirs = vec![0u8; n * n];
-        for src in 0..n {
-            for dst in 0..n {
-                dirs[src * n + dst] = mesh.route_xy(src, dst).index() as u8;
-            }
-        }
-        Some(RouteTable { dirs, n })
-    }
-
-    /// The output direction at `here` toward `dst` — identical to
-    /// [`Mesh::route_xy`] by construction.
-    pub fn route(&self, here: usize, dst: usize) -> Direction {
-        Direction::from_index(self.dirs[here * self.n + dst] as usize)
     }
 }
 
@@ -1190,19 +1153,5 @@ mod tests {
         ft.kill_router(t.id(1, 0));
         ft.rebuild(&t);
         assert!(ft.reachable(t.id(0, 0), t.id(2, 0)));
-    }
-
-    #[test]
-    fn route_table_matches_route_xy() {
-        for m in [Mesh::new(4, 4), Mesh::torus(5, 4)] {
-            let t = RouteTable::build(&m).expect("small mesh");
-            for src in 0..m.len() {
-                for dst in 0..m.len() {
-                    assert_eq!(t.route(src, dst), m.route_xy(src, dst));
-                }
-            }
-        }
-        let big = Mesh::new(64, 64);
-        assert!(RouteTable::build(&big).is_none(), "64×64 exceeds the cap");
     }
 }

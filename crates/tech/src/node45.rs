@@ -13,7 +13,7 @@
 use crate::corners::{Corner, Temperature};
 use crate::device::{MosModel, MosParams, Polarity, VtClass};
 use crate::interconnect::{LayerClass, WireGeometry};
-use crate::units::{Meters, Volts};
+use crate::units::Volts;
 use serde::{Deserialize, Serialize};
 
 /// Difference between the high-Vt and nominal-Vt threshold magnitudes.
@@ -73,11 +73,6 @@ impl Node45 {
     /// Minimum (drawn) channel length.
     pub fn l_min(&self) -> f64 {
         self.l_min
-    }
-
-    /// Minimum channel length as a typed quantity.
-    pub fn l_min_meters(&self) -> Meters {
-        Meters(self.l_min)
     }
 
     /// Process corner.

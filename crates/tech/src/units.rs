@@ -347,14 +347,6 @@ quantity!(
     "S"
 );
 
-impl Siemens {
-    /// Reciprocal resistance.
-    #[inline]
-    pub fn to_ohms(self) -> Ohms {
-        Ohms(1.0 / self.0)
-    }
-}
-
 impl Hertz {
     /// The period of one cycle at this frequency.
     ///
