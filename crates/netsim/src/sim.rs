@@ -1525,7 +1525,7 @@ fn leap_target(ctx: &RunCtx<'_>, net: &SlotReport, i: u64) -> Option<u64> {
 }
 
 /// A tile's record for one measurement window: the scalar counters
-/// and the tile's idle-histogram rows (local indices). Its per-router
+/// and the tile's idle histograms (local router indices). Its per-router
 /// activity and gating vectors stay empty — the tile writes those rows
 /// into its slices of the run result ([`ShardView::activity`],
 /// [`ShardView::window_gating`]).
@@ -1863,9 +1863,12 @@ impl ShardView<'_> {
     /// into a template (FSM end state, gating counters, arbitration
     /// count) and copied into each debtor's slabs. Debtor histograms
     /// are not even materialized: one `record_open` per lane lands on
-    /// the [`IdleBank`] shared default row after every touched router
-    /// has claimed its own row (ordering matters — see
-    /// [`IdleBank::record_open_untouched`]).
+    /// the [`IdleBank`] shared default row after every touched lane
+    /// that needs its own histogram has claimed it (ordering matters —
+    /// see [`IdleBank::record_open_untouched`]). A touched router's
+    /// lane is left on the default too when it was never materialized
+    /// and its trailing run spans the whole window: its content is
+    /// then `{open: span}`, exactly what the default receives.
     fn close_run_deferred(&mut self, ctx: &RunCtx<'_>, end_cycle: u64, w: u64) {
         let mut stats = self.scratch.stats.take();
         let lanes = ctx.lanes;
@@ -1892,6 +1895,7 @@ impl ShardView<'_> {
             }
         }
         let mut debtors = 0u64;
+        let mut on_default = 0u64;
         for lr in 0..self.len {
             let active = self.scratch.active_bits[lr / 64] & (1u64 << (lr % 64)) != 0;
             if !active && self.last_stepped[lr] <= w {
@@ -1913,12 +1917,18 @@ impl ShardView<'_> {
             }
             self.settle_router(ctx, lr, end_cycle, &mut stats);
             if let Some(s) = stats.as_mut() {
-                // Touched router: materialize its histogram row even if
-                // every lane run is zero, so the shared-default open
-                // run below cannot reach it.
+                // Touched router: a lane still on the default whose run
+                // spans the window reads the default's open run below;
+                // every other lane is materialized even if its run is
+                // zero, so that open run cannot reach it.
+                let bank = &mut s.idle_histograms;
                 for lane in 0..lanes {
                     let run = std::mem::take(&mut self.idle_run[lr * lanes + lane]);
-                    s.idle_histograms.lane_mut(lr, lane).record_open(run);
+                    if run == span && !bank.is_materialized(lr, lane) {
+                        on_default += 1;
+                    } else {
+                        bank.lane_mut(lr, lane).record_open(run);
+                    }
                 }
                 self.window_gating[lr] = self.counters[lr];
             }
@@ -1929,7 +1939,7 @@ impl ShardView<'_> {
         }
         if let Some(s) = stats.as_mut() {
             s.measured_cycles = ctx.measure;
-            if span > 0 && debtors > 0 {
+            if span > 0 && debtors + on_default > 0 {
                 s.idle_histograms.record_open_untouched(span);
             }
         }
@@ -2969,7 +2979,9 @@ impl ShardView<'_> {
 mod tests {
     use super::*;
     use crate::sleep::SleepConfig;
-    use lnoc_power::gating::{energy_from_counters, evaluate_policy, GatingParams, GatingPolicy};
+    use lnoc_power::gating::{
+        energy_from_counters, evaluate_policy, GatingParams, GatingPolicy, IdleHistogram,
+    };
     use lnoc_tech::units::{Hertz, Joules, Watts};
 
     fn base_cfg() -> MeshConfig {
@@ -3826,6 +3838,55 @@ mod tests {
             assert_eq!(a.cycles, measure);
             let billed = g.cycles_busy + g.cycles_idle_awake + g.cycles_asleep + g.cycles_waking;
             assert_eq!(billed, 5 * 2 * measure, "{g:?}");
+        }
+    }
+
+    #[test]
+    fn deferred_close_out_materializes_only_lanes_that_differ() {
+        // A sparse run touches some routers after the boundary and
+        // leaves the rest as debtors. A touched router's lanes that
+        // idled through the whole window stay on the shared default,
+        // as the debtors' do, so every materialized lane holds content
+        // the default does not — and the record still equals the eager
+        // close-out's, which materializes every lane it closes.
+        let (warmup, measure) = (300, 6_000);
+        for shards in [1, 2] {
+            let cfg = |eager_settlement| MeshConfig {
+                width: 16,
+                height: 16,
+                injection_rate: 1e-4,
+                pattern: TrafficPattern::NearestNeighbor,
+                vcs: 2,
+                gating: Some(SleepConfig {
+                    policy: GatingPolicy::IdleThreshold(4),
+                    wake_latency: 2,
+                }),
+                kernel: SimKernel::Engine,
+                shards,
+                threads: 1,
+                eager_settlement,
+                ..base_cfg()
+            };
+            let lazy = Simulation::new(cfg(false)).run(warmup, measure);
+            let eager = Simulation::new(cfg(true)).run(warmup, measure);
+            assert!(lazy.packets_delivered > 0, "traffic must flow");
+            assert_eq!(lazy, eager, "{shards} tile(s)");
+            let bank = &lazy.idle_histograms;
+            let mut default = IdleHistogram::new(NetworkStats::DEFAULT_IDLE_BINS);
+            default.record_open(measure);
+            let lanes = |r: usize| (0..bank.lanes()).map(move |l| (r, l));
+            let differ = (0..bank.routers())
+                .flat_map(lanes)
+                .filter(|&(r, l)| bank.lane(r, l) != &default)
+                .count();
+            assert_eq!(bank.materialized_lanes(), differ, "{shards} tile(s)");
+            assert!(
+                (0..bank.routers()).any(|r| {
+                    let private = lanes(r).filter(|&(r, l)| bank.is_materialized(r, l));
+                    (1..bank.lanes()).contains(&private.count())
+                }),
+                "some touched router keeps lanes on the default"
+            );
         }
     }
 

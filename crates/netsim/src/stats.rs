@@ -57,12 +57,12 @@ pub struct NetworkStats {
     pub vcs: usize,
     /// Idle-interval histogram per router per output VC lane
     /// (`5 * vcs` per router, indexed `port * vcs + vc` with ports in
-    /// [`crate::topology::Direction`] order), stored sparsely: rows
-    /// materialize on first write and untouched routers share one
-    /// default row ([`IdleBank`]). Each histogram holds dense bins only
-    /// for the short lengths it recorded, one entry per distinct longer
-    /// length and its one open run inline, so a lane costs memory in
-    /// proportion to what it recorded.
+    /// [`crate::topology::Direction`] order), stored sparsely: a lane
+    /// materializes on its first write and every other lane reads one
+    /// shared default per lane position ([`IdleBank`]). Each histogram
+    /// holds dense bins only for the short lengths it recorded, one
+    /// entry per distinct longer length and its one open run inline, so
+    /// a lane costs memory in proportion to what it recorded.
     #[serde(skip)]
     pub idle_histograms: IdleBank,
     /// Per-router in-loop gating counters (all output VC lanes
@@ -110,8 +110,8 @@ impl NetworkStats {
     /// record stays proportional to the tile, not the network). Scalar
     /// counters add up (`measured_cycles` and `latency_max` take the
     /// maximum, `min_reachable_fraction` the minimum); per-router
-    /// vectors are concatenated and histogram rows moved, untouched
-    /// routers staying on the shared default row (see
+    /// vectors are concatenated and materialized lane histograms moved,
+    /// unmaterialized lanes staying on the shared default row (see
     /// [`IdleBank::append`]).
     ///
     /// # Panics
@@ -212,57 +212,71 @@ impl NetworkStats {
     }
 }
 
-/// Sparse `routers × lanes` bank of [`IdleHistogram`]s.
+/// Sparse `routers × lanes` bank of [`IdleHistogram`]s, materialized
+/// lane by lane.
 ///
-/// At the injection rates the leakage study sweeps, almost every
-/// router's histograms stay empty for the whole run except for the one
-/// trailing open interval the close-out records — yet the old
-/// `Vec<Vec<IdleHistogram>>` paid a nested allocation per router up
-/// front, which at a million routers dominated run setup. The bank
-/// keeps one `default_row` shared by every router that was never
-/// written and materializes a router's private row on its first
-/// `lane_mut`, so construction is O(routers) words and the run's
-/// histogram memory is proportional to routers actually touched.
-/// Materialized rows live in fixed blocks of 64 rows, allocated at
-/// full size: the bank grows a block at a time, never doubling and
-/// copying one array of every row, so a run leaves no freed
-/// doubling-sized buffers behind in the heap.
+/// At the injection rates the leakage study sweeps, almost every lane's
+/// histogram stays empty for the whole run except for the one trailing
+/// open interval the close-out records — and that holds for most lanes
+/// of the routers a run does touch, too. The bank keeps one
+/// `default_row` of `lanes` histograms shared by every lane never
+/// written, and gives a lane its own histogram (a copy of its default)
+/// on the lane's first `lane_mut`. Construction is O(routers × lanes)
+/// words of index, allocated zeroed, and the run's histogram memory is
+/// proportional to the lanes actually written, not to the routers
+/// touched. Materialized histograms live one per slot in fixed blocks
+/// of 256 slots, allocated at full size: the bank grows a block at a
+/// time, never doubling and copying one array of every slot, so a run
+/// leaves no freed doubling-sized buffers behind in the heap.
 ///
 /// [`IdleBank::record_open_untouched`] is the close-out's bulk path:
 /// it appends one open interval to the shared default row, which every
-/// still-unmaterialized router then reports — O(lanes) for the whole
+/// still-unmaterialized lane then reports — O(lanes) for the whole
 /// untouched population. Equality, merging and iteration are all
-/// content-based: an unmaterialized router behaves exactly as if its
-/// row held the default row's contents.
+/// content-based: an unmaterialized lane behaves exactly as if it held
+/// its default's contents.
 #[derive(Debug, Clone, Default)]
 pub struct IdleBank {
+    routers: usize,
     lanes: usize,
     cap: usize,
-    /// Per-router materialized row number; `u32::MAX` marks an
-    /// unmaterialized router whose content is `default_row`.
+    /// Per-lane slot id, indexed `router * lanes + lane`: 0 marks a
+    /// lane still reading `default_row[lane]`, `s > 0` its own
+    /// histogram in slot `s - 1`. Zero is the default so the index can
+    /// be allocated zeroed: pages of lanes never written are never
+    /// touched.
     idx: Vec<u32>,
-    /// Materialized rows, `lanes` histograms each, in first-write
-    /// order: row `i` is row `i % BLOCK_ROWS` of block `i / BLOCK_ROWS`.
-    /// Every block but the last is full, and each is allocated at full
-    /// size.
+    /// Materialized histograms in first-write order: slot `i` is entry
+    /// `i % BLOCK_SLOTS` of block `i / BLOCK_SLOTS`. Every block but
+    /// the last is full, and each is allocated at full size.
     blocks: Vec<Vec<IdleHistogram>>,
-    /// Shared content of every unmaterialized router. Pristine until
+    /// Shared content of every unmaterialized lane, one histogram per
+    /// lane position. Pristine until
     /// [`IdleBank::record_open_untouched`].
     default_row: Vec<IdleHistogram>,
 }
 
 impl IdleBank {
-    /// Materialized rows per block.
-    const BLOCK_ROWS: usize = 64;
+    /// Materialized histograms per block.
+    const BLOCK_SLOTS: usize = 256;
 
     /// Creates a bank for `routers` routers with `lanes` histograms
     /// each, every histogram counting lengths below `cap` exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `routers × lanes` does not fit a `u32` (a simulated
+    /// mesh is far below that: `MAX_ROUTERS` × 5 × `MAX_VCS` is ~671 M).
     pub fn new(routers: usize, lanes: usize, cap: usize) -> Self {
-        assert!(u32::try_from(routers).is_ok(), "router count fits u32");
+        let n = routers
+            .checked_mul(lanes)
+            .filter(|&n| u32::try_from(n).is_ok())
+            .expect("routers × lanes fits u32");
         IdleBank {
+            routers,
             lanes,
             cap,
-            idx: vec![u32::MAX; routers],
+            idx: vec![0; n],
             blocks: Vec::new(),
             default_row: (0..lanes).map(|_| IdleHistogram::new(cap)).collect(),
         }
@@ -270,7 +284,7 @@ impl IdleBank {
 
     /// Number of routers in the bank.
     pub fn routers(&self) -> usize {
-        self.idx.len()
+        self.routers
     }
 
     /// Histograms per router (`5 × vcs` in a simulation record).
@@ -278,79 +292,76 @@ impl IdleBank {
         self.lanes
     }
 
-    /// Number of materialized rows.
-    fn rows(&self) -> usize {
+    /// Number of materialized lanes (lanes holding their own
+    /// histogram).
+    pub(crate) fn materialized_lanes(&self) -> usize {
         self.blocks.last().map_or(0, |last| {
-            (self.blocks.len() - 1) * Self::BLOCK_ROWS + last.len() / self.lanes
+            (self.blocks.len() - 1) * Self::BLOCK_SLOTS + last.len()
         })
     }
 
-    /// The block holding materialized row `i`, and the row's first
-    /// histogram in it.
-    fn locate(&self, i: u32) -> (usize, usize) {
-        let i = i as usize;
-        (i / Self::BLOCK_ROWS, i % Self::BLOCK_ROWS * self.lanes)
+    /// Whether a lane holds its own histogram rather than reading the
+    /// shared default.
+    pub(crate) fn is_materialized(&self, router: usize, lane: usize) -> bool {
+        assert!(lane < self.lanes, "lane out of range");
+        self.idx[router * self.lanes + lane] != 0
     }
 
-    /// A router's materialized row, if it has one.
-    fn row(&self, router: usize) -> Option<&[IdleHistogram]> {
-        let i = self.idx[router];
-        (i != u32::MAX).then(|| {
-            let (block, base) = self.locate(i);
-            &self.blocks[block][base..base + self.lanes]
-        })
+    /// The block holding the slot of id `id` (slot `id - 1`), and the
+    /// slot's position in it.
+    fn locate(id: u32) -> (usize, usize) {
+        let s = id as usize - 1;
+        (s / Self::BLOCK_SLOTS, s % Self::BLOCK_SLOTS)
     }
 
-    /// Appends a row of `lanes` histograms to `blocks`, opening a new
-    /// block when the last one is full; returns its row number. (An
-    /// associated function, so a row can be cloned from `default_row`
-    /// while `blocks` is borrowed.)
-    fn push_row(
-        blocks: &mut Vec<Vec<IdleHistogram>>,
-        lanes: usize,
-        row: impl IntoIterator<Item = IdleHistogram>,
-    ) -> u32 {
-        let block_len = Self::BLOCK_ROWS * lanes;
-        if blocks.last().is_none_or(|b| b.len() == block_len) {
-            blocks.push(Vec::with_capacity(block_len));
+    /// Appends `h` to `blocks`, opening a new block when the last one
+    /// is full; returns its slot id. (An associated function, so a
+    /// histogram can be cloned from `default_row` while `blocks` is
+    /// borrowed.)
+    fn push_slot(blocks: &mut Vec<Vec<IdleHistogram>>, h: IdleHistogram) -> u32 {
+        if blocks.last().is_none_or(|b| b.len() == Self::BLOCK_SLOTS) {
+            blocks.push(Vec::with_capacity(Self::BLOCK_SLOTS));
         }
         let full_blocks = blocks.len() - 1;
         let last = blocks.last_mut().expect("a block was just ensured");
-        let next = full_blocks * Self::BLOCK_ROWS + last.len() / lanes;
-        last.extend(row);
-        debug_assert_eq!(last.len() % lanes, 0, "rows are whole");
-        u32::try_from(next).expect("row index fits u32")
+        last.push(h);
+        u32::try_from(full_blocks * Self::BLOCK_SLOTS + last.len()).expect("slot id fits u32")
     }
 
-    /// Read access to one lane's histogram — the router's own row when
-    /// materialized, the shared default row otherwise.
+    /// Read access to one lane's histogram — the lane's own when
+    /// materialized, its shared default otherwise.
     pub fn lane(&self, router: usize, lane: usize) -> &IdleHistogram {
         assert!(lane < self.lanes, "lane out of range");
-        match self.row(router) {
-            Some(row) => &row[lane],
-            None => &self.default_row[lane],
+        match self.idx[router * self.lanes + lane] {
+            0 => &self.default_row[lane],
+            id => {
+                let (block, i) = Self::locate(id);
+                &self.blocks[block][i]
+            }
         }
     }
 
-    /// Write access to one lane's histogram, materializing the
-    /// router's row (as a copy of the current default row, so the
-    /// router's observable content is unchanged by materialization).
+    /// Write access to one lane's histogram, materializing the lane
+    /// (as a copy of its current default, so the lane's observable
+    /// content is unchanged by materialization). The router's other
+    /// lanes stay as they are.
     pub fn lane_mut(&mut self, router: usize, lane: usize) -> &mut IdleHistogram {
         assert!(lane < self.lanes, "lane out of range");
-        if self.idx[router] == u32::MAX {
-            let row = self.default_row.iter().cloned();
-            self.idx[router] = Self::push_row(&mut self.blocks, self.lanes, row);
+        let at = router * self.lanes + lane;
+        if self.idx[at] == 0 {
+            let h = self.default_row[lane].clone();
+            self.idx[at] = Self::push_slot(&mut self.blocks, h);
         }
-        let (block, base) = self.locate(self.idx[router]);
-        &mut self.blocks[block][base + lane]
+        let (block, i) = Self::locate(self.idx[at]);
+        &mut self.blocks[block][i]
     }
 
     /// Records one still-open idle interval of `len` cycles into
-    /// **every lane of every router not materialized yet** (0-length
-    /// ignored) — the O(lanes) close-out for the untouched population.
-    /// Callers must materialize every touched router first: a
-    /// `lane_mut` after this call clones the default row *including*
-    /// this interval.
+    /// **every lane not materialized yet** (0-length ignored) — the
+    /// O(lanes) close-out for the untouched population. Callers must
+    /// materialize every lane whose content should not receive it
+    /// first: a `lane_mut` after this call copies the default
+    /// *including* this interval.
     pub fn record_open_untouched(&mut self, len: u64) {
         for h in &mut self.default_row {
             h.record_open(len);
@@ -364,23 +375,28 @@ impl IdleBank {
     }
 
     /// Appends a bank covering the routers right after this one's.
-    /// Materialized rows are moved into this bank's blocks, each of
-    /// `bank`'s blocks freed once its rows have moved. Routers `bank` never materialized
-    /// stay unmaterialized when the two default rows agree — a run's
-    /// tiles close out their untouched routers over the same span, so
-    /// every non-pristine default is the same row — and otherwise the
-    /// side whose default changes materializes its untouched routers
-    /// first, so no router's content changes.
+    /// Materialized histograms are moved into this bank's blocks, each
+    /// of `bank`'s blocks freed once its slots have moved. Lanes `bank`
+    /// never materialized stay unmaterialized when the two default rows
+    /// agree — a run's tiles close out their untouched lanes over the
+    /// same span, so every non-pristine default is the same row — and
+    /// otherwise the side whose default changes materializes its
+    /// untouched lanes first, so no lane's content changes.
     ///
     /// # Panics
     ///
-    /// Panics when lane counts or caps differ.
+    /// Panics when lane counts or caps differ, or when the joined
+    /// bank's lanes would not fit a `u32`.
     pub fn append(&mut self, mut bank: IdleBank) {
         assert_eq!(
             self.lanes, bank.lanes,
             "joining banks of different lane counts"
         );
         assert_eq!(self.cap, bank.cap, "joining banks of different caps");
+        assert!(
+            u32::try_from(self.idx.len() + bank.idx.len()).is_ok(),
+            "routers × lanes fits u32"
+        );
         if bank.default_row != self.default_row {
             if bank.default_dirty() && !self.default_dirty() {
                 self.adopt_default(bank.default_row.clone());
@@ -388,31 +404,28 @@ impl IdleBank {
                 bank.adopt_default(self.default_row.clone());
             }
         }
-        let offset = u32::try_from(self.rows()).expect("row index fits u32");
+        let offset = u32::try_from(self.materialized_lanes()).expect("slot id fits u32");
         for block in bank.blocks {
-            let mut hists = block.into_iter();
-            while hists.len() > 0 {
-                Self::push_row(
-                    &mut self.blocks,
-                    self.lanes,
-                    hists.by_ref().take(self.lanes),
-                );
+            for h in block {
+                Self::push_slot(&mut self.blocks, h);
             }
         }
         self.idx.extend(
             bank.idx
                 .into_iter()
-                .map(|i| if i == u32::MAX { i } else { offset + i }),
+                .map(|id| if id == 0 { 0 } else { offset + id }),
         );
+        self.routers += bank.routers;
     }
 
     /// Makes `default_row` this bank's shared default without changing
-    /// any router's content: routers still showing the old default are
+    /// any lane's content: lanes still reading the old default are
     /// materialized first.
     fn adopt_default(&mut self, default_row: Vec<IdleHistogram>) {
-        for r in 0..self.routers() {
-            if self.idx[r] == u32::MAX {
-                let _ = self.lane_mut(r, 0);
+        for at in 0..self.idx.len() {
+            if self.idx[at] == 0 {
+                let h = self.default_row[at % self.lanes].clone();
+                self.idx[at] = Self::push_slot(&mut self.blocks, h);
             }
         }
         self.default_row = default_row;
@@ -421,17 +434,14 @@ impl IdleBank {
 
 impl PartialEq for IdleBank {
     fn eq(&self, other: &Self) -> bool {
-        if self.routers() != other.routers() || self.lanes != other.lanes || self.cap != other.cap {
-            return false;
-        }
-        // Content equality, router by router: materialization state is
-        // an implementation detail, so a materialized row equals an
-        // unmaterialized router with the same effective content.
-        let defaults_eq = self.default_row == other.default_row;
-        (0..self.routers()).all(|r| match (self.row(r), other.row(r)) {
-            (None, None) => defaults_eq,
-            (a, b) => a.unwrap_or(&self.default_row) == b.unwrap_or(&other.default_row),
-        })
+        // Content equality, lane by lane: materialization state is an
+        // implementation detail, so a materialized lane equals an
+        // unmaterialized one with the same effective content.
+        self.routers == other.routers
+            && self.lanes == other.lanes
+            && self.cap == other.cap
+            && (0..self.routers)
+                .all(|r| (0..self.lanes).all(|l| self.lane(r, l) == other.lane(r, l)))
     }
 }
 
@@ -552,12 +562,18 @@ mod tests {
     }
 
     #[test]
-    fn bank_untouched_open_run_reaches_only_unmaterialized_rows() {
+    fn bank_untouched_open_run_reaches_only_unmaterialized_lanes() {
         let mut bank = IdleBank::new(3, 2, 16);
-        bank.lane_mut(0, 1).record(7); // router 0 touched
+        bank.lane_mut(0, 1).record(7); // one lane of router 0 touched
+        assert!(bank.is_materialized(0, 1));
+        assert!(
+            !bank.is_materialized(0, 0),
+            "the router's other lane stays shared"
+        );
+        assert_eq!(bank.materialized_lanes(), 1);
         bank.record_open_untouched(40);
-        assert_eq!(bank.lane(0, 0).open_runs(), &[] as &[u64]);
         assert_eq!(bank.lane(0, 1).open_runs(), &[] as &[u64]);
+        assert_eq!(bank.lane(0, 0).open_runs(), &[40]);
         for r in 1..3 {
             for l in 0..2 {
                 assert_eq!(bank.lane(r, l).open_runs(), &[40]);
@@ -567,6 +583,7 @@ mod tests {
         let _ = bank.lane_mut(2, 0);
         assert_eq!(bank.lane(2, 0).open_runs(), &[40]);
         assert_eq!(bank.lane(2, 1).open_runs(), &[40]);
+        assert_eq!(bank.materialized_lanes(), 2);
     }
 
     #[test]
@@ -636,19 +653,22 @@ mod tests {
     }
 
     /// Closes out a tile: one open run of `span` cycles into every lane
-    /// of every router the bank never materialized (read off the bank
-    /// before the bulk record, as the simulator's close-out does).
+    /// the bank never materialized (read off the bank before the bulk
+    /// record, as the simulator's close-out does).
     fn close_out(bank: &mut IdleBank, model: &mut Model, span: u64) {
         for (r, row) in model.iter_mut().enumerate() {
-            if bank.row(r).is_none() {
-                row.iter_mut().for_each(|h| h.record_open(span));
+            for (l, h) in row.iter_mut().enumerate() {
+                if !bank.is_materialized(r, l) {
+                    h.record_open(span);
+                }
             }
         }
         bank.record_open_untouched(span);
     }
 
     /// Checks every lane and the merged histogram (at the bank's cap
-    /// and at another one) against the model.
+    /// and at another one) against the model, and that the index
+    /// names every materialized slot exactly once.
     fn assert_bank_matches(bank: &IdleBank, model: &Model) {
         assert_eq!(bank.routers(), model.len());
         for (r, row) in model.iter().enumerate() {
@@ -656,6 +676,10 @@ mod tests {
                 assert_eq!(bank.lane(r, l), h, "router {r} lane {l}");
             }
         }
+        let mut ids: Vec<u32> = bank.idx.iter().copied().filter(|&id| id != 0).collect();
+        ids.sort_unstable();
+        let want: Vec<u32> = (1..=bank.materialized_lanes() as u32).collect();
+        assert_eq!(ids, want, "slot ids are a permutation of the slots");
         let stats = NetworkStats {
             idle_histograms: bank.clone(),
             ..NetworkStats::new(0, bank.lanes() / 5, bank.cap)
@@ -667,33 +691,48 @@ mod tests {
         }
     }
 
+    /// Asserts every block but the last is full.
+    fn assert_blocks_full(bank: &IdleBank) {
+        let full = bank.blocks.len().saturating_sub(1);
+        assert!(bank.blocks[..full]
+            .iter()
+            .all(|b| b.len() == IdleBank::BLOCK_SLOTS));
+    }
+
     #[test]
-    fn bank_rows_span_several_blocks() {
-        let routers = 3 * IdleBank::BLOCK_ROWS + 1;
-        let (lanes, cap) = (10, 4096);
+    fn bank_slots_span_several_blocks() {
+        let (routers, lanes, cap) = (80, 10, 4096);
         let mut bank = IdleBank::new(routers, lanes, cap);
         let mut model: Model = vec![vec![IdleHistogram::new(cap); lanes]; routers];
         let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
-        touch(&mut bank, &mut model, 600, &mut rng);
+        touch(&mut bank, &mut model, 300, &mut rng);
+        assert!(
+            bank.materialized_lanes() <= 300,
+            "one slot per lane written"
+        );
         close_out(&mut bank, &mut model, 77);
-        // Every router materialized, in a scrambled first-write order:
-        // four blocks, the last holding one row.
-        for r in (0..routers).map(|i| i * 7 % routers) {
-            let _ = bank.lane_mut(r, 0);
+        assert_bank_matches(&bank, &model);
+        // Lanes materialized in a scrambled first-write order, routers
+        // left part shared and part private, until the slots fill
+        // three blocks and one slot of a fourth.
+        let slots = 3 * IdleBank::BLOCK_SLOTS + 1;
+        for at in (0..routers * lanes).map(|i| i * 7 % (routers * lanes)) {
+            if bank.materialized_lanes() == slots {
+                break;
+            }
+            let _ = bank.lane_mut(at / lanes, at % lanes);
         }
-        assert_eq!(bank.rows(), routers);
+        assert_eq!(bank.materialized_lanes(), slots);
         assert_eq!(bank.blocks.len(), 4);
-        assert!(bank.blocks[..3]
-            .iter()
-            .all(|b| b.len() == IdleBank::BLOCK_ROWS * lanes));
-        assert_eq!(bank.blocks[3].len(), lanes);
+        assert_blocks_full(&bank);
+        assert_eq!(bank.blocks[3].len(), 1);
         touch(&mut bank, &mut model, 200, &mut rng);
         assert_bank_matches(&bank, &model);
     }
 
     #[test]
     fn bank_append_matches_model_across_block_boundaries() {
-        // Tiles whose materialized row counts are not multiples of the
+        // Tiles whose materialized slot counts are not multiples of the
         // block size, some closed out (dirty default row) and some
         // pristine, joined in order, dirty tile first and pristine
         // first.
@@ -723,14 +762,13 @@ mod tests {
                         acc.append(bank);
                         acc_model.extend(model);
                         assert_bank_matches(&acc, &acc_model);
+                        assert_blocks_full(&acc);
                         (acc, acc_model)
                     }
                 });
             }
             let (bank, _) = joined.expect("six tiles");
-            assert!(bank.blocks[..bank.blocks.len() - 1]
-                .iter()
-                .all(|b| b.len() == IdleBank::BLOCK_ROWS * lanes));
+            assert!(bank.materialized_lanes() > 2 * IdleBank::BLOCK_SLOTS);
         }
     }
 }
