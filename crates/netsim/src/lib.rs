@@ -92,6 +92,7 @@ pub mod sync;
 pub mod topology;
 pub mod traffic;
 mod wheel;
+mod worklist;
 
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use lnoc_power::gating::GatingPolicy;

@@ -33,7 +33,7 @@
 //!     ([`crate::topology::TileMap`]). Each band owns a contiguous
 //!     slice of every per-router SoA slab (routers, lanes, credits, RNG
 //!     streams, source queues), its own pool of input-ring blocks, its
-//!     own worklist bitset and its own wheel, and bands step
+//!     own worklist and its own wheel, and bands step
 //!     concurrently on worker threads
 //!     ([`MeshConfig::shards`] / [`MeshConfig::threads`] — pure
 //!     geometry: neither changes a result).
@@ -136,6 +136,7 @@ use crate::traffic::{
     MAX_ROUTERS,
 };
 use crate::wheel::TimeWheel;
+use crate::worklist::{Cursor, Worklist};
 use lnoc_power::gating::{GatingCounters, GatingPolicy};
 use lnoc_power::router::RouterActivity;
 use rand::rngs::StdRng;
@@ -494,7 +495,7 @@ pub struct Simulation {
     threads: usize,
 }
 
-/// Per-shard persistent state: the tile's worklist bitset, ring pool,
+/// Per-shard persistent state: the tile's worklist, ring pool,
 /// per-cycle scratch, mailbox staging buffers, and the tile's share of
 /// the network-wide conservation counters.
 #[derive(Debug)]
@@ -508,11 +509,10 @@ struct ShardScratch {
     /// Input-ring blocks of the tile's routers: a router holds one
     /// exactly while it buffers a flit.
     rings: RingPool,
-    /// The tile's worklist as a bitset over *local* router indices
-    /// (bit `lr` set ⇔ router `base + lr` steps this cycle). A bitset
-    /// keeps the traversal in router-index order — cache-linear over
-    /// the tile's slice of the router array and the SoA lanes.
-    active_bits: Vec<u64>,
+    /// The tile's worklist over *local* router indices (`lr` a member
+    /// ⇔ router `base + lr` steps this cycle), visited in router-index
+    /// order at a cost that follows its members, not the tile.
+    active: Worklist,
     /// Reused per-cycle scratch: departures waiting to be applied.
     transfers: Vec<Transfer>,
     /// Staged outgoing boundary messages, parallel to
@@ -863,7 +863,7 @@ impl Simulation {
                     base: range.start,
                     len: range.len(),
                     rings: RingPool::new(range.len(), cfg.buffer_depth, v),
-                    active_bits: vec![0; range.len().div_ceil(64)],
+                    active: Worklist::new(range.len()),
                     transfers: Vec::new(),
                     outgoing: vec![Vec::new(); tiles.neighbors(s).len()],
                     incoming: vec![Vec::new(); tiles.neighbors(s).len()],
@@ -939,10 +939,7 @@ impl Simulation {
         // begin empty and fill from injection. Even gated networks
         // need no initial members — an idle lane's walk to sleep is
         // replayed in closed form when the router first activates.
-        debug_assert!(sim
-            .scratch
-            .iter()
-            .all(|s| s.active_bits.iter().all(|&w| w == 0)));
+        debug_assert!(sim.scratch.iter().all(|s| s.active.is_empty()));
         sim
     }
 
@@ -984,12 +981,7 @@ impl Simulation {
     pub fn active_router_count(&self) -> usize {
         match self.kernel {
             SimKernel::Reference => self.mesh.len(),
-            _ => self
-                .scratch
-                .iter()
-                .flat_map(|s| s.active_bits.iter())
-                .map(|w| w.count_ones() as usize)
-                .sum(),
+            _ => self.scratch.iter().map(|s| s.active.len()).sum(),
         }
     }
 
@@ -1112,11 +1104,10 @@ impl Simulation {
     /// credits held by the upstream output lane plus the flits buffered
     /// in the downstream input VC equal the per-VC buffer depth.
     ///
-    /// The engine re-checks this in debug builds at the end of every
-    /// single-worker cycle and at the end of every run (so `cargo test`
-    /// exercises it on every simulated configuration); this public
-    /// entry point lets integration tests assert it at arbitrary
-    /// observation points in release builds too. The reference
+    /// The engine checks this at the end of every successful run in
+    /// every build, and in debug builds also at the end of every
+    /// single-worker cycle; this public entry point lets integration
+    /// tests assert it at arbitrary observation points. The reference
     /// rebuilds credits from the live buffers each cycle, making the
     /// invariant true by construction — calling this is then a no-op.
     pub fn check_credit_conservation(&self) {
@@ -1350,9 +1341,9 @@ impl Simulation {
             }
             merged
         };
-        // Threaded runs check the credit invariant once here (the
-        // serial path re-checks it every cycle in debug builds).
-        #[cfg(debug_assertions)]
+        // Every run checks the credit invariant once here, in every
+        // build: O(routers × lanes) per run (the serial path re-checks
+        // it every cycle in debug builds too).
         self.check_credit_conservation();
         Ok(merged)
     }
@@ -1632,7 +1623,7 @@ impl ShardView<'_> {
     /// are reset eagerly (they are mid-step — their lanes are live this
     /// very cycle). Every quiescent router keeps its stale warmup state
     /// as *settlement debt* — a debtor is recognizable later by
-    /// `last_stepped ≤ watermark` with its active bit clear — paid on
+    /// `last_stepped ≤ watermark` while off the worklist — paid on
     /// first touch ([`ShardView::activate`]) or in the close-out sweep
     /// ([`ShardView::close_run`]). The eager branch resets the whole
     /// tile up front: the reference needs it (it fills the
@@ -1641,13 +1632,9 @@ impl ShardView<'_> {
     fn open_measurement(&mut self, ctx: &RunCtx<'_>, boundary_cycle: u64) {
         if ctx.deferred {
             self.scratch.boundary = Some(boundary_cycle);
-            for wi in 0..self.scratch.active_bits.len() {
-                let mut word = self.scratch.active_bits[wi];
-                while word != 0 {
-                    let lr = wi * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    self.reset_router_gating(ctx, lr, boundary_cycle);
-                }
+            let mut visit = Cursor::new(false);
+            while let Some(lr) = visit.next(&self.scratch.active) {
+                self.reset_router_gating(ctx, lr, boundary_cycle);
             }
         } else {
             for lr in 0..self.len {
@@ -1680,11 +1667,7 @@ impl ShardView<'_> {
                 // as a full worklist so both kernels share one stepping
                 // path.
                 self.rebuild_credits(ctx);
-                let len = self.len;
-                for (wi, w) in self.scratch.active_bits.iter_mut().enumerate() {
-                    let bits = (len - (wi * 64).min(len)).min(64);
-                    *w = if bits == 64 { !0 } else { (1u64 << bits) - 1 };
-                }
+                self.scratch.active.fill(self.len);
                 drained
             }
         };
@@ -1846,7 +1829,7 @@ impl ShardView<'_> {
             return;
         };
         for lr in 0..self.len {
-            let active = self.scratch.active_bits[lr / 64] & (1u64 << (lr % 64)) != 0;
+            let active = self.scratch.active.contains(lr);
             if !active && self.last_stepped[lr] <= w {
                 self.reset_router_gating(ctx, lr, w);
                 self.scratch.routers_settled += 1;
@@ -1897,7 +1880,7 @@ impl ShardView<'_> {
         let mut debtors = 0u64;
         let mut on_default = 0u64;
         for lr in 0..self.len {
-            let active = self.scratch.active_bits[lr / 64] & (1u64 << (lr % 64)) != 0;
+            let active = self.scratch.active.contains(lr);
             if !active && self.last_stepped[lr] <= w {
                 // Debtor: stale warmup slabs become the template.
                 let base = lr * lanes;
@@ -2245,9 +2228,9 @@ impl ShardView<'_> {
     /// fault epoch moved the horizon.
     /// Only routers on the worklist can hold queued packets (a packet
     /// enqueue activates its router, and retirement requires an empty
-    /// queue), so the drain walks the active bitset instead of the
-    /// whole tile: the cost per cycle is O(due events + active
-    /// routers), independent of mesh size.
+    /// queue), so the drain visits the worklist's members instead of
+    /// the whole tile: the cost per cycle is O(due events + active
+    /// routers), plus one summary word per 4 096 routers.
     fn inject_events(
         &mut self,
         ctx: &RunCtx<'_>,
@@ -2327,13 +2310,9 @@ impl ShardView<'_> {
         // Drain waiting flits for every router on the worklist (the
         // only routers that can hold queued packets — see above).
         let mut drained = 0u64;
-        for w in 0..self.scratch.active_bits.len() {
-            let mut word = self.scratch.active_bits[w];
-            while word != 0 {
-                let l = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                drained += self.drain_source(l, len, stats);
-            }
+        let mut visit = Cursor::new(false);
+        while let Some(l) = visit.next(&self.scratch.active) {
+            drained += self.drain_source(l, len, stats);
         }
         drained
     }
@@ -2493,7 +2472,7 @@ impl ShardView<'_> {
     }
 
     /// Steps this tile's worklist — in router-index order straight off
-    /// the bitset, with lazy credit reads and dimension-order routing
+    /// its bits, with lazy credit reads and dimension-order routing
     /// on cached coordinates ([`Router::step`]). The credit state is
     /// the cycle-start snapshot (maintained incrementally, or just
     /// rebuilt by the reference), so results are visit-order
@@ -2532,7 +2511,7 @@ impl ShardView<'_> {
             ..
         } = self;
         let ShardScratch {
-            active_bits,
+            active,
             transfers,
             routers_stepped,
             rings,
@@ -2544,102 +2523,91 @@ impl ShardView<'_> {
         };
         transfers.clear();
 
-        let words = active_bits.len();
-        for wi in 0..words {
-            let w = if visit_reversed { words - 1 - wi } else { wi };
-            let mut bits = active_bits[w];
-            while bits != 0 {
-                let b = if visit_reversed {
-                    63 - bits.leading_zeros() as usize
-                } else {
-                    bits.trailing_zeros() as usize
-                };
-                bits &= !(1u64 << b);
-                let lr = w * 64 + b;
-                let rid = base_rid + lr;
+        let mut visit = Cursor::new(visit_reversed);
+        while let Some(lr) = visit.next(active) {
+            let rid = base_rid + lr;
 
-                let route = |flit: &Flit| {
-                    // Faulted epochs route on the fault map's BFS
-                    // tables, which never target a dead channel — so
-                    // the readiness check below stays untouched and
-                    // credit conservation needs no fault cases. Every
-                    // buffered flit has a route: unroutable packets
-                    // are reaped at the epoch boundary, and BFS next
-                    // hops strictly descend the distance-to-dst, so a
-                    // route exists at every hop within a component.
-                    let out = match fmap {
-                        Some(fm) => fm
-                            .route(rid, flit.dst as usize)
-                            .expect("unroutable packets are reaped at fault boundaries"),
-                        None => mesh.route_xy_at(at(rid), at(flit.dst as usize)),
-                    };
-                    RouteTarget {
-                        out,
-                        vc: mesh.hop_vc_at(at(rid), at(flit.src()), flit.packet_id, out, v),
-                    }
+            let route = |flit: &Flit| {
+                // Faulted epochs route on the fault map's BFS
+                // tables, which never target a dead channel — so
+                // the readiness check below stays untouched and
+                // credit conservation needs no fault cases. Every
+                // buffered flit has a route: unroutable packets
+                // are reaped at the epoch boundary, and BFS next
+                // hops strictly descend the distance-to-dst, so a
+                // route exists at every hop within a component.
+                let out = match fmap {
+                    Some(fm) => fm
+                        .route(rid, flit.dst as usize)
+                        .expect("unroutable packets are reaped at fault boundaries"),
+                    None => mesh.route_xy_at(at(rid), at(flit.dst as usize)),
                 };
-                // Lazy credit reads: only evaluated for lanes a flit
-                // actually wants (ejection always sinks; edge lanes
-                // hold zero credits, so no-link and no-room collapse
-                // into one check).
-                let lane_base = lr * lanes;
-                let ready = |d: Direction, vc: usize| match d {
-                    Direction::Local => true,
-                    d => credits[lane_base + d.index() * v + vc] > 0,
-                };
-                let lane = PortLane {
-                    idle_run: &mut idle_run[lane_base..lane_base + lanes],
-                    fsm: &mut fsm[lane_base..lane_base + lanes],
-                    counters: &mut counters[lr],
-                    settled: &mut settled[lane_base..lane_base + lanes],
-                    rings: &mut *rings,
-                };
-                let mut departed = 0u64;
-                let mut link_departed = 0u64;
-                let mut histograms = stats.as_mut().map(|s| &mut s.idle_histograms);
-                let arbitrations = routers[lr].step(cycle, all_live, route, ready, lane, |dep| {
-                    departed += 1;
-                    if dep.output != Direction::Local {
-                        link_departed += 1;
+                RouteTarget {
+                    out,
+                    vc: mesh.hop_vc_at(at(rid), at(flit.src()), flit.packet_id, out, v),
+                }
+            };
+            // Lazy credit reads: only evaluated for lanes a flit
+            // actually wants (ejection always sinks; edge lanes
+            // hold zero credits, so no-link and no-room collapse
+            // into one check).
+            let lane_base = lr * lanes;
+            let ready = |d: Direction, vc: usize| match d {
+                Direction::Local => true,
+                d => credits[lane_base + d.index() * v + vc] > 0,
+            };
+            let lane = PortLane {
+                idle_run: &mut idle_run[lane_base..lane_base + lanes],
+                fsm: &mut fsm[lane_base..lane_base + lanes],
+                counters: &mut counters[lr],
+                settled: &mut settled[lane_base..lane_base + lanes],
+                rings: &mut *rings,
+            };
+            let mut departed = 0u64;
+            let mut link_departed = 0u64;
+            let mut histograms = stats.as_mut().map(|s| &mut s.idle_histograms);
+            let arbitrations = routers[lr].step(cycle, all_live, route, ready, lane, |dep| {
+                departed += 1;
+                if dep.output != Direction::Local {
+                    link_departed += 1;
+                }
+                // The only idle runs a step ends are those of the
+                // lanes it sends on.
+                if let Some(h) = histograms.as_mut() {
+                    if dep.idle_run > 0 {
+                        let l = dep.output.index() * v + dep.flit.vc as usize;
+                        h.lane_mut(lr, l).record(dep.idle_run);
                     }
-                    // The only idle runs a step ends are those of the
-                    // lanes it sends on.
-                    if let Some(h) = histograms.as_mut() {
-                        if dep.idle_run > 0 {
-                            let l = dep.output.index() * v + dep.flit.vc as usize;
-                            h.lane_mut(lr, l).record(dep.idle_run);
-                        }
-                    }
-                    transfers.push(Transfer {
-                        from: rid as u32,
-                        input: dep.input,
-                        input_vc: dep.input_vc,
-                        output: dep.output,
-                        flit: dep.flit,
-                    });
+                }
+                transfers.push(Transfer {
+                    from: rid as u32,
+                    input: dep.input,
+                    input_vc: dep.input_vc,
+                    output: dep.output,
+                    flit: dep.flit,
                 });
-                *routers_stepped += 1;
+            });
+            *routers_stepped += 1;
 
-                if stats.is_some() {
-                    let a = &mut activity[lr];
-                    a.cycles += 1;
-                    a.arbitrations += arbitrations;
-                    a.crossbar_traversals += departed;
-                    a.buffer_reads += departed;
-                    a.link_traversals += link_departed;
-                }
+            if stats.is_some() {
+                let a = &mut activity[lr];
+                a.cycles += 1;
+                a.arbitrations += arbitrations;
+                a.crossbar_traversals += departed;
+                a.buffer_reads += departed;
+                a.link_traversals += link_departed;
+            }
 
-                // Retire the router if it just went quiescent (nothing
-                // this cycle's remaining steps can change that — only
-                // later arrivals can, and they re-activate it). Lanes
-                // left behind keep their watermarks and settle on
-                // reactivation or at close-out, whatever state their
-                // FSMs are in. (The reference refills its worklist
-                // every cycle, so retiring is moot there.)
-                if retire && routers[lr].is_quiet() && source_queues[lr].is_empty() {
-                    active_bits[w] &= !(1u64 << b);
-                    last_stepped[lr] = cycle;
-                }
+            // Retire the router if it just went quiescent (nothing
+            // this cycle's remaining steps can change that — only
+            // later arrivals can, and they re-activate it). Lanes
+            // left behind keep their watermarks and settle on
+            // reactivation or at close-out, whatever state their
+            // FSMs are in. (The reference refills its worklist
+            // every cycle, so retiring is moot there.)
+            if retire && routers[lr].is_quiet() && source_queues[lr].is_empty() {
+                active.remove(lr);
+                last_stepped[lr] = cycle;
             }
         }
     }
@@ -2801,7 +2769,7 @@ impl ShardView<'_> {
         through: u64,
         stats: &mut Option<NetworkStats>,
     ) {
-        if self.scratch.active_bits[lr / 64] & (1u64 << (lr % 64)) != 0 {
+        if self.scratch.active.contains(lr) {
             return;
         }
         // First touch since the measurement boundary: pay the deferred
@@ -2812,7 +2780,7 @@ impl ShardView<'_> {
             }
         }
         self.settle_router(ctx, lr, through, stats);
-        self.scratch.active_bits[lr / 64] |= 1u64 << (lr % 64);
+        self.scratch.active.insert(lr);
     }
 
     /// Settles every lane of router `lr` through cycle `through`, each
@@ -2831,7 +2799,7 @@ impl ShardView<'_> {
         through: u64,
         stats: &mut Option<NetworkStats>,
     ) {
-        let active = self.scratch.active_bits[lr / 64] & (1u64 << (lr % 64)) != 0;
+        let active = self.scratch.active.contains(lr);
         let anchor = if active {
             through
         } else {
@@ -3953,7 +3921,7 @@ mod tests {
         let l = src - sc.base;
         sc.flits_injected += len;
         sc.queued_flits += len;
-        sc.active_bits[l / 64] |= 1 << (l % 64);
+        sc.active.insert(l);
     }
 
     #[test]

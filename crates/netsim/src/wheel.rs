@@ -5,26 +5,34 @@
 //! operations are O(1): scheduling into the slot ring, draining the
 //! events due at the current cycle, and (via an occupancy bitmap)
 //! finding the next scheduled cycle so the engine knows how far it may
-//! leap. Events beyond the ring's window park in an overflow list and
-//! are folded back in when the window advances — the classic calendar
-//! queue, sized so overflow is the rare case at simulation rates.
+//! leap. Events beyond the ring's window park in an overflow min-heap
+//! and enter the ring when the window advances over them.
+//!
+//! Overflow is the common case where the engine leaps: a source's mean
+//! arrival gap is `1/rate` cycles, so at 2e-6 almost every parked event
+//! lies far past the window. The heap keeps that cheap — an event costs
+//! O(log parked) once on the way in and once on the way out — and a
+//! rebase touches only the slot-resident events and the heap events
+//! that fall inside the new window, never the whole parked set.
 //!
 //! Slots are **intrusive lists**: one `head` entry per slot plus one
 //! `next` link per event id. Because an id is scheduled at most once at
 //! a time, the links never alias, so the slot ring's memory is fixed at
-//! construction; only the overflow list and its rebase buffer grow, and
-//! they keep their capacity across runs.
+//! construction; only the overflow heap grows, and it keeps its
+//! capacity across runs.
 //!
 //! Everything here is deterministic: slot order is canonicalized by
-//! sorting drained ids, there is no hashing and no wall clock, so the
-//! wheel never perturbs the bit-identical-stats contract.
+//! sorting drained ids, the heap orders by `(cycle, id)`, there is no
+//! hashing and no wall clock, so the wheel never perturbs the
+//! bit-identical-stats contract.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
-/// Slot-ring length (cycles representable without overflow). A power
-/// of two so slot arithmetic is a mask. At the low injection rates
-/// where the engine leaps, mean arrival gaps are `1/rate` cycles —
-/// 4096 covers rates down to ~2.5e-4 without touching overflow.
+/// Slot-ring length (cycles representable without overflow). At rates
+/// above ~2.5e-4 (mean arrival gaps under 4 096 cycles) most events
+/// land in the ring; below that most park in the overflow heap.
 const SLOTS: usize = 4096;
 
 /// End-of-list marker for the intrusive slot lists.
@@ -47,13 +55,9 @@ pub(crate) struct TimeWheel {
     /// Occupancy bitmap over slots (bit set ⇔ slot non-empty), so
     /// next-event queries scan 64 slots per word.
     occ: Vec<u64>,
-    /// Events at cycles `≥ base + SLOTS`, folded in on rebase.
-    overflow: Vec<(u64, u32)>,
-    /// Earliest overflow cycle (`u64::MAX` when empty), so the
-    /// next-event query never scans the overflow list.
-    overflow_min: u64,
-    /// Reused rebase buffer.
-    spill: Vec<(u64, u32)>,
+    /// Events at cycles `≥ base + SLOTS`, earliest on top; each enters
+    /// the ring on the rebase whose window first covers its cycle.
+    overflow: BinaryHeap<Reverse<(u64, u32)>>,
     /// Total events currently scheduled.
     scheduled: usize,
 }
@@ -79,9 +83,7 @@ impl TimeWheel {
             head: vec![NIL; SLOTS],
             next: vec![NIL; ids],
             occ: vec![0; SLOTS / 64],
-            overflow: Vec::new(),
-            overflow_min: u64::MAX,
-            spill: Vec::new(),
+            overflow: BinaryHeap::new(),
             scheduled: 0,
         }
     }
@@ -97,7 +99,6 @@ impl TimeWheel {
             }
         }
         self.overflow.clear();
-        self.overflow_min = u64::MAX;
         self.scheduled = 0;
         self.base = now;
         self.floor = now;
@@ -119,17 +120,18 @@ impl TimeWheel {
             self.floor
         );
         self.scheduled += 1;
-        match usize::try_from(cycle - self.base) {
-            Ok(i) if i < SLOTS => {
-                self.next[id as usize] = self.head[i];
-                self.head[i] = id;
-                self.occ[i / 64] |= 1u64 << (i % 64);
-            }
-            _ => {
-                self.overflow.push((cycle, id));
-                self.overflow_min = self.overflow_min.min(cycle);
-            }
+        if cycle < self.base + SLOTS as u64 {
+            self.link((cycle - self.base) as usize, id);
+        } else {
+            self.overflow.push(Reverse((cycle, id)));
         }
+    }
+
+    /// Pushes `id` onto slot `i`'s list.
+    fn link(&mut self, i: usize, id: u32) {
+        self.next[id as usize] = self.head[i];
+        self.head[i] = id;
+        self.occ[i / 64] |= 1u64 << (i % 64);
     }
 
     /// Unlinks slot `i`'s whole list, handing each id to `push`.
@@ -148,23 +150,23 @@ impl TimeWheel {
     /// Cycles must be drained in nondecreasing order.
     pub(crate) fn drain_due(&mut self, cycle: u64, out: &mut Vec<u32>) {
         debug_assert!(cycle >= self.floor, "draining cycles out of order");
-        if self.overflow_min <= cycle || cycle - self.base >= SLOTS as u64 {
-            // The clock reached (or leapt past) the window's edge; pull
-            // the window forward so due and future events are
+        // Every overflow event lies past the window, so only a clock at
+        // or past the window's edge can be due one.
+        if cycle >= self.base + SLOTS as u64 {
+            // Pull the window forward so due and near-future events are
             // slot-resident. Rebasing to the drained cycle keeps
             // `base ≤ floor`, so later schedules never land below the
-            // window. (The floor rises only afterwards: rebasing
-            // re-schedules events due at `cycle` itself.)
+            // window. (The floor rises only afterwards: rebasing slots
+            // the events due at `cycle` itself.)
             self.rebase(cycle);
         }
         self.floor = cycle + 1;
-        if let Ok(i) = usize::try_from(cycle - self.base) {
-            if i < SLOTS && self.occ[i / 64] & (1u64 << (i % 64)) != 0 {
-                let start = out.len();
-                self.take_slot(i, |id| out.push(id));
-                // Canonical firing order regardless of insertion order.
-                out[start..].sort_unstable();
-            }
+        let i = (cycle - self.base) as usize;
+        if self.occ[i / 64] & (1u64 << (i % 64)) != 0 {
+            let start = out.len();
+            self.take_slot(i, |id| out.push(id));
+            // Canonical firing order regardless of insertion order.
+            out[start..].sort_unstable();
         }
     }
 
@@ -174,25 +176,21 @@ impl TimeWheel {
             return None;
         }
         let lo = from.max(self.base);
-        if let Ok(i0) = usize::try_from(lo - self.base) {
-            if i0 < SLOTS {
-                if let Some(i) = self.scan_occupied(i0) {
-                    let hit = self.base + i as u64;
-                    // An occupied slot below `from` would mean undrained
-                    // past events — the drain order contract forbids it.
-                    debug_assert!(hit >= from);
-                    return Some(hit);
-                }
+        if lo < self.base + SLOTS as u64 {
+            if let Some(i) = self.scan_occupied((lo - self.base) as usize) {
+                let hit = self.base + i as u64;
+                // An occupied slot below `from` would mean undrained
+                // past events — the drain order contract forbids it.
+                debug_assert!(hit >= from);
+                return Some(hit);
             }
-        }
-        if self.overflow_min == u64::MAX {
-            return None;
         }
         // Every slot-resident event has been ruled out, so the answer
         // is the overflow minimum (always past the window, hence past
         // any slot hit; `drain_due` keeps it out of the drained past).
-        debug_assert!(self.overflow_min >= from, "undrained overflow events");
-        Some(self.overflow_min)
+        let &Reverse((min, _)) = self.overflow.peek()?;
+        debug_assert!(min >= from, "undrained overflow events");
+        Some(min)
     }
 
     /// First occupied slot index `≥ i0`, via the occupancy bitmap.
@@ -211,31 +209,30 @@ impl TimeWheel {
         }
     }
 
-    /// Moves the window so slot 0 is `new_base`, re-slotting every live
-    /// event. O(live events + SLOTS); called only when the schedule
-    /// outruns the window, which the horizon caps make rare.
+    /// Moves the window so slot 0 is `new_base`, then moves the
+    /// overflow events the new window covers from the heap into their
+    /// slots. The drain calls it only once the clock has passed the
+    /// window, and every slot below the clock has been drained, so no
+    /// slot-resident event is left to move. O(entering events × log
+    /// parked).
     fn rebase(&mut self, new_base: u64) {
-        debug_assert!(new_base >= self.base, "the window only moves forward");
-        let mut live = std::mem::take(&mut self.spill);
-        self.scheduled -= self.overflow.len();
-        live.append(&mut self.overflow);
-        for w in 0..self.occ.len() {
-            let mut word = self.occ[w];
-            while word != 0 {
-                let i = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let cy = self.base + i as u64;
-                debug_assert!(cy >= new_base, "rebasing past a live event");
-                self.take_slot(i, |id| live.push((cy, id)));
-            }
-        }
+        debug_assert!(
+            new_base >= self.base + SLOTS as u64,
+            "the window moves only once the clock has passed it"
+        );
+        debug_assert!(
+            self.occ.iter().all(|&w| w == 0),
+            "rebasing past a live event"
+        );
         self.base = new_base;
-        self.overflow_min = u64::MAX;
-        for &(cy, id) in &live {
-            self.schedule(cy, id);
+        let end = new_base + SLOTS as u64;
+        while let Some(&Reverse((cy, id))) = self.overflow.peek() {
+            if cy >= end {
+                break;
+            }
+            self.overflow.pop();
+            self.link((cy - new_base) as usize, id);
         }
-        live.clear();
-        self.spill = live;
     }
 }
 
@@ -392,5 +389,62 @@ mod tests {
             }
             now = target;
         }
+    }
+
+    #[test]
+    fn matches_model_at_sparse_gaps() {
+        // The regime the engine leaps through: ~500 000-cycle mean gaps
+        // over 16 384 ids, so nearly every event parks in overflow, the
+        // clock leaps straight onto overflow cycles, and the window
+        // rebases every ~130 events.
+        const IDS: u32 = 16_384;
+        let mut w = TimeWheel::new(0, IDS as usize);
+        let mut m = Model::default();
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut lcg = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for id in 0..IDS {
+            let cycle = lcg() % 1_000_000;
+            w.schedule(cycle, id);
+            m.schedule(cycle, id);
+        }
+        let mut now = 0u64;
+        let mut out = Vec::new();
+        let mut rebases = 0;
+        for _ in 0..8_000 {
+            let next = w.next_event(now);
+            assert_eq!(next, m.next_event(now), "query at {now}");
+            // Leap onto the next event, or now and then step one cycle
+            // (never past an undrained event).
+            now = match lcg() % 8 {
+                0 if next != Some(now) => now + 1,
+                _ => next.expect("every fired id is rescheduled"),
+            };
+            let base = w.base;
+            out.clear();
+            w.drain_due(now, &mut out);
+            let due = m.drain_due(now);
+            assert_eq!(out, due, "drain at {now}");
+            if w.base != base {
+                rebases += 1;
+                let end = w.base + SLOTS as u64;
+                assert!(
+                    w.overflow.iter().all(|&Reverse((cy, _))| cy >= end),
+                    "an event inside the window stayed parked after the rebase to {}",
+                    w.base
+                );
+            }
+            for &id in &due {
+                let cycle = now + 1 + lcg() % 1_000_000;
+                w.schedule(cycle, id);
+                m.schedule(cycle, id);
+            }
+            assert_eq!(w.len(), m.events.len());
+        }
+        assert!(rebases >= 60, "only {rebases} rebases");
     }
 }
