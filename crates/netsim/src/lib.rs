@@ -96,7 +96,7 @@ mod worklist;
 
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use lnoc_power::gating::GatingPolicy;
-pub use router::{RouteTarget, MAX_VCS};
+pub use router::{RouteTarget, MAX_BUFFER_DEPTH, MAX_VCS};
 pub use sim::{MeshConfig, SimAbort, SimKernel, Simulation};
 pub use sleep::{SleepConfig, SleepState};
 pub use stats::{IdleBank, NetworkStats};

@@ -42,20 +42,24 @@
 //! With `V = 1` both stages degenerate to the pre-VC single-FIFO
 //! arbitration bit-for-bit — pinned by `tests/v1_behaviour_pinned.rs`.
 //!
-//! Per-lane idle-run counters, [`SleepFsm`] sleep controllers and
-//! [`GatingCounters`] are **not** stored inside the router. The
-//! simulation owns them as flat network-wide SoA arrays (indexed
-//! `router * 5 * V + port * V + vc`) and lends this router's lane block
-//! to [`Router::step`] as a [`PortLane`]. Gating is therefore per
-//! **VC lane**: an empty VC bank can sleep while a sibling VC of the
-//! same port carries a worm.
+//! A [`Router`] holds only its live state: 32 bytes of lane masks, a
+//! ring-block id and switch round-robin pointers. Its per-lane records
+//! ([`Lane`]: ring cursors, cached routes, output-lane owners), idle-run
+//! counters, [`SleepFsm`] sleep controllers and [`GatingCounters`] are
+//! **not** stored inside the router. The simulation owns them as flat
+//! network-wide SoA arrays (indexed `router * 5 * V + port * V + vc`)
+//! and lends this router's lane block to [`Router::step`] as a
+//! [`PortLane`]; what every router shares — buffer depth, VC count,
+//! sleep configuration — is one [`RouterGeometry`] passed alongside.
+//! Gating is therefore per **VC lane**: an empty VC bank can sleep
+//! while a sibling VC of the same port carries a worm.
 //!
 //! A step visits only the *live* output lanes: lanes held mid-packet or
 //! requested by a waiting head flit. Every other lane can do nothing
 //! but idle — no candidate, no send — so it is left behind and settled
 //! later in closed form ([`SleepFsm::settle_idle_bulk`]) from its own
 //! watermark ([`PortLane::settled`]): when it next becomes live, or when
-//! the simulation settles the whole router ([`Router::settle_lanes`]).
+//! the simulation settles the whole router ([`settle_lanes`]).
 //! The router keeps the masks that make this cheap — occupied input
 //! lanes, owned output lanes — plus each input lane's front-flit route,
 //! computed once when the flit reaches the front. Stepping every lane
@@ -74,7 +78,6 @@ use crate::sleep::{SleepConfig, SleepFsm};
 use crate::topology::Direction;
 use crate::traffic::Flit;
 use lnoc_power::gating::GatingCounters;
-use serde::{Deserialize, Serialize};
 
 /// Hard cap on virtual channels per port: keeps every per-router lane
 /// mask in one `u64` (`5 * 8 = 40` lanes) and the lane-owner and
@@ -85,6 +88,10 @@ pub const MAX_VCS: usize = 8;
 /// scratch arrays so [`Router::step`] stays allocation-free for
 /// any VC count.
 pub const MAX_LANES: usize = 5 * MAX_VCS;
+
+/// Deepest input VC buffer, in flits: a lane's ring cursors and the
+/// simulation's credit counters are 16-bit.
+pub const MAX_BUFFER_DEPTH: usize = u16::MAX as usize;
 
 /// Where a flit wants to go next: an output port plus the virtual
 /// channel it must ride on the outgoing link (the downstream input VC).
@@ -99,10 +106,59 @@ pub struct RouteTarget {
     pub vc: u8,
 }
 
+/// What every router of a network shares: the per-VC buffer depth, the
+/// VC count and the in-loop sleep configuration. The simulation keeps
+/// one and passes it to every router call, so a [`Router`] stores only
+/// its live state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RouterGeometry {
+    depth: u16,
+    vcs: u8,
+    sleep_cfg: Option<SleepConfig>,
+}
+
+impl RouterGeometry {
+    /// Routers with `vcs` virtual channels of `buffer_depth` flits each
+    /// per port, whose output VC lanes run the given sleep FSM
+    /// configuration (`None` disables in-loop gating).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `vcs` is 0 or exceeds [`MAX_VCS`], or when
+    /// `buffer_depth` is 0 or exceeds [`MAX_BUFFER_DEPTH`].
+    pub fn new(buffer_depth: usize, vcs: usize, sleep_cfg: Option<SleepConfig>) -> Self {
+        assert!((1..=MAX_VCS).contains(&vcs), "vcs must be in 1..={MAX_VCS}");
+        assert!(
+            (1..=MAX_BUFFER_DEPTH).contains(&buffer_depth),
+            "buffer depth must be in 1..={MAX_BUFFER_DEPTH}"
+        );
+        RouterGeometry {
+            depth: buffer_depth as u16,
+            vcs: vcs as u8,
+            sleep_cfg,
+        }
+    }
+
+    /// Virtual channels per port.
+    pub fn vcs(&self) -> usize {
+        self.vcs as usize
+    }
+
+    /// Lanes per router (`5 * vcs`).
+    pub fn lanes(&self) -> usize {
+        5 * self.vcs as usize
+    }
+
+    /// Flits per input VC buffer.
+    pub fn depth(&self) -> usize {
+        self.depth as usize
+    }
+}
+
 /// Per-output-lane state: which input lane currently owns the lane.
 /// One byte per lane (`FREE` or the owning input-lane index `port * V +
 /// vc`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(transparent)]
 struct PortOwner(u8);
 
@@ -126,12 +182,6 @@ impl PortOwner {
     }
 }
 
-impl Default for PortOwner {
-    fn default() -> Self {
-        PortOwner::FREE
-    }
-}
-
 /// Front-route cache value of an input lane whose front flit has not
 /// been routed (or that holds no flit).
 const NO_ROUTE: u8 = u8::MAX;
@@ -141,13 +191,14 @@ const HEAD_BIT: u8 = 0x40;
 const LANE_BITS: u8 = 0x3f;
 
 /// Everything a router keeps per lane index `l = port * V + vc`, in one
-/// record: the *input* VC buffer's ring cursor and its front flit's
-/// cached route ([`NO_ROUTE`], or the requested output lane with
-/// [`HEAD_BIT`] set for a head flit), and the *output* VC lane's
-/// allocation state. One allocation per router instead of one per
-/// field keeps the router small on meshes of many thousands of routers.
-#[derive(Debug, Clone, Copy)]
-struct Lane {
+/// 16-byte record: the *input* VC buffer's ring cursor and its front
+/// flit's cached route (unrouted, or the requested output lane and
+/// whether the flit is a head), and the *output* VC lane's
+/// allocation state. The simulation keeps every router's lanes in one
+/// network-wide slab, `5 * V` consecutive records per router, and
+/// lends a router its block with each call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lane {
     /// Packet id of the worm holding the output lane — only meaningful
     /// while `owner` is allocated. Lets the fault layer release lanes
     /// held by doomed packets whose remaining flits were purged
@@ -155,9 +206,9 @@ struct Lane {
     owner_pkt: u64,
     /// Ring-buffer index of the input VC's front flit, within the
     /// lane's `depth` slots of the router's ring block.
-    head: u32,
+    head: u16,
     /// Flits buffered in the input VC.
-    len: u32,
+    len: u16,
     /// Owner of the output lane.
     owner: PortOwner,
     /// VC-allocation round-robin pointer of the output lane, over the
@@ -167,8 +218,11 @@ struct Lane {
     front: u8,
 }
 
+const _: () = assert!(std::mem::size_of::<Lane>() == 16);
+
 impl Lane {
-    const EMPTY: Lane = Lane {
+    /// An empty input VC and a free output lane.
+    pub const EMPTY: Lane = Lane {
         owner_pkt: 0,
         head: 0,
         len: 0,
@@ -178,10 +232,36 @@ impl Lane {
     };
 }
 
+/// Flits buffered in input VC `(port, vc)` of the router whose lane
+/// block is `lanes`.
+pub fn occupancy(lanes: &[Lane], vcs: usize, port: Direction, vc: usize) -> usize {
+    lanes[port.index() * vcs + vc].len as usize
+}
+
+/// Whether input VC `(port, vc)` of the router whose lane block is
+/// `lanes` can accept a flit.
+pub fn can_accept(g: &RouterGeometry, lanes: &[Lane], port: Direction, vc: usize) -> bool {
+    lanes[port.index() * g.vcs() + vc].len < g.depth
+}
+
+/// Total flits buffered in a router's lane block.
+pub fn total_occupancy(lanes: &[Lane]) -> usize {
+    lanes.iter().map(|l| l.len as usize).sum()
+}
+
+/// Drops every cached front-flit route in `lanes` — for when the
+/// routing function itself changes (a fault epoch applies).
+pub(crate) fn clear_route_cache(lanes: &mut [Lane]) {
+    for l in lanes {
+        l.front = NO_ROUTE;
+    }
+}
+
 /// One router's block of the simulation-owned SoA per-lane state, lent
-/// to [`Router::step`] for one cycle (or to
-/// [`Router::settle_lanes`]), with its tile's [`RingPool`]. All slices
-/// have `5 * V` entries, indexed `port * V + vc`.
+/// to [`Router::step`] for one cycle (or to [`settle_lanes`]), with its
+/// tile's [`RingPool`]. The per-lane slices have `5 * V` entries,
+/// indexed `port * V + vc`, except `fsm`, which is empty on an ungated
+/// network (nothing reads it there).
 ///
 /// A lane is *settled through* the cycle its watermark names: its idle
 /// run, FSM and share of the counters account every cycle up to and
@@ -190,10 +270,13 @@ impl Lane {
 /// describe each lane as of its own watermark, not as of the clock.
 #[derive(Debug)]
 pub struct PortLane<'a> {
+    /// The router's cursors, route caches and output-lane allocation
+    /// state.
+    pub lanes: &'a mut [Lane],
     /// Consecutive idle cycles per output VC lane (the authoritative
     /// idle-run counters behind the idle-interval histograms).
     pub idle_run: &'a mut [u64],
-    /// Sleep controller per output VC lane.
+    /// Sleep controller per output VC lane (empty when ungated).
     pub fsm: &'a mut [SleepFsm],
     /// This router's accumulated gating counters (all lanes summed).
     pub counters: &'a mut GatingCounters,
@@ -201,7 +284,7 @@ pub struct PortLane<'a> {
     /// last cycle the lane is settled through. Lags are recovered
     /// against an *anchor* cycle known to be no earlier than the
     /// watermark and less than 2³² cycles past it (see
-    /// [`Router::settle_lanes`]).
+    /// [`settle_lanes`]).
     pub settled: &'a mut [u32],
     /// The tile's ring pool, which holds the router's input rings
     /// while it buffers flits and takes the block back when a step
@@ -251,12 +334,11 @@ impl RingPool {
     /// Blocks per chunk.
     pub const CHUNK_BLOCKS: usize = 64;
 
-    /// An empty pool for `routers` routers with `vcs` virtual channels
-    /// of `buffer_depth` flits per port. Allocates nothing until the
-    /// first block is taken.
-    pub fn new(routers: usize, buffer_depth: usize, vcs: usize) -> Self {
+    /// An empty pool for `routers` routers of geometry `g`. Allocates
+    /// nothing until the first block is taken.
+    pub fn new(routers: usize, g: &RouterGeometry) -> Self {
         RingPool {
-            block_len: 5 * vcs * buffer_depth,
+            block_len: g.lanes() * g.depth(),
             routers: u32::try_from(routers).expect("router count fits u32"),
             chunks: Vec::new(),
             carved: 0,
@@ -324,28 +406,30 @@ impl RingPool {
     }
 }
 
-/// One wormhole router.
+/// One wormhole router's live state: 32 bytes. Its lanes live in the
+/// simulation's lane slab and its geometry in one [`RouterGeometry`]
+/// shared by the network; both are passed to every call.
 #[derive(Debug, Clone)]
 pub struct Router {
-    /// This router's id in the mesh.
-    pub id: usize,
-    /// The [`RingPool`] block holding the `5 * V` input VC rings, or
-    /// [`NO_BLOCK`]: held exactly while `occupied` is non-zero.
-    block: u32,
-    /// Per-lane cursors, route caches and output-lane allocation state.
-    lanes: Box<[Lane]>,
-    /// Flits per input VC buffer.
-    depth: u32,
     /// Bit `l` set ⇔ input lane `l` holds at least one flit.
     occupied: u64,
     /// Bit `l` set ⇔ output lane `l` is held mid-packet (its owner is
     /// not free).
     owned: u64,
+    /// The [`RingPool`] block holding the `5 * V` input VC rings, or
+    /// [`NO_BLOCK`]: held exactly while `occupied` is non-zero.
+    block: u32,
     /// Switch-allocation round-robin pointer per output *port*, over
     /// its `V` lanes.
     sa_rr: [u8; 5],
-    vcs: u8,
-    sleep_cfg: Option<SleepConfig>,
+}
+
+const _: () = assert!(std::mem::size_of::<Router>() == 32);
+
+impl Default for Router {
+    fn default() -> Self {
+        Router::new()
+    }
 }
 
 /// A flit departing the router this cycle.
@@ -366,95 +450,173 @@ pub struct Departure {
     pub idle_run: u64,
 }
 
+/// Input lane `lane`'s front flit in the router's `ring`.
+fn front<'r>(ring: &'r [Flit], lanes: &[Lane], depth: u16, lane: usize) -> Option<&'r Flit> {
+    let l = lanes[lane];
+    (l.len > 0).then(|| &ring[lane * depth as usize + l.head as usize])
+}
+
+/// Input lane `il`'s front flit's route as `(output lane, is_head)`,
+/// computed on first use and cached until the flit leaves the front.
+/// The lane must be occupied.
+fn front_route(
+    ring: &[Flit],
+    lanes: &mut [Lane],
+    g: &RouterGeometry,
+    il: usize,
+    route: &impl Fn(&Flit) -> RouteTarget,
+) -> (usize, bool) {
+    let mut c = lanes[il].front;
+    if c == NO_ROUTE {
+        let f = front(ring, lanes, g.depth, il).expect("routing an empty lane");
+        debug_assert!(!f.is_invalid(), "routing a filler flit");
+        let t = route(f);
+        c = (t.out.index() * g.vcs() + t.vc as usize) as u8 | if f.is_head { HEAD_BIT } else { 0 };
+        lanes[il].front = c;
+    }
+    ((c & LANE_BITS) as usize, c & HEAD_BIT != 0)
+}
+
+/// The cached route of input lane `il`'s front flit, if routed.
+fn cached_route(lanes: &[Lane], il: usize) -> Option<(usize, bool)> {
+    let c = lanes[il].front;
+    (c != NO_ROUTE).then_some(((c & LANE_BITS) as usize, c & HEAD_BIT != 0))
+}
+
+/// The single implementation of the VC-allocation candidate rule for
+/// output lane `ol`: the owning input lane while the lane is allocated
+/// (if its routed front flit requests `ol`), otherwise the round-robin
+/// winner among `heads` — the input lanes whose front head flit
+/// requests `ol` — starting from the lane's round-robin pointer. Input
+/// lanes in `blocked` belong to input ports that already sent a flit
+/// this cycle and are skipped: an input port has one crossbar line, so
+/// it feeds at most one output per cycle across all its VCs.
+fn select_candidate(lanes: &[Lane], ol: usize, blocked: u64, heads: u64) -> Option<usize> {
+    match lanes[ol].owner.input() {
+        Some(il) => (blocked & (1 << il) == 0
+            && cached_route(lanes, il).is_some_and(|(t, _)| t == ol))
+        .then_some(il),
+        None => {
+            let open = heads & !blocked;
+            let from_ptr = open & (u64::MAX << lanes[ol].rr_next);
+            let pick = if from_ptr != 0 { from_ptr } else { open };
+            (pick != 0).then(|| pick.trailing_zeros() as usize)
+        }
+    }
+}
+
+/// Settles lane `l` — its idle run and FSM, billing the router's
+/// `counters` — over `lag` idle cycles in closed form: the idle run
+/// grows, and the FSM replays its idle future
+/// ([`SleepFsm::settle_idle_bulk`]). Returns the arbitrations those
+/// cycles perform (one per awake cycle; every cycle when ungated, which
+/// never reads `fsm`).
+fn settle_lane(
+    sleep_cfg: Option<SleepConfig>,
+    idle_run: &mut [u64],
+    fsm: &mut [SleepFsm],
+    counters: &mut GatingCounters,
+    l: usize,
+    lag: u64,
+) -> u64 {
+    if lag == 0 {
+        return 0;
+    }
+    let before = idle_run[l];
+    idle_run[l] = before + lag;
+    match sleep_cfg {
+        None => lag,
+        Some(cfg) => fsm[l].settle_idle_bulk(lag, before, cfg.threshold(), counters),
+    }
+}
+
+/// Settles every lane of one router through cycle `through`, each from
+/// its own watermark — the one closed form behind both lane- and
+/// router-level laziness. `anchor` is a cycle no lane is settled past
+/// and no lane lags by 2³² cycles or more (for a router the engine
+/// skipped, the last cycle it was accounted through). The router must
+/// have nothing a step could move: the caller guarantees the skipped
+/// cycles were idle for every lane not yet settled through them.
+/// Returns the arbitrations of the settled cycles.
+pub fn settle_lanes(
+    g: &RouterGeometry,
+    ports: &mut PortLane<'_>,
+    anchor: u64,
+    through: u64,
+) -> u64 {
+    let mut arbitrations = 0;
+    for l in 0..g.lanes() {
+        let lag = lane_lag(ports.settled[l], anchor, through);
+        arbitrations += settle_lane(
+            g.sleep_cfg,
+            ports.idle_run,
+            ports.fsm,
+            ports.counters,
+            l,
+            lag,
+        );
+        ports.settled[l] = through as u32;
+    }
+    arbitrations
+}
+
 impl Router {
-    /// Creates an empty, ungated router with `vcs` virtual channels of
-    /// `buffer_depth` flits each per port. Its rings come from a
-    /// [`RingPool`] of the same geometry once it buffers a flit.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `vcs` is 0 or exceeds [`MAX_VCS`].
-    pub fn new(id: usize, buffer_depth: usize, vcs: usize) -> Self {
-        assert!((1..=MAX_VCS).contains(&vcs), "vcs must be in 1..={MAX_VCS}");
-        let lanes = 5 * vcs;
+    /// An empty router: no flit buffered, no output lane held, no ring
+    /// block. Its rings come from a [`RingPool`] once it buffers a
+    /// flit.
+    pub const fn new() -> Self {
         Router {
-            id,
-            block: NO_BLOCK,
-            lanes: vec![Lane::EMPTY; lanes].into_boxed_slice(),
-            depth: buffer_depth as u32,
             occupied: 0,
             owned: 0,
+            block: NO_BLOCK,
             sa_rr: [0; 5],
-            vcs: vcs as u8,
-            sleep_cfg: None,
         }
     }
 
-    /// Creates a router whose output VC lanes run the given sleep FSM
-    /// configuration (`None` disables in-loop gating).
-    pub fn with_gating(
-        id: usize,
-        buffer_depth: usize,
-        vcs: usize,
-        sleep_cfg: Option<SleepConfig>,
-    ) -> Self {
-        Router {
-            sleep_cfg,
-            ..Router::new(id, buffer_depth, vcs)
-        }
-    }
-
-    /// Virtual channels per port.
-    pub fn vcs(&self) -> usize {
-        self.vcs as usize
-    }
-
-    /// Lanes per router (`5 * vcs`).
-    fn lanes(&self) -> usize {
-        5 * self.vcs as usize
-    }
-
-    /// Flits buffered in input lane `lane`.
-    fn buf_len(&self, lane: usize) -> usize {
-        self.lanes[lane].len as usize
-    }
-
-    fn front<'r>(&self, ring: &'r [Flit], lane: usize) -> Option<&'r Flit> {
-        let l = self.lanes[lane];
-        (l.len > 0).then(|| &ring[lane * self.depth as usize + l.head as usize])
-    }
-
-    fn push_back(&mut self, ring: &mut [Flit], lane: usize, flit: Flit) {
-        debug_assert!(self.lanes[lane].len < self.depth);
+    fn push_back(
+        &mut self,
+        ring: &mut [Flit],
+        lanes: &mut [Lane],
+        depth: u16,
+        lane: usize,
+        flit: Flit,
+    ) {
+        debug_assert!(lanes[lane].len < depth);
         debug_assert!(!flit.is_invalid(), "buffered a filler flit");
-        let l = &mut self.lanes[lane];
+        let l = &mut lanes[lane];
         // Conditional wrap instead of `%`: the depth is a runtime
         // value, so a modulo here is a hardware divide in the hottest
-        // loop of the simulator.
-        let mut tail = l.head + l.len;
-        if tail >= self.depth {
-            tail -= self.depth;
+        // loop of the simulator. Widened so `head + len` cannot wrap.
+        let mut tail = l.head as usize + l.len as usize;
+        if tail >= depth as usize {
+            tail -= depth as usize;
         }
         l.len += 1;
-        ring[lane * self.depth as usize + tail as usize] = flit;
+        ring[lane * depth as usize + tail] = flit;
         self.occupied |= 1 << lane;
     }
 
     /// Pops input lane `lane`'s front flit; its cached route goes with
     /// it.
-    fn pop_front(&mut self, ring: &[Flit], lane: usize) -> Option<Flit> {
-        let l = &mut self.lanes[lane];
+    fn pop_front(
+        &mut self,
+        ring: &[Flit],
+        lanes: &mut [Lane],
+        depth: u16,
+        lane: usize,
+    ) -> Option<Flit> {
+        let l = &mut lanes[lane];
         if l.len == 0 {
             return None;
         }
         let head = l.head;
-        l.head = if head + 1 == self.depth { 0 } else { head + 1 };
+        l.head = if head + 1 == depth { 0 } else { head + 1 };
         l.len -= 1;
         l.front = NO_ROUTE;
         if l.len == 0 {
             self.occupied &= !(1 << lane);
         }
-        let flit = ring[lane * self.depth as usize + head as usize];
+        let flit = ring[lane * depth as usize + head as usize];
         debug_assert!(!flit.is_invalid(), "popped a filler flit");
         Some(flit)
     }
@@ -468,48 +630,34 @@ impl Router {
         }
     }
 
-    /// Whether the input VC buffer `(port, vc)` can accept a flit.
-    pub fn can_accept(&self, port: Direction, vc: usize) -> bool {
-        self.lanes[port.index() * self.vcs as usize + vc].len < self.depth
-    }
-
     /// Pushes an arriving flit into the input VC buffer named by
     /// `flit.vc`, first taking a ring block from `pool` if the router
-    /// buffered nothing.
+    /// buffered nothing. `lanes` is the router's lane block.
     ///
     /// # Panics
     ///
     /// Panics if that VC buffer is full — callers hold one credit per
     /// free slot, so an overflow means the credit accounting broke.
-    pub fn accept(&mut self, pool: &mut RingPool, port: Direction, flit: Flit) {
+    pub fn accept(
+        &mut self,
+        g: &RouterGeometry,
+        lanes: &mut [Lane],
+        pool: &mut RingPool,
+        port: Direction,
+        flit: Flit,
+    ) {
         let vc = flit.vc as usize;
         assert!(
-            self.can_accept(port, vc),
-            "VC buffer overflow at router {} port {port} vc {vc}",
-            self.id
+            can_accept(g, lanes, port, vc),
+            "VC buffer overflow at port {port} vc {vc} (packet {})",
+            flit.packet_id
         );
         if self.block == NO_BLOCK {
-            debug_assert_eq!(pool.block_len, self.lanes() * self.depth as usize);
+            debug_assert_eq!(pool.block_len, g.lanes() * g.depth());
             self.block = pool.take();
         }
         let ring = pool.ring_mut(self.block);
-        self.push_back(ring, port.index() * self.vcs as usize + vc, flit);
-    }
-
-    /// Buffer occupancy of one input VC.
-    pub fn occupancy(&self, port: Direction, vc: usize) -> usize {
-        self.buf_len(port.index() * self.vcs as usize + vc)
-    }
-
-    /// Total buffered flits across an input port's VCs.
-    pub fn port_occupancy(&self, port: Direction) -> usize {
-        let v = self.vcs as usize;
-        (0..v).map(|vc| self.buf_len(port.index() * v + vc)).sum()
-    }
-
-    /// Total buffered flits.
-    pub fn total_occupancy(&self) -> usize {
-        (0..self.lanes()).map(|l| self.buf_len(l)).sum()
+        self.push_back(ring, lanes, g.depth, port.index() * g.vcs() + vc, flit);
     }
 
     /// Whether the router holds no flits and no output lane is held
@@ -523,11 +671,16 @@ impl Router {
     /// Calls `f` with every buffered flit, in input-lane order and FIFO
     /// order within a lane — the fault layer's boundary scan. `pool` is
     /// the one the router's ring block came from.
-    pub(crate) fn for_each_flit(&self, pool: &RingPool, mut f: impl FnMut(&Flit)) {
+    pub(crate) fn for_each_flit(
+        &self,
+        g: &RouterGeometry,
+        lanes: &[Lane],
+        pool: &RingPool,
+        mut f: impl FnMut(&Flit),
+    ) {
         let ring = pool.ring(self.block);
-        let depth = self.depth as usize;
-        for lane in 0..self.lanes() {
-            let l = self.lanes[lane];
+        let depth = g.depth();
+        for (lane, l) in lanes.iter().enumerate() {
             for k in 0..l.len as usize {
                 let mut idx = l.head as usize + k;
                 if idx >= depth {
@@ -551,100 +704,48 @@ impl Router {
     /// removed.
     pub(crate) fn purge_packets(
         &mut self,
+        g: &RouterGeometry,
+        lanes: &mut [Lane],
         pool: &mut RingPool,
         doomed: impl Fn(u64) -> bool,
         mut on_removed: impl FnMut(usize, &Flit),
     ) -> usize {
         let mut removed = 0;
         let ring = pool.ring_mut(self.block);
-        for lane in 0..self.lanes() {
+        for lane in 0..g.lanes() {
             // Pop exactly the original occupancy; survivors re-pushed
             // at the tail come back around in their original order.
-            for _ in 0..self.buf_len(lane) {
-                let flit = self.pop_front(ring, lane).expect("occupancy counted");
+            for _ in 0..lanes[lane].len {
+                let flit = self
+                    .pop_front(ring, lanes, g.depth, lane)
+                    .expect("occupancy counted");
                 if doomed(flit.packet_id) {
                     on_removed(lane, &flit);
                     removed += 1;
                 } else {
-                    self.push_back(ring, lane, flit);
+                    self.push_back(ring, lanes, g.depth, lane, flit);
                 }
             }
         }
         self.release_if_empty(pool);
-        for ol in 0..self.lanes() {
-            if !self.lanes[ol].owner.is_free() && doomed(self.lanes[ol].owner_pkt) {
-                self.lanes[ol].owner = PortOwner::FREE;
+        for (ol, l) in lanes.iter_mut().enumerate() {
+            if !l.owner.is_free() && doomed(l.owner_pkt) {
+                l.owner = PortOwner::FREE;
                 self.owned &= !(1 << ol);
             }
         }
         removed
     }
 
-    /// Drops every cached front-flit route — for when the routing
-    /// function itself changes (a fault epoch applies).
-    pub(crate) fn clear_route_cache(&mut self) {
-        for l in self.lanes.iter_mut() {
-            l.front = NO_ROUTE;
-        }
-    }
-
-    /// Input lane `il`'s front flit's route as `(output lane, is_head)`,
-    /// computed on first use and cached until the flit leaves the
-    /// front. The lane must be occupied.
-    fn front_route(
-        &mut self,
-        ring: &[Flit],
-        il: usize,
-        route: &impl Fn(&Flit) -> RouteTarget,
-    ) -> (usize, bool) {
-        let mut c = self.lanes[il].front;
-        if c == NO_ROUTE {
-            let v = self.vcs as usize;
-            let f = self.front(ring, il).expect("routing an empty lane");
-            debug_assert!(!f.is_invalid(), "routing a filler flit");
-            let t = route(f);
-            c = (t.out.index() * v + t.vc as usize) as u8 | if f.is_head { HEAD_BIT } else { 0 };
-            self.lanes[il].front = c;
-        }
-        ((c & LANE_BITS) as usize, c & HEAD_BIT != 0)
-    }
-
-    /// The cached route of input lane `il`'s front flit, if routed.
-    fn cached_route(&self, il: usize) -> Option<(usize, bool)> {
-        let c = self.lanes[il].front;
-        (c != NO_ROUTE).then_some(((c & LANE_BITS) as usize, c & HEAD_BIT != 0))
-    }
-
-    /// The single implementation of the VC-allocation candidate rule
-    /// for output lane `ol`: the owning input lane while the lane is
-    /// allocated (if its routed front flit requests `ol`), otherwise
-    /// the round-robin winner among `heads` — the input lanes whose
-    /// front head flit requests `ol` — starting from the lane's
-    /// round-robin pointer. Input lanes in `blocked` belong to input
-    /// ports that already sent a flit this cycle and are skipped: an
-    /// input port has one crossbar line, so it feeds at most one
-    /// output per cycle across all its VCs.
-    fn select_candidate(&self, ol: usize, blocked: u64, heads: u64) -> Option<usize> {
-        match self.lanes[ol].owner.input() {
-            Some(il) => (blocked & (1 << il) == 0
-                && self.cached_route(il).is_some_and(|(t, _)| t == ol))
-            .then_some(il),
-            None => {
-                let open = heads & !blocked;
-                let from_ptr = open & (u64::MAX << self.lanes[ol].rr_next);
-                let pick = if from_ptr != 0 { from_ptr } else { open };
-                (pick != 0).then(|| pick.trailing_zeros() as usize)
-            }
-        }
-    }
-
-    /// [`Router::select_candidate`] against the *live* buffer fronts,
-    /// ignoring this cycle's port usage — used for the Immediate
-    /// policy's after-send park decision, where the pops that just
-    /// happened have already changed the fronts.
+    /// [`select_candidate`] against the *live* buffer fronts, ignoring
+    /// this cycle's port usage — used for the Immediate policy's
+    /// after-send park decision, where the pops that just happened have
+    /// already changed the fronts.
     fn candidate_for_lane(
-        &mut self,
+        &self,
         ring: &[Flit],
+        lanes: &mut [Lane],
+        g: &RouterGeometry,
         ol: usize,
         route: &impl Fn(&Flit) -> RouteTarget,
     ) -> bool {
@@ -653,58 +754,11 @@ impl Router {
         while occ != 0 {
             let il = occ.trailing_zeros() as usize;
             occ &= occ - 1;
-            if self.front_route(ring, il, route) == (ol, true) {
+            if front_route(ring, lanes, g, il, route) == (ol, true) {
                 heads |= 1 << il;
             }
         }
-        self.select_candidate(ol, 0, heads).is_some()
-    }
-
-    /// Settles one lane — its idle run and FSM, billing the router's
-    /// `counters` — over `lag` idle cycles in closed form: the idle
-    /// run grows, and the FSM replays its idle future
-    /// ([`SleepFsm::settle_idle_bulk`]). Returns the arbitrations those
-    /// cycles perform (one per awake cycle; every cycle when ungated).
-    fn settle_lane(
-        &self,
-        idle_run: &mut u64,
-        fsm: &mut SleepFsm,
-        counters: &mut GatingCounters,
-        lag: u64,
-    ) -> u64 {
-        if lag == 0 {
-            return 0;
-        }
-        let before = *idle_run;
-        *idle_run = before + lag;
-        match &self.sleep_cfg {
-            None => lag,
-            Some(cfg) => fsm.settle_idle_bulk(lag, before, cfg.threshold(), counters),
-        }
-    }
-
-    /// Settles every lane of this router through cycle `through`, each
-    /// from its own watermark — the one closed form behind both lane-
-    /// and router-level laziness. `anchor` is a cycle no lane is
-    /// settled past and no lane lags by 2³² cycles or more (for a
-    /// router the engine skipped, the last cycle it was accounted
-    /// through). The router must have nothing a step could move: the
-    /// caller guarantees the skipped cycles were idle for every lane
-    /// not yet settled through them. Returns the arbitrations of the
-    /// settled cycles.
-    pub fn settle_lanes(&self, ports: &mut PortLane<'_>, anchor: u64, through: u64) -> u64 {
-        let mut arbitrations = 0;
-        for l in 0..self.lanes() {
-            let lag = lane_lag(ports.settled[l], anchor, through);
-            arbitrations += self.settle_lane(
-                &mut ports.idle_run[l],
-                &mut ports.fsm[l],
-                ports.counters,
-                lag,
-            );
-            ports.settled[l] = through as u32;
-        }
-        arbitrations
+        select_candidate(lanes, ol, 0, heads).is_some()
     }
 
     /// One VC-allocation + switch-allocation + traversal cycle at cycle
@@ -732,8 +786,10 @@ impl Router {
     /// refresh). A visited lane first catches up the cycles through
     /// `now − 1` it sat out. Monomorphized on gating so ungated runs
     /// never touch the FSM lanes (or their cache lines) at all.
+    #[allow(clippy::too_many_arguments)]
     pub fn step(
         &mut self,
+        g: &RouterGeometry,
         now: u64,
         all_live: bool,
         route: impl Fn(&Flit) -> RouteTarget,
@@ -741,16 +797,18 @@ impl Router {
         ports: PortLane<'_>,
         on_depart: impl FnMut(Departure),
     ) -> u64 {
-        if self.sleep_cfg.is_some() {
-            self.step_impl::<true>(now, all_live, route, lane_ready, ports, on_depart)
+        if g.sleep_cfg.is_some() {
+            self.step_impl::<true>(g, now, all_live, route, lane_ready, ports, on_depart)
         } else {
-            self.step_impl::<false>(now, all_live, route, lane_ready, ports, on_depart)
+            self.step_impl::<false>(g, now, all_live, route, lane_ready, ports, on_depart)
         }
     }
 
     #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
     fn step_impl<const GATED: bool>(
         &mut self,
+        g: &RouterGeometry,
         now: u64,
         all_live: bool,
         route: impl Fn(&Flit) -> RouteTarget,
@@ -759,6 +817,7 @@ impl Router {
         mut on_depart: impl FnMut(Departure),
     ) -> u64 {
         let PortLane {
+            lanes,
             idle_run,
             fsm,
             counters,
@@ -768,7 +827,8 @@ impl Router {
         // The router's rings, resolved once; the block goes back to the
         // pool after the last pop if the step empties the router.
         let ring = rings.ring(self.block);
-        let v = self.vcs as usize;
+        let depth = g.depth;
+        let v = g.vcs();
         let nlanes = 5 * v;
         let vmask = (1u64 << v) - 1;
         let mut arbitrations = 0u64;
@@ -783,7 +843,7 @@ impl Router {
         while occ != 0 {
             let il = occ.trailing_zeros() as usize;
             occ &= occ - 1;
-            let (ol, is_head) = self.front_route(ring, il, &route);
+            let (ol, is_head) = front_route(ring, lanes, g, il, &route);
             if is_head {
                 head_wants |= 1 << ol;
                 heads[ol] |= 1 << il;
@@ -818,10 +878,10 @@ impl Router {
                 };
                 let ol = oi * v + ovc;
                 let lag = lane_lag(settled[ol], now - 1, now - 1);
-                arbitrations += self.settle_lane(&mut idle_run[ol], &mut fsm[ol], counters, lag);
+                arbitrations += settle_lane(g.sleep_cfg, idle_run, fsm, counters, ol, lag);
 
-                let free = self.lanes[ol].owner.is_free();
-                let candidate = self.select_candidate(ol, blocked, heads[ol]);
+                let free = lanes[ol].owner.is_free();
+                let candidate = select_candidate(lanes, ol, blocked, heads[ol]);
                 // A flit "wants" the lane only when it could actually
                 // move: a sleeping lane stays in standby while the
                 // downstream VC is out of credits instead of waking
@@ -829,7 +889,7 @@ impl Router {
                 let wants = candidate.is_some() && lane_ready(out, ovc);
 
                 let can_transmit = if GATED {
-                    let cfg = self.sleep_cfg.expect("GATED implies a sleep config");
+                    let cfg = g.sleep_cfg.expect("GATED implies a sleep config");
                     fsm[ol].gate(wants, cfg.wake_latency)
                 } else {
                     true
@@ -843,20 +903,22 @@ impl Router {
                 let mut sent = false;
                 if can_transmit && wants && winner_vc.is_none() {
                     let il = candidate.expect("wants implies candidate");
-                    let mut flit = self.pop_front(ring, il).expect("front exists");
+                    let mut flit = self
+                        .pop_front(ring, lanes, depth, il)
+                        .expect("front exists");
                     if free {
                         // VC allocation: the head flit claims the lane
                         // (released again immediately for single-flit
                         // packets) and advances its round-robin.
                         if !flit.is_tail {
-                            self.lanes[ol].owner = PortOwner::owned(il);
+                            lanes[ol].owner = PortOwner::owned(il);
                             self.owned |= 1 << ol;
-                            self.lanes[ol].owner_pkt = flit.packet_id;
+                            lanes[ol].owner_pkt = flit.packet_id;
                         }
                         let next = il + 1;
-                        self.lanes[ol].rr_next = (if next == nlanes { 0 } else { next }) as u8;
+                        lanes[ol].rr_next = (if next == nlanes { 0 } else { next }) as u8;
                     } else if flit.is_tail {
-                        self.lanes[ol].owner = PortOwner::FREE;
+                        lanes[ol].owner = PortOwner::FREE;
                         self.owned &= !(1 << ol);
                     }
                     let port = il / v;
@@ -877,7 +939,7 @@ impl Router {
                 idle_run[ol] = if sent { 0 } else { ended + 1 };
 
                 if GATED {
-                    let cfg = self.sleep_cfg.expect("GATED implies a sleep config");
+                    let cfg = g.sleep_cfg.expect("GATED implies a sleep config");
                     // Only FSM-blocked cycles are wake stalls; losing
                     // switch allocation to a sibling lane is ordinary
                     // contention, not a gating penalty.
@@ -891,7 +953,7 @@ impl Router {
                     let wants_after = sent
                         && cfg.threshold() == Some(0)
                         && lane_ready(out, ovc)
-                        && self.candidate_for_lane(ring, ol, &route);
+                        && self.candidate_for_lane(ring, lanes, g, ol, &route);
                     let run = if sent { ended } else { ended + 1 };
                     fsm[ol].settle(sent, stalled, wants_after, run, &cfg, counters);
                 }
@@ -916,10 +978,12 @@ mod tests {
     use crate::sleep::SleepState;
     use lnoc_power::gating::GatingPolicy;
 
-    /// Standalone owner of one router's SoA lane block and ring pool for
-    /// unit tests (the simulation owns these per tile), with its own
-    /// cycle counter.
+    /// Standalone owner of one router's lane block, SoA lane state,
+    /// geometry and ring pool for unit tests (the simulation owns these
+    /// per tile), with its own cycle counter.
     struct Ports {
+        geom: RouterGeometry,
+        lanes: Vec<Lane>,
         idle: Vec<u64>,
         fsm: Vec<SleepFsm>,
         counters: GatingCounters,
@@ -929,27 +993,78 @@ mod tests {
     }
 
     impl Ports {
-        /// Lane state and a one-block ring pool for `r`'s geometry.
-        fn of(r: &Router) -> Self {
-            let lanes = r.lanes();
+        /// Lane state and a one-block ring pool for one router with
+        /// `vcs` VCs of `depth` flits, gated by `sleep_cfg`.
+        fn new(depth: usize, vcs: usize, sleep_cfg: Option<SleepConfig>) -> Self {
+            let geom = RouterGeometry::new(depth, vcs, sleep_cfg);
+            let lanes = geom.lanes();
             Ports {
+                geom,
+                lanes: vec![Lane::EMPTY; lanes],
                 idle: vec![0; lanes],
                 fsm: vec![SleepFsm::default(); lanes],
                 counters: GatingCounters::default(),
                 settled: vec![0; lanes],
-                pool: RingPool::new(1, r.depth as usize, r.vcs()),
+                pool: RingPool::new(1, &geom),
                 now: 0,
             }
         }
 
         fn lane(&mut self) -> PortLane<'_> {
             PortLane {
+                lanes: &mut self.lanes,
                 idle_run: &mut self.idle,
                 fsm: &mut self.fsm,
                 counters: &mut self.counters,
                 settled: &mut self.settled,
                 rings: &mut self.pool,
             }
+        }
+
+        fn accept(&mut self, r: &mut Router, port: Direction, flit: Flit) {
+            r.accept(&self.geom, &mut self.lanes, &mut self.pool, port, flit);
+        }
+
+        fn can_accept(&self, port: Direction, vc: usize) -> bool {
+            can_accept(&self.geom, &self.lanes, port, vc)
+        }
+
+        fn occupancy(&self, port: Direction, vc: usize) -> usize {
+            occupancy(&self.lanes, self.geom.vcs(), port, vc)
+        }
+
+        fn total_occupancy(&self) -> usize {
+            total_occupancy(&self.lanes)
+        }
+
+        fn purge(&mut self, r: &mut Router, doomed: impl Fn(u64) -> bool) -> usize {
+            r.purge_packets(
+                &self.geom,
+                &mut self.lanes,
+                &mut self.pool,
+                doomed,
+                |_, _| {},
+            )
+        }
+
+        /// Settles every lane through cycle `now`.
+        fn settle(&mut self, now: u64) -> u64 {
+            let geom = self.geom;
+            settle_lanes(&geom, &mut self.lane(), now, now)
+        }
+
+        /// One step of `r` at cycle `now`.
+        fn step_at(
+            &mut self,
+            r: &mut Router,
+            now: u64,
+            all_live: bool,
+            route: impl Fn(&Flit) -> RouteTarget,
+            ready: impl Fn(Direction, usize) -> bool,
+            on_depart: impl FnMut(Departure),
+        ) -> u64 {
+            let geom = self.geom;
+            r.step(&geom, now, all_live, route, ready, self.lane(), on_depart)
         }
 
         /// One dense step of `r` on the next cycle — every lane
@@ -963,7 +1078,7 @@ mod tests {
             self.now += 1;
             let now = self.now;
             let mut departures = Vec::new();
-            r.step(now, true, route, ready, self.lane(), |d| departures.push(d));
+            self.step_at(r, now, true, route, ready, |d| departures.push(d));
             departures
         }
     }
@@ -993,27 +1108,27 @@ mod tests {
 
     #[test]
     fn single_flit_passes_through() {
-        let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::of(&r);
-        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
+        let mut r = Router::new();
+        let mut p = Ports::new(4, 1, None);
+        p.accept(&mut r, Direction::West, flit(1, true, true));
         let deps = p.step(&mut r, to(Direction::East), |_, _| true);
         assert_eq!(deps.len(), 1);
         assert_eq!(deps[0].output, Direction::East);
         assert_eq!(deps[0].input, Direction::West);
         assert_eq!(deps[0].input_vc, 0);
-        assert_eq!(r.total_occupancy(), 0);
+        assert_eq!(p.total_occupancy(), 0);
         assert!(r.is_quiet());
     }
 
     #[test]
     fn wormhole_holds_lane_for_whole_packet() {
-        let mut r = Router::new(0, 8, 1);
-        let mut p = Ports::of(&r);
-        r.accept(&mut p.pool, Direction::West, flit(1, true, false));
-        r.accept(&mut p.pool, Direction::West, flit(1, false, false));
-        r.accept(&mut p.pool, Direction::West, flit(1, false, true));
+        let mut r = Router::new();
+        let mut p = Ports::new(8, 1, None);
+        p.accept(&mut r, Direction::West, flit(1, true, false));
+        p.accept(&mut r, Direction::West, flit(1, false, false));
+        p.accept(&mut r, Direction::West, flit(1, false, true));
         // A competing head on another input wants the same output.
-        r.accept(&mut p.pool, Direction::North, flit(2, true, true));
+        p.accept(&mut r, Direction::North, flit(2, true, true));
 
         let mut winners = Vec::new();
         for _ in 0..4 {
@@ -1033,12 +1148,12 @@ mod tests {
 
     #[test]
     fn no_credit_blocks() {
-        let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::of(&r);
-        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
+        let mut r = Router::new();
+        let mut p = Ports::new(4, 1, None);
+        p.accept(&mut r, Direction::West, flit(1, true, true));
         let out = p.step(&mut r, to(Direction::East), |_, _| false);
         assert_eq!(out.len(), 0);
-        assert_eq!(r.total_occupancy(), 1);
+        assert_eq!(p.total_occupancy(), 1);
         assert!(!r.is_quiet());
     }
 
@@ -1047,23 +1162,23 @@ mod tests {
         // The head leaves but the lane stays Owned awaiting body flits:
         // the router is empty yet must not be treated as quiescent (the
         // held lane must not arbitrate).
-        let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::of(&r);
-        r.accept(&mut p.pool, Direction::West, flit(1, true, false));
+        let mut r = Router::new();
+        let mut p = Ports::new(4, 1, None);
+        p.accept(&mut r, Direction::West, flit(1, true, false));
         let out = p.step(&mut r, to(Direction::East), |_, _| true);
         assert_eq!(out.len(), 1);
-        assert_eq!(r.total_occupancy(), 0);
+        assert_eq!(p.total_occupancy(), 0);
         assert!(!r.is_quiet(), "owned output lane keeps the router active");
     }
 
     #[test]
     fn buffer_overflow_panics() {
-        let mut r = Router::new(0, 1, 1);
-        let mut p = Ports::of(&r);
-        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
-        assert!(!r.can_accept(Direction::West, 0));
+        let mut r = Router::new();
+        let mut p = Ports::new(1, 1, None);
+        p.accept(&mut r, Direction::West, flit(1, true, true));
+        assert!(!p.can_accept(Direction::West, 0));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            r.accept(&mut p.pool, Direction::West, flit(2, true, true));
+            p.accept(&mut r, Direction::West, flit(2, true, true));
         }));
         assert!(result.is_err());
     }
@@ -1071,32 +1186,61 @@ mod tests {
     #[test]
     fn vc_buffers_are_independent() {
         // Filling VC 0 must leave VC 1 accepting, and vice versa.
-        let mut r = Router::new(0, 1, 2);
-        let mut p = Ports::of(&r);
-        r.accept(&mut p.pool, Direction::West, vflit(1, 0, true, true));
-        assert!(!r.can_accept(Direction::West, 0));
-        assert!(r.can_accept(Direction::West, 1));
-        r.accept(&mut p.pool, Direction::West, vflit(2, 1, true, true));
-        assert!(!r.can_accept(Direction::West, 1));
-        assert_eq!(r.occupancy(Direction::West, 0), 1);
-        assert_eq!(r.occupancy(Direction::West, 1), 1);
-        assert_eq!(r.port_occupancy(Direction::West), 2);
+        let mut r = Router::new();
+        let mut p = Ports::new(1, 2, None);
+        p.accept(&mut r, Direction::West, vflit(1, 0, true, true));
+        assert!(!p.can_accept(Direction::West, 0));
+        assert!(p.can_accept(Direction::West, 1));
+        p.accept(&mut r, Direction::West, vflit(2, 1, true, true));
+        assert!(!p.can_accept(Direction::West, 1));
+        assert_eq!(p.occupancy(Direction::West, 0), 1);
+        assert_eq!(p.occupancy(Direction::West, 1), 1);
+        assert_eq!(
+            p.occupancy(Direction::West, 0) + p.occupancy(Direction::West, 1),
+            2
+        );
     }
 
     #[test]
     fn ring_buffer_wraps_cleanly() {
         // Push/pop more flits than the depth so heads wrap around.
-        let mut r = Router::new(0, 3, 1);
-        let mut p = Ports::of(&r);
+        let mut r = Router::new();
+        let mut p = Ports::new(3, 1, None);
         for round in 0..5u64 {
-            r.accept(&mut p.pool, Direction::West, flit(round, true, true));
-            r.accept(&mut p.pool, Direction::West, flit(round + 100, true, true));
+            p.accept(&mut r, Direction::West, flit(round, true, true));
+            p.accept(&mut r, Direction::West, flit(round + 100, true, true));
             let f1 = p.step(&mut r, to(Direction::East), |_, _| true);
             let f2 = p.step(&mut r, to(Direction::East), |_, _| true);
             assert_eq!(f1[0].flit.packet_id, round);
             assert_eq!(f2[0].flit.packet_id, round + 100);
         }
-        assert_eq!(r.total_occupancy(), 0);
+        assert_eq!(p.total_occupancy(), 0);
+    }
+
+    #[test]
+    fn deepest_buffer_fills_and_wraps() {
+        // The 16-bit cursors at the depth cap: a full lane reads back
+        // in FIFO order after its tail wraps past the last slot.
+        let depth = MAX_BUFFER_DEPTH as u64;
+        let mut r = Router::new();
+        let mut p = Ports::new(MAX_BUFFER_DEPTH, 1, None);
+        for id in 0..depth {
+            p.accept(&mut r, Direction::West, flit(id, true, true));
+        }
+        assert!(!p.can_accept(Direction::West, 0));
+        let mut sent = Vec::new();
+        for _ in 0..3 {
+            sent.extend(p.step(&mut r, to(Direction::East), |_, _| true));
+        }
+        for id in depth..depth + 3 {
+            p.accept(&mut r, Direction::West, flit(id, true, true));
+        }
+        assert_eq!(p.occupancy(Direction::West, 0), MAX_BUFFER_DEPTH);
+        while p.total_occupancy() > 0 {
+            sent.extend(p.step(&mut r, to(Direction::East), |_, _| true));
+        }
+        let ids: Vec<u64> = sent.iter().map(|d| d.flit.packet_id).collect();
+        assert_eq!(ids, (0..depth + 3).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1105,10 +1249,10 @@ mod tests {
         // Local]. A single input port has one crossbar line, so the
         // two flits must leave on different cycles even though both
         // outputs are free.
-        let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::of(&r);
-        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
-        r.accept(&mut p.pool, Direction::West, flit(2, true, true));
+        let mut r = Router::new();
+        let mut p = Ports::new(4, 1, None);
+        p.accept(&mut r, Direction::West, flit(1, true, true));
+        p.accept(&mut r, Direction::West, flit(2, true, true));
         let route = |f: &Flit| RouteTarget {
             out: if f.packet_id == 1 {
                 Direction::East
@@ -1129,10 +1273,10 @@ mod tests {
         // Two single-flit packets on different VCs of the same input
         // port, to different outputs: one read per port per cycle, so
         // they leave on consecutive cycles.
-        let mut r = Router::new(0, 4, 2);
-        let mut p = Ports::of(&r);
-        r.accept(&mut p.pool, Direction::West, vflit(1, 0, true, true));
-        r.accept(&mut p.pool, Direction::West, vflit(2, 1, true, true));
+        let mut r = Router::new();
+        let mut p = Ports::new(4, 2, None);
+        p.accept(&mut r, Direction::West, vflit(1, 0, true, true));
+        p.accept(&mut r, Direction::West, vflit(2, 1, true, true));
         let route = |f: &Flit| RouteTarget {
             out: if f.packet_id == 1 {
                 Direction::East
@@ -1145,7 +1289,7 @@ mod tests {
         assert_eq!(first.len(), 1);
         let second = p.step(&mut r, route, |_, _| true);
         assert_eq!(second.len(), 1);
-        assert_eq!(r.total_occupancy(), 0);
+        assert_eq!(p.total_occupancy(), 0);
     }
 
     #[test]
@@ -1154,11 +1298,11 @@ mod tests {
         // VCs of the same output port: both win VC allocation, but the
         // port's single crossbar line carries one flit per cycle, and
         // switch allocation round-robins between the lanes.
-        let mut r = Router::new(0, 4, 2);
-        let mut p = Ports::of(&r);
+        let mut r = Router::new();
+        let mut p = Ports::new(4, 2, None);
         for _ in 0..2 {
-            r.accept(&mut p.pool, Direction::West, vflit(1, 0, true, true));
-            r.accept(&mut p.pool, Direction::North, vflit(2, 0, true, true));
+            p.accept(&mut r, Direction::West, vflit(1, 0, true, true));
+            p.accept(&mut r, Direction::North, vflit(2, 0, true, true));
         }
         let route = |f: &Flit| RouteTarget {
             out: Direction::East,
@@ -1177,17 +1321,17 @@ mod tests {
         // Switch allocation alternates between the two lanes.
         assert_ne!(vcs_seen[0], vcs_seen[1]);
         assert_ne!(vcs_seen[1], vcs_seen[2]);
-        assert_eq!(r.total_occupancy(), 0);
+        assert_eq!(p.total_occupancy(), 0);
     }
 
     #[test]
     fn blocked_vc_does_not_block_its_sibling() {
         // VC 0 of the output has no credit; a packet on VC 1 must still
         // flow — the head-of-line blocking VCs exist to remove.
-        let mut r = Router::new(0, 4, 2);
-        let mut p = Ports::of(&r);
-        r.accept(&mut p.pool, Direction::West, vflit(1, 0, true, true));
-        r.accept(&mut p.pool, Direction::North, vflit(2, 1, true, true));
+        let mut r = Router::new();
+        let mut p = Ports::new(4, 2, None);
+        p.accept(&mut r, Direction::West, vflit(1, 0, true, true));
+        p.accept(&mut r, Direction::North, vflit(2, 1, true, true));
         let route = |f: &Flit| RouteTarget {
             out: Direction::East,
             vc: if f.packet_id == 1 { 0 } else { 1 },
@@ -1201,17 +1345,17 @@ mod tests {
             }
         }
         assert_eq!(delivered, vec![(2, 1)], "only the credited VC moves");
-        assert_eq!(r.total_occupancy(), 1, "VC 0's packet stays buffered");
+        assert_eq!(p.total_occupancy(), 1, "VC 0's packet stays buffered");
     }
 
     #[test]
     fn round_robin_rotates_between_competitors() {
-        let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::of(&r);
+        let mut r = Router::new();
+        let mut p = Ports::new(4, 1, None);
         // Two single-flit packets per input, both to East.
         for _ in 0..2 {
-            r.accept(&mut p.pool, Direction::West, flit(10, true, true));
-            r.accept(&mut p.pool, Direction::North, flit(20, true, true));
+            p.accept(&mut r, Direction::West, flit(10, true, true));
+            p.accept(&mut r, Direction::North, flit(20, true, true));
         }
         let mut order = Vec::new();
         for _ in 0..4 {
@@ -1228,13 +1372,13 @@ mod tests {
 
     #[test]
     fn idle_runs_are_tracked_per_lane() {
-        let mut r = Router::new(0, 4, 2);
-        let mut p = Ports::of(&r);
+        let mut r = Router::new();
+        let mut p = Ports::new(4, 2, None);
         // Three idle cycles on every lane.
         for _ in 0..3 {
             let _ = p.step(&mut r, to(Direction::East), |_, _| true);
         }
-        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
+        p.accept(&mut r, Direction::West, flit(1, true, true));
         let out = p.step(&mut r, to(Direction::East), |_, _| true);
         let east0 = Direction::East.index() * 2;
         // East VC 0's 3-cycle idle run ended when the flit crossed; its
@@ -1248,8 +1392,8 @@ mod tests {
     #[test]
     fn sleeping_lane_stalls_flit_by_wake_latency() {
         let wake = 3u32;
-        let mut r = Router::with_gating(
-            0,
+        let mut r = Router::new();
+        let mut p = Ports::new(
             4,
             1,
             Some(SleepConfig {
@@ -1257,7 +1401,6 @@ mod tests {
                 wake_latency: wake,
             }),
         );
-        let mut p = Ports::of(&r);
         // Idle past the threshold: the lane sleeps.
         for _ in 0..4 {
             let _ = p.step(&mut r, to(Direction::East), |_, _| true);
@@ -1265,7 +1408,7 @@ mod tests {
         assert_eq!(p.fsm[Direction::East.index()].state(), SleepState::Asleep);
 
         // A flit arrives; it must wait out exactly `wake` cycles.
-        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
+        p.accept(&mut r, Direction::West, flit(1, true, true));
         let mut stalls = 0;
         loop {
             let out = p.step(&mut r, to(Direction::East), |_, _| true);
@@ -1290,12 +1433,12 @@ mod tests {
             policy: GatingPolicy::IdleThreshold(2),
             wake_latency: 1,
         };
-        let mut r = Router::with_gating(0, 8, 2, Some(cfg));
-        let mut p = Ports::of(&r);
+        let mut r = Router::new();
+        let mut p = Ports::new(8, 2, Some(cfg));
         // A long worm on VC 0 keeps the port busy…
-        r.accept(&mut p.pool, Direction::West, vflit(1, 0, true, false));
+        p.accept(&mut r, Direction::West, vflit(1, 0, true, false));
         for _ in 0..6 {
-            r.accept(&mut p.pool, Direction::West, vflit(1, 0, false, false));
+            p.accept(&mut r, Direction::West, vflit(1, 0, false, false));
         }
         let route = |_: &Flit| RouteTarget {
             out: Direction::East,
@@ -1321,8 +1464,8 @@ mod tests {
 
     #[test]
     fn ungated_router_has_zero_counters() {
-        let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::of(&r);
+        let mut r = Router::new();
+        let mut p = Ports::new(4, 1, None);
         for _ in 0..10 {
             let _ = p.step(&mut r, to(Direction::East), |_, _| true);
         }
@@ -1332,8 +1475,8 @@ mod tests {
 
     #[test]
     fn never_policy_matches_ungated_behaviour_with_accounting() {
-        let mut r = Router::with_gating(
-            0,
+        let mut r = Router::new();
+        let mut p = Ports::new(
             4,
             1,
             Some(SleepConfig {
@@ -1341,11 +1484,10 @@ mod tests {
                 wake_latency: 1,
             }),
         );
-        let mut p = Ports::of(&r);
         for _ in 0..5 {
             let _ = p.step(&mut r, to(Direction::East), |_, _| true);
         }
-        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
+        p.accept(&mut r, Direction::West, flit(1, true, true));
         let out = p.step(&mut r, to(Direction::East), |_, _| true);
         assert_eq!(out.len(), 1, "Never gating never stalls");
         assert_eq!(p.counters.sleep_entries, 0);
@@ -1356,8 +1498,8 @@ mod tests {
 
     /// The quiescence predicate as a scan of buffers and owners — what
     /// the incrementally maintained masks must agree with.
-    fn scanned_quiet(r: &Router) -> bool {
-        r.total_occupancy() == 0 && r.lanes.iter().all(|l| l.owner.is_free())
+    fn scanned_quiet(p: &Ports) -> bool {
+        p.total_occupancy() == 0 && p.lanes.iter().all(|l| l.owner.is_free())
     }
 
     /// A deterministic xorshift stream for the randomized router tests.
@@ -1398,10 +1540,10 @@ mod tests {
                 th => Some(GatingPolicy::IdleThreshold(th - 3)),
             }
             .map(|policy| SleepConfig { policy, wake_latency: wake });
-            let mut dense = Router::with_gating(0, 4, vcs, gating);
-            let mut lazy = Router::with_gating(0, 4, vcs, gating);
-            let mut dp = Ports::of(&dense);
-            let mut lp = Ports::of(&lazy);
+            let mut dense = Router::new();
+            let mut lazy = Router::new();
+            let mut dp = Ports::new(4, vcs, gating);
+            let mut lp = Ports::new(4, vcs, gating);
             let mut rnd = xorshift(seed);
             let route = move |f: &Flit| RouteTarget {
                 out: Direction::from_index(f.dst as usize % 5),
@@ -1418,7 +1560,7 @@ mod tests {
                     let vc = (rnd() % vcs as u64) as u8;
                     let dst = (rnd() % 5) as u32;
                     let len = 1 + (rnd() % 3) as usize;
-                    if dense.occupancy(port, vc as usize) + len <= 4 {
+                    if dp.occupancy(port, vc as usize) + len <= 4 {
                         pkt += 1;
                         for k in 0..len {
                             let f = Flit {
@@ -1429,8 +1571,8 @@ mod tests {
                                 is_tail: k + 1 == len,
                                 injected_at: now,
                             };
-                            dense.accept(&mut dp.pool, port, f);
-                            lazy.accept(&mut lp.pool, port, f);
+                            dp.accept(&mut dense, port, f);
+                            lp.accept(&mut lazy, port, f);
                         }
                     }
                 }
@@ -1440,16 +1582,14 @@ mod tests {
                 };
                 let mut dense_deps = Vec::new();
                 let mut lazy_deps = Vec::new();
-                dense_arbs += dense
-                    .step(now, true, route, ready, dp.lane(), |d| dense_deps.push(d));
-                lazy_arbs += lazy
-                    .step(now, false, route, ready, lp.lane(), |d| lazy_deps.push(d));
+                dense_arbs += dp.step_at(&mut dense, now, true, route, ready, |d| dense_deps.push(d));
+                lazy_arbs += lp.step_at(&mut lazy, now, false, route, ready, |d| lazy_deps.push(d));
                 proptest::prop_assert!(dense_deps == lazy_deps, "departures diverged at cycle {now}");
-                proptest::prop_assert_eq!(dense.is_quiet(), scanned_quiet(&dense));
-                proptest::prop_assert_eq!(lazy.is_quiet(), scanned_quiet(&lazy));
-                proptest::prop_assert_eq!(dense.total_occupancy(), lazy.total_occupancy());
+                proptest::prop_assert_eq!(dense.is_quiet(), scanned_quiet(&dp));
+                proptest::prop_assert_eq!(lazy.is_quiet(), scanned_quiet(&lp));
+                proptest::prop_assert_eq!(dp.total_occupancy(), lp.total_occupancy());
                 if rnd().is_multiple_of(8) || now == 400 {
-                    lazy_arbs += lazy.settle_lanes(&mut lp.lane(), now, now);
+                    lazy_arbs += lp.settle(now);
                     proptest::prop_assert!(dense_arbs == lazy_arbs, "arbitration totals diverged at cycle {now}");
                     proptest::prop_assert!(dp.idle == lp.idle, "idle runs diverged at cycle {now}");
                     proptest::prop_assert!(dp.fsm == lp.fsm, "FSMs diverged at cycle {now}");
@@ -1470,28 +1610,28 @@ mod tests {
             wake_latency: 2,
         });
         let play = |start: u64| {
-            let mut r = Router::with_gating(0, 4, 2, cfg);
-            let mut p = Ports::of(&r);
+            let mut r = Router::new();
+            let mut p = Ports::new(4, 2, cfg);
             p.now = start;
             p.settled.fill(start as u32);
             let _ = p.step(&mut r, to(Direction::East), |_, _| true);
-            r.accept(&mut p.pool, Direction::West, flit(1, true, true));
+            p.accept(&mut r, Direction::West, flit(1, true, true));
             let mut deps = Vec::new();
             let mut arbs = 0;
             for gap in [2u64, 7, 1] {
                 p.now += gap;
                 let now = p.now;
-                arbs += r.step(
+                arbs += p.step_at(
+                    &mut r,
                     now,
                     false,
                     to(Direction::East),
                     |_, _| true,
-                    p.lane(),
                     |d| deps.push(d),
                 );
             }
             let now = p.now + 5;
-            arbs += r.settle_lanes(&mut p.lane(), now, now);
+            arbs += p.settle(now);
             (deps, arbs, p.idle, p.fsm, p.counters)
         };
         assert_eq!(play(3), play((1 << 32) - 4));
@@ -1514,17 +1654,17 @@ mod tests {
                 vc: 0,
             }
         };
-        let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::of(&r);
-        r.accept(&mut p.pool, Direction::West, flit(1, true, true));
-        r.accept(&mut p.pool, Direction::West, flit(2, true, true));
+        let mut r = Router::new();
+        let mut p = Ports::new(4, 1, None);
+        p.accept(&mut r, Direction::West, flit(1, true, true));
+        p.accept(&mut r, Direction::West, flit(2, true, true));
         for _ in 0..3 {
             assert_eq!(p.step(&mut r, route, |_, _| false).len(), 0);
         }
         assert_eq!(calls.get(), 1, "a waiting front flit is routed once");
         let first = p.step(&mut r, route, |_, _| true);
         assert_eq!(first[0].output, Direction::East);
-        assert_eq!(r.cached_route(0), None, "the pop dropped the cache");
+        assert_eq!(cached_route(&p.lanes, 0), None, "the pop dropped the cache");
         let second = p.step(&mut r, route, |_, _| true);
         assert_eq!(second[0].output, Direction::North);
         assert_eq!(calls.get(), 2);
@@ -1533,21 +1673,27 @@ mod tests {
     #[test]
     fn route_cache_is_cleared_by_purge_and_epoch_change() {
         let west = Direction::West.index();
-        let mut r = Router::new(0, 4, 1);
-        let mut p = Ports::of(&r);
-        r.accept(&mut p.pool, Direction::West, flit(1, true, false));
-        r.accept(&mut p.pool, Direction::West, flit(2, true, true));
+        let mut r = Router::new();
+        let mut p = Ports::new(4, 1, None);
+        p.accept(&mut r, Direction::West, flit(1, true, false));
+        p.accept(&mut r, Direction::West, flit(2, true, true));
         let _ = p.step(&mut r, to(Direction::East), |_, _| false);
-        assert_eq!(r.cached_route(west), Some((Direction::East.index(), true)));
+        assert_eq!(
+            cached_route(&p.lanes, west),
+            Some((Direction::East.index(), true))
+        );
         // Purging the front packet exposes a new front flit.
-        r.purge_packets(&mut p.pool, |pid| pid == 1, |_, _| {});
-        assert_eq!(r.cached_route(west), None);
+        p.purge(&mut r, |pid| pid == 1);
+        assert_eq!(cached_route(&p.lanes, west), None);
         let _ = p.step(&mut r, to(Direction::East), |_, _| false);
-        assert_eq!(r.cached_route(west), Some((Direction::East.index(), true)));
+        assert_eq!(
+            cached_route(&p.lanes, west),
+            Some((Direction::East.index(), true))
+        );
         // A new fault epoch changes the routing function itself: the
         // cached route goes, and the next step follows the new one.
-        r.clear_route_cache();
-        assert_eq!(r.cached_route(west), None);
+        clear_route_cache(&mut p.lanes);
+        assert_eq!(cached_route(&p.lanes, west), None);
         let out = p.step(&mut r, to(Direction::South), |_, _| true);
         assert_eq!(out[0].output, Direction::South);
     }
@@ -1556,27 +1702,27 @@ mod tests {
     fn quiet_masks_agree_with_buffer_and_owner_scan() {
         // Occupied and owned masks track push, pop, allocation, tail
         // release and purge.
-        let mut r = Router::new(0, 4, 2);
-        let mut p = Ports::of(&r);
-        assert!(r.is_quiet() && scanned_quiet(&r));
-        r.accept(&mut p.pool, Direction::West, vflit(1, 1, true, false));
-        r.accept(&mut p.pool, Direction::West, vflit(1, 1, false, true));
-        assert!(!r.is_quiet() && !scanned_quiet(&r));
+        let mut r = Router::new();
+        let mut p = Ports::new(4, 2, None);
+        assert!(r.is_quiet() && scanned_quiet(&p));
+        p.accept(&mut r, Direction::West, vflit(1, 1, true, false));
+        p.accept(&mut r, Direction::West, vflit(1, 1, false, true));
+        assert!(!r.is_quiet() && !scanned_quiet(&p));
         let _ = p.step(&mut r, to(Direction::East), |_, _| true);
-        assert_eq!(r.total_occupancy(), 1);
-        assert!(!r.is_quiet() && !scanned_quiet(&r));
+        assert_eq!(p.total_occupancy(), 1);
+        assert!(!r.is_quiet() && !scanned_quiet(&p));
         let _ = p.step(&mut r, to(Direction::East), |_, _| true);
         assert!(
-            r.is_quiet() && scanned_quiet(&r),
+            r.is_quiet() && scanned_quiet(&p),
             "the tail released the lane"
         );
         // A worm whose tail is purged upstream leaves an owned lane.
-        r.accept(&mut p.pool, Direction::North, flit(2, true, false));
+        p.accept(&mut r, Direction::North, flit(2, true, false));
         let _ = p.step(&mut r, to(Direction::East), |_, _| true);
-        assert_eq!(r.total_occupancy(), 0);
-        assert!(!r.is_quiet() && !scanned_quiet(&r));
-        r.purge_packets(&mut p.pool, |pid| pid == 2, |_, _| {});
-        assert!(r.is_quiet() && scanned_quiet(&r));
+        assert_eq!(p.total_occupancy(), 0);
+        assert!(!r.is_quiet() && !scanned_quiet(&p));
+        p.purge(&mut r, |pid| pid == 2);
+        assert!(r.is_quiet() && scanned_quiet(&p));
     }
 
     #[test]
@@ -1586,10 +1732,11 @@ mod tests {
         // takes that block, and `r` refills into a fresh one. FIFO order
         // within each lane and the output port's VC round-robin carry
         // over unchanged. A purge gives the block back the same way.
-        let mut r = Router::new(0, 4, 2);
-        let mut p = Ports::of(&r);
-        p.pool = RingPool::new(2, 4, 2);
-        let mut other = Router::new(1, 4, 2);
+        let mut r = Router::new();
+        let mut p = Ports::new(4, 2, None);
+        p.pool = RingPool::new(2, &p.geom);
+        let mut other = Router::new();
+        let mut other_lanes = vec![Lane::EMPTY; p.geom.lanes()];
         let route = |f: &Flit| RouteTarget {
             out: Direction::East,
             vc: (f.packet_id % 2) as u8,
@@ -1599,12 +1746,12 @@ mod tests {
         let round = |r: &mut Router, p: &mut Ports, base: u64, held: usize| {
             for k in 0..2 {
                 let id = base + 2 * k;
-                r.accept(&mut p.pool, Direction::West, vflit(id, 0, true, true));
-                r.accept(&mut p.pool, Direction::North, vflit(id + 1, 1, true, true));
+                p.accept(r, Direction::West, vflit(id, 0, true, true));
+                p.accept(r, Direction::North, vflit(id + 1, 1, true, true));
             }
             assert_eq!(p.pool.in_use(), held + 1);
             let mut sent = Vec::new();
-            while r.total_occupancy() > 0 {
+            while p.total_occupancy() > 0 {
                 for d in p.step(r, route, |_, _| true) {
                     sent.push((d.flit.packet_id - base, d.flit.vc));
                 }
@@ -1614,7 +1761,13 @@ mod tests {
         };
         let first = round(&mut r, &mut p, 0, 0);
         assert_eq!(p.pool.in_use(), 0);
-        other.accept(&mut p.pool, Direction::South, flit(99, true, true));
+        other.accept(
+            &p.geom,
+            &mut other_lanes,
+            &mut p.pool,
+            Direction::South,
+            flit(99, true, true),
+        );
         assert_eq!(other.block, 0, "the returned block is handed out first");
         let second = round(&mut r, &mut p, 100, 1);
         assert_eq!(p.pool.high_water(), 2);
@@ -1623,11 +1776,11 @@ mod tests {
 
         // A purge that keeps a flit keeps the block; one that empties
         // the router gives it back.
-        r.accept(&mut p.pool, Direction::West, flit(7, true, true));
-        r.accept(&mut p.pool, Direction::North, flit(8, true, true));
-        r.purge_packets(&mut p.pool, |pid| pid == 7, |_, _| {});
+        p.accept(&mut r, Direction::West, flit(7, true, true));
+        p.accept(&mut r, Direction::North, flit(8, true, true));
+        p.purge(&mut r, |pid| pid == 7);
         assert_ne!(r.block, NO_BLOCK);
-        r.purge_packets(&mut p.pool, |pid| pid == 8, |_, _| {});
+        p.purge(&mut r, |pid| pid == 8);
         assert_eq!(r.block, NO_BLOCK);
         assert_eq!(p.pool.in_use(), 1, "only `other` still holds a block");
     }

@@ -32,8 +32,9 @@
 //!   - **Tiles.** The mesh is partitioned into full-width row bands
 //!     ([`crate::topology::TileMap`]). Each band owns a contiguous
 //!     slice of every per-router SoA slab (routers, lanes, credits, RNG
-//!     streams, source queues), its own pool of input-ring blocks, its
-//!     own worklist and its own wheel, and bands step
+//!     streams, source-queue ids), its own pools of input-ring blocks
+//!     and source queues, its own worklist and its own wheel, and bands
+//!     step
 //!     concurrently on worker threads
 //!     ([`MeshConfig::shards`] / [`MeshConfig::threads`] — pure
 //!     geometry: neither changes a result).
@@ -125,15 +126,18 @@
 //!   steady-state loop performs no heap allocation.
 
 use crate::fault::{FaultPlan, FaultSchedule};
-use crate::router::{PortLane, RingPool, RouteTarget, Router, MAX_VCS};
+use crate::router::{
+    can_accept, clear_route_cache, occupancy, settle_lanes, total_occupancy, Lane, PortLane,
+    RingPool, RouteTarget, Router, RouterGeometry, MAX_BUFFER_DEPTH, MAX_VCS,
+};
 use crate::shard::{boundary_mailboxes, BoundaryMsg};
 use crate::sleep::{SleepConfig, SleepFsm};
 use crate::stats::{IdleBank, NetworkStats};
 use crate::sync::{Mailboxes, PoisonGuard, ShardSlots, SlotReport, SpinBarrier};
-use crate::topology::{Direction, FaultMap, Mesh, NeighborTable, TileMap};
+use crate::topology::{Direction, FaultMap, Mesh, TileMap};
 use crate::traffic::{
-    packet_id, packet_source, Flit, GapSampler, InjectionProcess, SourcePacket, TrafficPattern,
-    MAX_ROUTERS,
+    packet_id, packet_source, Flit, GapSampler, InjectionProcess, QueuePool, SourcePacket,
+    TrafficPattern, MAX_ROUTERS, NO_QUEUE,
 };
 use crate::wheel::TimeWheel;
 use crate::worklist::{Cursor, Worklist};
@@ -142,7 +146,6 @@ use lnoc_power::router::RouterActivity;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Which cycle-loop kernel executes the simulation.
@@ -243,7 +246,9 @@ pub struct MeshConfig {
     pub pattern: TrafficPattern,
     /// Flits per packet.
     pub packet_len_flits: usize,
-    /// Input buffer depth in flits, **per virtual channel**.
+    /// Input buffer depth in flits, **per virtual channel**
+    /// (1..=[`MAX_BUFFER_DEPTH`], 65 535: lane cursors and credit
+    /// counters are 16-bit).
     pub buffer_depth: usize,
     /// Virtual channels per port (1..=[`MAX_VCS`]). `1` reproduces the
     /// pre-VC single-FIFO router bit-for-bit; `≥ 2` enables dateline
@@ -375,6 +380,16 @@ pub(crate) fn node_rng(seed: u64, rid: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (rid as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15))
 }
 
+/// Sleep-FSM slab entries per router: one per lane on a gated network,
+/// none on an ungated one (its routers never read a sleep FSM).
+fn fsm_lanes(cfg: &MeshConfig) -> usize {
+    if cfg.gating.is_some() {
+        5 * cfg.vcs
+    } else {
+        0
+    }
+}
+
 /// The engine steps every lane of its active routers on each cycle
 /// that is a multiple of this, so a lane left behind by lane-granular
 /// stepping never lags its router by more than 2³¹ cycles — well inside
@@ -386,11 +401,26 @@ const WATERMARK_REFRESH: u64 = 1 << 31;
 const MAX_SIDE: usize = 1 << 16;
 
 /// Per-destination ejection progress, for on-the-fly validation of
-/// in-order, contiguous packet delivery.
-#[derive(Debug, Clone, Copy, Default)]
+/// in-order, contiguous packet delivery: the packet being ejected and
+/// its flits seen so far, or [`EjectProgress::IDLE`] between packets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EjectProgress {
-    current: Option<(u64, usize)>,
+    /// Id of the packet mid-ejection; [`Flit::INVALID`]'s id, which no
+    /// packet carries, when none is.
+    packet: u64,
+    /// Flits of `packet` ejected so far.
+    seen: u32,
 }
+
+impl EjectProgress {
+    /// No packet mid-ejection.
+    const IDLE: EjectProgress = EjectProgress {
+        packet: Flit::INVALID.packet_id,
+        seen: 0,
+    };
+}
+
+const _: () = assert!(std::mem::size_of::<EjectProgress>() == 16);
 
 /// One flit crossing a link (or ejecting) this cycle, recorded during
 /// router stepping and applied afterwards so a flit moves one hop per
@@ -414,20 +444,29 @@ const _: () = assert!(std::mem::size_of::<Transfer>() == 32);
 /// bands ([`TileMap`]), every shard owns a *contiguous* slice of every
 /// slab — the sharded runner carves the slabs with `split_at_mut` and
 /// hands each worker a `ShardView` of disjoint slices, no index
-/// translation and no locks on the hot path. The input VC buffers are
-/// not a slab: each tile draws them from its own [`RingPool`], one
-/// block per router that buffers a flit, so they cost what is buffered
-/// rather than `5·V·depth` flits per router.
+/// translation and no locks on the hot path. The input VC buffers and
+/// the source queues are not slabs: each tile draws them from its own
+/// pools — a [`RingPool`] block per router that buffers a flit, a
+/// source queue per router with packets waiting — so they cost what is
+/// buffered or queued rather than a fixed amount per router.
 #[derive(Debug)]
 pub struct Simulation {
     cfg: MeshConfig,
     /// The kernel executing the loop.
     kernel: SimKernel,
     mesh: Mesh,
+    /// What every router shares: buffer depth, VC count and sleep
+    /// configuration.
+    geom: RouterGeometry,
     routers: Vec<Router>,
-    /// Source queues: packet descriptors wait here until the local port
-    /// accepts; flits are synthesized on acceptance.
-    source_queues: Vec<VecDeque<SourcePacket>>,
+    /// Per-lane router records ([`Lane`]), `router * 5V + port * V +
+    /// vc`.
+    lanes: Vec<Lane>,
+    /// Per-router source-queue id in its tile's [`QueuePool`]
+    /// ([`NO_QUEUE`] while no packet waits): packet descriptors wait
+    /// there until the local port accepts; flits are synthesized on
+    /// acceptance.
+    source_queue: Vec<u32>,
     /// Per-node ON/OFF state of the bursty injection process.
     source_on: Vec<bool>,
     /// Per-node renewal slot of the Bernoulli injection process: the
@@ -452,13 +491,14 @@ pub struct Simulation {
     /// ejection port always sinks). The reference rebuilds them every
     /// cycle; the engine maintains them incrementally on departure
     /// (consume) and downstream pop (return).
-    credits: Vec<u32>,
+    credits: Vec<u16>,
     eject: Vec<EjectProgress>,
 
     // ---- SoA per-lane state (indexed `router * 5V + port * V + vc`) ----
     /// Consecutive idle cycles per output VC lane.
     idle_run: Vec<u64>,
-    /// Sleep FSM per output VC lane.
+    /// Sleep FSM per output VC lane — empty on an ungated network,
+    /// where no FSM is ever read (see [`RunCtx::fsm_lanes`]).
     fsm: Vec<SleepFsm>,
     /// Gating counters per router (all lanes summed).
     counters: Vec<GatingCounters>,
@@ -473,7 +513,6 @@ pub struct Simulation {
     last_stepped: Vec<u64>,
 
     // ---- Shared immutable lookup state ----
-    neighbors: NeighborTable,
     /// Expanded fault schedule (`None` when [`MeshConfig::faults`] is
     /// unset or the plan produces no events). Epochs are applied at
     /// cycle boundaries by the three-pass reap in [`run_worker`];
@@ -481,9 +520,9 @@ pub struct Simulation {
     faults: Option<FaultSchedule>,
     /// Cached `(x, y)` per router id, so the hot route closure — XY
     /// routing ([`Mesh::route_xy_at`]) and the dateline class
-    /// ([`Mesh::hop_vc_at`]) — never divides a router id into
-    /// coordinates, the same treatment [`NeighborTable`] gives
-    /// neighbour lookup.
+    /// ([`Mesh::hop_vc_at`]) — and neighbour lookup
+    /// ([`Mesh::neighbor_at`]) never divide a router id into
+    /// coordinates.
     xy: Vec<(u16, u16)>,
 
     // ---- Tile partition ----
@@ -495,9 +534,9 @@ pub struct Simulation {
     threads: usize,
 }
 
-/// Per-shard persistent state: the tile's worklist, ring pool,
-/// per-cycle scratch, mailbox staging buffers, and the tile's share of
-/// the network-wide conservation counters.
+/// Per-shard persistent state: the tile's worklist, ring and queue
+/// pools, per-cycle scratch, mailbox staging buffers, and the tile's
+/// share of the network-wide conservation counters.
 #[derive(Debug)]
 struct ShardScratch {
     /// Shard index.
@@ -509,6 +548,9 @@ struct ShardScratch {
     /// Input-ring blocks of the tile's routers: a router holds one
     /// exactly while it buffers a flit.
     rings: RingPool,
+    /// Source queues of the tile's routers: a router holds one exactly
+    /// while it has packets waiting.
+    queues: QueuePool,
     /// The tile's worklist over *local* router indices (`lr` a member
     /// ⇔ router `base + lr` steps this cycle), visited in router-index
     /// order at a cost that follows its members, not the tile.
@@ -523,6 +565,8 @@ struct ShardScratch {
     incoming: Vec<Vec<BoundaryMsg>>,
     /// Flits injected by this tile's sources since construction.
     flits_injected: u64,
+    /// Flits ejected at this tile's routers since construction.
+    flits_delivered: u64,
     /// Flits still waiting in this tile's source queues (maintained
     /// incrementally; the O(n) scan is debug-asserted against it).
     queued_flits: u64,
@@ -659,12 +703,13 @@ struct ShardView<'a> {
     len: usize,
     scratch: &'a mut ShardScratch,
     routers: &'a mut [Router],
-    source_queues: &'a mut [VecDeque<SourcePacket>],
+    lanes: &'a mut [Lane],
+    source_queue: &'a mut [u32],
     source_on: &'a mut [bool],
     next_offer: &'a mut [u64],
     rngs: &'a mut [StdRng],
     next_seq: &'a mut [u64],
-    credits: &'a mut [u32],
+    credits: &'a mut [u16],
     eject: &'a mut [EjectProgress],
     idle_run: &'a mut [u64],
     fsm: &'a mut [SleepFsm],
@@ -682,13 +727,13 @@ struct ShardView<'a> {
 /// through a mutex (cold path: faults fire a handful of times per
 /// run, never per cycle). Pass 1 fills `doomed` (sorted packet ids
 /// nominated by this shard's scan); pass 2 reads every shard's
-/// nominations and fills `credit_returns` (global lane index → count)
-/// for slots freed in this tile whose upstream lane may live
-/// elsewhere; pass 3 applies the returns lane-owner-side.
+/// nominations and fills `credit_returns` (the global index of the
+/// upstream lane of each slot freed in this tile, which may live
+/// elsewhere); pass 3 applies the returns lane-owner-side.
 #[derive(Debug, Default)]
 struct FaultReap {
     doomed: Vec<u64>,
-    credit_returns: Vec<(u64, u32)>,
+    credit_returns: Vec<u64>,
 }
 
 /// Shared, immutable context of one `run` call (everything a worker
@@ -698,9 +743,12 @@ struct RunCtx<'a> {
     cfg: &'a MeshConfig,
     kernel: SimKernel,
     mesh: Mesh,
+    geom: RouterGeometry,
     vcs: usize,
     lanes: usize,
-    neighbors: &'a NeighborTable,
+    /// FSM-slab entries per router: `lanes` on a gated network, 0 on an
+    /// ungated one, whose routers never read a sleep FSM.
+    fsm_lanes: usize,
     xy: &'a [(u16, u16)],
     tiles: &'a TileMap,
     mail: &'a Mailboxes<BoundaryMsg>,
@@ -732,6 +780,21 @@ struct RunCtx<'a> {
     abort: &'a Mutex<Option<SimAbort>>,
 }
 
+impl RunCtx<'_> {
+    /// Router `rid`'s neighbour in cardinal direction `dir`, from the
+    /// cached coordinates.
+    fn neighbor(&self, rid: usize, dir: Direction) -> Option<usize> {
+        debug_assert!(dir != Direction::Local);
+        self.mesh.neighbor_at(xy_at(self.xy, rid), dir)
+    }
+}
+
+/// Router `rid`'s cached coordinates.
+fn xy_at(xy: &[(u16, u16)], rid: usize) -> (usize, usize) {
+    let (x, y) = xy[rid];
+    (x as usize, y as usize)
+}
+
 impl Simulation {
     /// Builds the network.
     ///
@@ -740,9 +803,10 @@ impl Simulation {
     /// Panics on a degenerate configuration (empty mesh, a mesh of more
     /// than 2²⁴ − 1 routers — packet ids carry the source in 24 bits —
     /// a side longer than 2¹⁶ routers — routing caches coordinates as
-    /// `u16` — zero-length packets, zero buffers, a VC count outside
-    /// `1..=`[`MAX_VCS`], a zero source-queue cap, an
-    /// [`GatingPolicy::Oracle`] in-loop policy — the oracle needs future
+    /// `u16` — zero-length packets, zero buffers or buffers deeper than
+    /// [`MAX_BUFFER_DEPTH`] flits — lane cursors and credits are 16-bit
+    /// — a VC count outside `1..=`[`MAX_VCS`], a zero source-queue cap,
+    /// an [`GatingPolicy::Oracle`] in-loop policy — the oracle needs future
     /// knowledge and only exists offline — or a bursty process with
     /// zero mean dwell times).
     pub fn new(cfg: MeshConfig) -> Self {
@@ -762,6 +826,11 @@ impl Simulation {
         );
         assert!(cfg.packet_len_flits >= 1, "packets need at least one flit");
         assert!(cfg.buffer_depth >= 1, "buffers need at least one slot");
+        assert!(
+            cfg.buffer_depth <= MAX_BUFFER_DEPTH,
+            "buffer depths are capped at {MAX_BUFFER_DEPTH} flits per VC (lane \
+             cursors and credit counters are 16-bit)"
+        );
         assert!(
             (1..=MAX_VCS).contains(&cfg.vcs),
             "vcs must be in 1..={MAX_VCS}"
@@ -805,6 +874,7 @@ impl Simulation {
         let n = mesh.len();
         let v = cfg.vcs;
         let lanes = 5 * v;
+        let geom = RouterGeometry::new(cfg.buffer_depth, v, cfg.gating);
         let kernel = cfg.kernel;
         if cfg.faults.is_some() {
             assert!(
@@ -845,12 +915,12 @@ impl Simulation {
         // Initial credits: the full per-VC depth wherever a link
         // exists, zero on edge ports (so `credit > 0` doubles as the
         // link-existence check in the hot readiness closure).
-        let mut credits = vec![0u32; n * lanes];
+        let mut credits = vec![0u16; n * lanes];
         for rid in 0..n {
             for d in &Direction::ALL[..4] {
                 if mesh.neighbor(rid, *d).is_some() {
                     for vc in 0..v {
-                        credits[rid * lanes + d.index() * v + vc] = cfg.buffer_depth as u32;
+                        credits[rid * lanes + d.index() * v + vc] = cfg.buffer_depth as u16;
                     }
                 }
             }
@@ -862,12 +932,14 @@ impl Simulation {
                     shard: s,
                     base: range.start,
                     len: range.len(),
-                    rings: RingPool::new(range.len(), cfg.buffer_depth, v),
+                    rings: RingPool::new(range.len(), &geom),
+                    queues: QueuePool::default(),
                     active: Worklist::new(range.len()),
                     transfers: Vec::new(),
                     outgoing: vec![Vec::new(); tiles.neighbors(s).len()],
                     incoming: vec![Vec::new(); tiles.neighbors(s).len()],
                     flits_injected: 0,
+                    flits_delivered: 0,
                     queued_flits: 0,
                     buffered_flits: 0,
                     stagnant_cycles: 0,
@@ -904,10 +976,10 @@ impl Simulation {
         let sim = Simulation {
             mesh,
             kernel,
-            routers: (0..n)
-                .map(|id| Router::with_gating(id, cfg.buffer_depth, v, cfg.gating))
-                .collect(),
-            source_queues: vec![VecDeque::new(); n],
+            geom,
+            routers: vec![Router::new(); n],
+            lanes: vec![Lane::EMPTY; n * lanes],
+            source_queue: vec![NO_QUEUE; n],
             source_on: vec![true; n],
             next_offer,
             rngs,
@@ -916,13 +988,12 @@ impl Simulation {
             cycle: 0,
             visit_reversed: false,
             credits,
-            eject: vec![EjectProgress::default(); n],
+            eject: vec![EjectProgress::IDLE; n],
             idle_run: vec![0; n * lanes],
-            fsm: vec![SleepFsm::default(); n * lanes],
+            fsm: vec![SleepFsm::default(); n * fsm_lanes(&cfg)],
             counters: vec![GatingCounters::default(); n],
             settled: vec![0; n * lanes],
             last_stepped: vec![0; n],
-            neighbors: NeighborTable::new(&mesh),
             xy: (0..n)
                 .map(|rid| {
                     let (x, y) = mesh.coords(rid);
@@ -1024,15 +1095,28 @@ impl Simulation {
     /// The O(routers × lanes) scan the incremental counters replace —
     /// kept as the debug oracle.
     fn in_flight_flits_scanned(&self) -> u64 {
-        let len = self.cfg.packet_len_flits;
-        let queued: u64 = self
-            .source_queues
+        self.scratch
             .iter()
-            .flat_map(|q| q.iter())
+            .map(|sc| {
+                let (queued, buffered) = self.tile_flits_scanned(sc);
+                queued + buffered
+            })
+            .sum()
+    }
+
+    /// Tile `sc`'s queued and buffered flits, counted by an
+    /// O(routers × lanes) scan of its source queues and lane records.
+    fn tile_flits_scanned(&self, sc: &ShardScratch) -> (u64, u64) {
+        let len = self.cfg.packet_len_flits;
+        let routers = sc.base..sc.base + sc.len;
+        let queued = self.source_queue[routers.clone()]
+            .iter()
+            .flat_map(|&q| sc.queues.packets(q))
             .map(|p| p.remaining_flits(len))
             .sum();
-        let buffered: usize = self.routers.iter().map(Router::total_occupancy).sum();
-        queued + buffered as u64
+        let lanes = self.lanes();
+        let buffered = total_occupancy(&self.lanes[routers.start * lanes..routers.end * lanes]);
+        (queued, buffered as u64)
     }
 
     /// Flits injected since construction (all cycles, not just the
@@ -1115,13 +1199,62 @@ impl Simulation {
             return;
         }
         let lanes = self.lanes();
+        let v = self.cfg.vcs;
         assert_credits(
-            &self.neighbors,
+            |rid, d| self.mesh.neighbor_at(xy_at(&self.xy, rid), d),
             self.mesh.len(),
-            self.cfg.vcs,
+            v,
             self.cfg.buffer_depth as u32,
-            |rid, lane| self.credits[rid * lanes + lane],
-            |rid, d, vc| self.routers[rid].occupancy(d, vc) as u32,
+            |rid, lane| self.credits[rid * lanes + lane] as u32,
+            |rid, d, vc| occupancy(&self.lanes[rid * lanes..], v, d, vc) as u32,
+        );
+    }
+
+    /// Asserts flit conservation since construction: every flit a
+    /// source injected was delivered, is buffered in a router, waits
+    /// in a source queue or was dropped by a fault reap. Also checks
+    /// each tile's incremental buffered and queued counters against an
+    /// O(routers × lanes) scan of its lane records and source queues,
+    /// and that a router holds a source queue exactly while packets
+    /// wait in it.
+    ///
+    /// Every successful run checks this once at its end, in every
+    /// build.
+    fn check_flit_conservation(&self) {
+        for sc in &self.scratch {
+            let (queued, buffered) = self.tile_flits_scanned(sc);
+            assert_eq!(
+                (sc.queued_flits, sc.buffered_flits),
+                (queued, buffered),
+                "tile {}: incremental (queued, buffered) flit counters diverged from the scan",
+                sc.shard
+            );
+            let ids = &self.source_queue[sc.base..sc.base + sc.len];
+            assert!(
+                ids.iter()
+                    .all(|&q| (q == NO_QUEUE) == (sc.queues.len(q) == 0)),
+                "tile {}: a router holds an empty source queue",
+                sc.shard
+            );
+            let held = ids.iter().filter(|&&q| q != NO_QUEUE).count();
+            assert_eq!(
+                sc.queues.in_use(),
+                held,
+                "tile {}: source queues in use != routers holding one",
+                sc.shard
+            );
+        }
+        let sum = |f: fn(&ShardScratch) -> u64| self.scratch.iter().map(f).sum::<u64>();
+        let injected = sum(|s| s.flits_injected);
+        let delivered = sum(|s| s.flits_delivered);
+        let buffered = sum(|s| s.buffered_flits);
+        let queued = sum(|s| s.queued_flits);
+        let dropped = sum(|s| s.flits_dropped);
+        assert_eq!(
+            injected,
+            delivered + buffered + queued + dropped,
+            "flit conservation broken: {injected} injected != {delivered} delivered + \
+             {buffered} buffered + {queued} queued + {dropped} dropped by faults"
         );
     }
 
@@ -1190,8 +1323,10 @@ impl Simulation {
                 cfg,
                 kernel,
                 mesh,
+                geom,
                 routers,
-                source_queues,
+                lanes: lane_slab,
+                source_queue,
                 source_on,
                 next_offer,
                 rngs,
@@ -1206,7 +1341,6 @@ impl Simulation {
                 counters,
                 settled,
                 last_stepped,
-                neighbors,
                 faults,
                 xy,
                 tiles,
@@ -1217,9 +1351,10 @@ impl Simulation {
                 cfg: &*cfg,
                 kernel: *kernel,
                 mesh: *mesh,
+                geom: *geom,
                 vcs,
                 lanes,
-                neighbors: &*neighbors,
+                fsm_lanes: fsm_lanes(cfg),
                 xy: xy.as_slice(),
                 tiles: &*tiles,
                 mail: &mail,
@@ -1243,7 +1378,8 @@ impl Simulation {
             let mut views: Vec<ShardView<'_>> = Vec::with_capacity(shard_count);
             {
                 let mut routers = routers.as_mut_slice();
-                let mut source_queues = source_queues.as_mut_slice();
+                let mut lane_slab = lane_slab.as_mut_slice();
+                let mut source_queue = source_queue.as_mut_slice();
                 let mut source_on = source_on.as_mut_slice();
                 let mut next_offer = next_offer.as_mut_slice();
                 let mut rngs = rngs.as_mut_slice();
@@ -1270,7 +1406,8 @@ impl Simulation {
                         base: sc.base,
                         len,
                         routers: take!(routers, len),
-                        source_queues: take!(source_queues, len),
+                        lanes: take!(lane_slab, len * lanes),
+                        source_queue: take!(source_queue, len),
                         source_on: take!(source_on, len),
                         next_offer: take!(next_offer, len),
                         rngs: take!(rngs, len),
@@ -1278,7 +1415,7 @@ impl Simulation {
                         credits: take!(credits, len * lanes),
                         eject: take!(eject, len),
                         idle_run: take!(idle_run, len * lanes),
-                        fsm: take!(fsm, len * lanes),
+                        fsm: take!(fsm, len * ctx.fsm_lanes),
                         counters: take!(counters, len),
                         settled: take!(settled, len * lanes),
                         last_stepped: take!(last_stepped, len),
@@ -1341,10 +1478,11 @@ impl Simulation {
             }
             merged
         };
-        // Every run checks the credit invariant once here, in every
-        // build: O(routers × lanes) per run (the serial path re-checks
-        // it every cycle in debug builds too).
+        // Every run checks the credit and flit invariants once here, in
+        // every build: O(routers × lanes) per run (the serial path
+        // re-checks credits every cycle in debug builds too).
         self.check_credit_conservation();
+        self.check_flit_conservation();
         Ok(merged)
     }
 }
@@ -1443,13 +1581,14 @@ fn run_worker(group: &mut [ShardView<'_>], ctx: &RunCtx<'_>) {
             // every cycle. It reads across tiles, so it only runs when
             // one worker owns every view.
             let view = |rid: usize| &group[ctx.tiles.shard_of(rid)];
+            let lane_block = |rid: usize| (rid - view(rid).base) * ctx.lanes;
             assert_credits(
-                ctx.neighbors,
+                |rid, d| ctx.neighbor(rid, d),
                 ctx.mesh.len(),
                 ctx.vcs,
                 ctx.cfg.buffer_depth as u32,
-                |rid, lane| view(rid).credits[(rid - view(rid).base) * ctx.lanes + lane],
-                |rid, d, vc| view(rid).routers[rid - view(rid).base].occupancy(d, vc) as u32,
+                |rid, lane| view(rid).credits[lane_block(rid) + lane] as u32,
+                |rid, d, vc| occupancy(&view(rid).lanes[lane_block(rid)..], ctx.vcs, d, vc) as u32,
             );
         }
         if abort {
@@ -1530,9 +1669,10 @@ fn tile_stats(len: usize, vcs: usize) -> NetworkStats {
 /// Asserts the credit-conservation invariant over routers
 /// `0..routers`: every link lane's credits (`credit(router, lane)`)
 /// plus the downstream input VC's occupancy (`occupancy(router, port,
-/// vc)`) equal the per-VC depth, and edge lanes hold none.
+/// vc)`) equal the per-VC depth, and edge lanes — those without a
+/// `neighbor(router, port)` — hold none.
 fn assert_credits(
-    neighbors: &NeighborTable,
+    neighbor: impl Fn(usize, Direction) -> Option<usize>,
     routers: usize,
     vcs: usize,
     depth: u32,
@@ -1543,7 +1683,7 @@ fn assert_credits(
         for d in &Direction::ALL[..4] {
             for vc in 0..vcs {
                 let held = credit(rid, d.index() * vcs + vc);
-                match neighbors.get(rid, *d) {
+                match neighbor(rid, *d) {
                     Some(next) => {
                         let buffered = occupancy(next, d.opposite(), vc);
                         assert_eq!(
@@ -1729,11 +1869,7 @@ impl ShardView<'_> {
                         BoundaryMsg::Arrival { rid, port, flit } => {
                             let rid = rid as usize;
                             let lr = rid - self.base;
-                            self.routers[lr].accept(
-                                &mut self.scratch.rings,
-                                Direction::from_index(port as usize),
-                                flit,
-                            );
+                            self.accept(ctx, lr, Direction::from_index(port as usize), flit);
                             self.scratch.buffered_flits += 1;
                             if stats.is_some() {
                                 self.activity[lr].buffer_writes += 1;
@@ -1885,7 +2021,8 @@ impl ShardView<'_> {
                 // Debtor: stale warmup slabs become the template.
                 let base = lr * lanes;
                 self.idle_run[base..base + lanes].fill(0);
-                self.fsm[base..base + lanes].fill(tmpl_fsm);
+                let fl = ctx.fsm_lanes;
+                self.fsm[lr * fl..(lr + 1) * fl].fill(tmpl_fsm);
                 self.counters[lr] = tmpl_counters;
                 self.settled[base..base + lanes].fill(end_cycle as u32);
                 self.last_stepped[lr] = end_cycle;
@@ -1942,18 +2079,24 @@ impl ShardView<'_> {
         let slot = &mut *slot;
         slot.doomed.clear();
         slot.credit_returns.clear();
+        let lanes = ctx.lanes;
         for lr in 0..self.len {
             let rid = self.base + lr;
             let doomed = &mut slot.doomed;
-            self.routers[lr].for_each_flit(&self.scratch.rings, |f| {
-                if path_diverges(ctx, old, new, rid, f.dst as usize) {
-                    doomed.push(f.packet_id);
-                }
-            });
+            self.routers[lr].for_each_flit(
+                &ctx.geom,
+                &self.lanes[lr * lanes..(lr + 1) * lanes],
+                &self.scratch.rings,
+                |f| {
+                    if path_diverges(ctx, old, new, rid, f.dst as usize) {
+                        doomed.push(f.packet_id);
+                    }
+                },
+            );
             // A partially sent source packet is a worm whose tail is
             // still being synthesized: same doom rule, from the
             // source.
-            if let Some(front) = self.source_queues[lr].front() {
+            if let Some(front) = self.scratch.queues.front(self.source_queue[lr]) {
                 if front.sent > 0 && path_diverges(ctx, old, new, rid, front.dst as usize) {
                     doomed.push(front.packet_id);
                 }
@@ -1985,29 +2128,35 @@ impl ShardView<'_> {
         let v = ctx.vcs;
         let lanes = ctx.lanes;
         let plen = ctx.cfg.packet_len_flits;
-        let mut returns: Vec<(u64, u32)> = Vec::new();
+        let mut returns: Vec<u64> = Vec::new();
         let mut dropped_flits = 0u64;
         let mut unroutable = 0u64;
         for lr in 0..self.len {
             let rid = self.base + lr;
             let rings = &mut self.scratch.rings;
-            let removed = self.routers[lr].purge_packets(rings, is_doomed, |lane, _flit| {
-                let port = Direction::from_index(lane / v);
-                if port != Direction::Local {
-                    let up = ctx
-                        .neighbors
-                        .get(rid, port)
-                        .expect("buffered flits arrived over an existing link");
-                    let glane = up * lanes + port.opposite().index() * v + (lane % v);
-                    returns.push((glane as u64, 1));
-                }
-            });
+            let removed = self.routers[lr].purge_packets(
+                &ctx.geom,
+                &mut self.lanes[lr * lanes..(lr + 1) * lanes],
+                rings,
+                is_doomed,
+                |lane, _flit| {
+                    let port = Direction::from_index(lane / v);
+                    if port != Direction::Local {
+                        let up = ctx
+                            .neighbor(rid, port)
+                            .expect("buffered flits arrived over an existing link");
+                        let glane = up * lanes + port.opposite().index() * v + (lane % v);
+                        returns.push(glane as u64);
+                    }
+                },
+            );
             dropped_flits += removed as u64;
             self.scratch.buffered_flits -= removed as u64;
-            let q = &mut self.source_queues[lr];
-            if let Some(front) = q.front() {
+            let queues = &mut self.scratch.queues;
+            let q = &mut self.source_queue[lr];
+            if let Some(front) = queues.front(*q) {
                 if front.sent > 0 && is_doomed(front.packet_id) {
-                    let pkt = q.pop_front().expect("front exists");
+                    let pkt = queues.pop_front(q).expect("front exists");
                     let rem = pkt.remaining_flits(plen);
                     dropped_flits += rem;
                     self.scratch.queued_flits -= rem;
@@ -2022,19 +2171,16 @@ impl ShardView<'_> {
             // front is kept: its path did not diverge, so its
             // destination is reachable.
             if let Some(fm) = new {
-                let before = q.len();
-                q.retain(|p| p.sent > 0 || fm.reachable(rid, p.dst as usize));
-                let removed_pkts = (before - q.len()) as u64;
+                let removed_pkts =
+                    queues.retain(q, |p| p.sent > 0 || fm.reachable(rid, p.dst as usize)) as u64;
                 unroutable += removed_pkts;
                 dropped_flits += removed_pkts * plen as u64;
                 self.scratch.queued_flits -= removed_pkts * plen as u64;
             }
             // A doomed packet mid-ejection never completes; forget its
             // progress so the validator expects a fresh head next.
-            if let Some((pid, _)) = self.eject[lr].current {
-                if is_doomed(pid) {
-                    self.eject[lr].current = None;
-                }
+            if is_doomed(self.eject[lr].packet) {
+                self.eject[lr] = EjectProgress::IDLE;
             }
         }
         // Packet-level accounting: each doomed packet is counted once,
@@ -2068,17 +2214,15 @@ impl ShardView<'_> {
         let lo = (self.base * lanes) as u64;
         let hi = ((self.base + self.len) * lanes) as u64;
         for slot in ctx.fault_slots {
-            for &(lane, k) in slot.lock().unwrap().credit_returns.iter() {
+            for &lane in slot.lock().unwrap().credit_returns.iter() {
                 if (lo..hi).contains(&lane) {
-                    self.credits[(lane - lo) as usize] += k;
+                    self.credits[(lane - lo) as usize] += 1;
                 }
             }
         }
         // The routing function changes with the epoch: every cached
         // front-flit route is recomputed against the new map.
-        for r in self.routers.iter_mut() {
-            r.clear_route_cache();
-        }
+        clear_route_cache(self.lanes);
         self.scratch.epoch += 1;
     }
 
@@ -2094,7 +2238,6 @@ impl ShardView<'_> {
         cycle: u64,
         stats: &mut Option<NetworkStats>,
     ) -> u64 {
-        let len = ctx.cfg.packet_len_flits;
         let fmap = ctx.faults.and_then(|s| s.map_after(self.scratch.epoch));
         let mut drained = 0u64;
         for l in 0..self.len {
@@ -2141,7 +2284,7 @@ impl ShardView<'_> {
                     cycle,
                 );
             }
-            drained += self.drain_source(l, len, stats);
+            drained += self.drain_source(ctx, l, stats);
         }
         drained
     }
@@ -2168,7 +2311,7 @@ impl ShardView<'_> {
             }
             return false;
         }
-        if self.source_queues[l].len() >= ctx.cfg.source_queue_cap {
+        if self.scratch.queues.len(self.source_queue[l]) >= ctx.cfg.source_queue_cap {
             if let Some(s) = stats.as_mut() {
                 s.packets_dropped_at_source += 1;
             }
@@ -2176,13 +2319,16 @@ impl ShardView<'_> {
         }
         let id = packet_id(src, self.next_seq[l]);
         self.next_seq[l] += 1;
-        self.source_queues[l].push_back(SourcePacket {
-            packet_id: id,
-            dst: dst as u32,
-            injected_at: cycle,
-            sent: 0,
-            vc: ctx.mesh.injection_vc(id, ctx.vcs),
-        });
+        self.scratch.queues.push_back(
+            &mut self.source_queue[l],
+            SourcePacket {
+                packet_id: id,
+                dst: dst as u32,
+                injected_at: cycle,
+                sent: 0,
+                vc: ctx.mesh.injection_vc(id, ctx.vcs),
+            },
+        );
         let len = ctx.cfg.packet_len_flits as u64;
         self.scratch.flits_injected += len;
         self.scratch.queued_flits += len;
@@ -2197,20 +2343,33 @@ impl ShardView<'_> {
     /// touch router memory). The source is FIFO: the front packet
     /// waits for its own VC even if a sibling VC has room. Returns the
     /// flits moved (progress, for the watchdog).
-    fn drain_source(&mut self, l: usize, len: usize, stats: &mut Option<NetworkStats>) -> u64 {
+    fn drain_source(
+        &mut self,
+        ctx: &RunCtx<'_>,
+        l: usize,
+        stats: &mut Option<NetworkStats>,
+    ) -> u64 {
+        let len = ctx.cfg.packet_len_flits;
+        let lanes = &mut self.lanes[l * ctx.lanes..(l + 1) * ctx.lanes];
+        let queues = &mut self.scratch.queues;
         let mut drained = 0u64;
-        while let Some(pkt) = self.source_queues[l].front_mut() {
-            if !self.routers[l].can_accept(Direction::Local, pkt.vc as usize) {
+        while let Some(pkt) = queues.front_mut(self.source_queue[l]) {
+            if !can_accept(&ctx.geom, lanes, Direction::Local, pkt.vc as usize) {
                 break;
             }
             let flit = pkt
                 .next_flit(len)
                 .expect("queued descriptors have flits left");
-            let done = pkt.remaining_flits(len) == 0;
-            if done {
-                self.source_queues[l].pop_front();
+            if pkt.remaining_flits(len) == 0 {
+                queues.pop_front(&mut self.source_queue[l]);
             }
-            self.routers[l].accept(&mut self.scratch.rings, Direction::Local, flit);
+            self.routers[l].accept(
+                &ctx.geom,
+                lanes,
+                &mut self.scratch.rings,
+                Direction::Local,
+                flit,
+            );
             self.scratch.buffered_flits += 1;
             self.scratch.queued_flits -= 1;
             drained += 1;
@@ -2237,7 +2396,6 @@ impl ShardView<'_> {
         cycle: u64,
         stats: &mut Option<NetworkStats>,
     ) -> u64 {
-        let len = ctx.cfg.packet_len_flits;
         let fmap = ctx.faults.and_then(|s| s.map_after(self.scratch.epoch));
         let mut ev = self
             .scratch
@@ -2312,7 +2470,7 @@ impl ShardView<'_> {
         let mut drained = 0u64;
         let mut visit = Cursor::new(false);
         while let Some(l) = visit.next(&self.scratch.active) {
-            drained += self.drain_source(l, len, stats);
+            drained += self.drain_source(ctx, l, stats);
         }
         drained
     }
@@ -2450,19 +2608,18 @@ impl ShardView<'_> {
     /// (the reference always runs as a single tile, so every downstream
     /// router is local).
     fn rebuild_credits(&mut self, ctx: &RunCtx<'_>) {
-        let depth = ctx.cfg.buffer_depth as u32;
+        let depth = ctx.cfg.buffer_depth;
         let v = ctx.vcs;
         let lanes = ctx.lanes;
         for lr in 0..self.len {
             let rid = self.base + lr;
             for d in &Direction::ALL[..4] {
                 for vc in 0..v {
-                    self.credits[lr * lanes + d.index() * v + vc] = match ctx.neighbors.get(rid, *d)
-                    {
+                    self.credits[lr * lanes + d.index() * v + vc] = match ctx.neighbor(rid, *d) {
                         Some(next) => {
                             debug_assert!(self.contains(next), "reference runs one tile");
-                            depth
-                                - self.routers[next - self.base].occupancy(d.opposite(), vc) as u32
+                            let block = &self.lanes[(next - self.base) * lanes..];
+                            (depth - occupancy(block, v, d.opposite(), vc)) as u16
                         }
                         None => 0,
                     };
@@ -2486,9 +2643,11 @@ impl ShardView<'_> {
     fn route_active(&mut self, ctx: &RunCtx<'_>, cycle: u64, stats: &mut Option<NetworkStats>) {
         let visit_reversed = ctx.visit_reversed;
         let mesh = ctx.mesh;
+        let geom = ctx.geom;
         let xy = ctx.xy;
         let v = ctx.vcs;
         let lanes = ctx.lanes;
+        let fl = ctx.fsm_lanes;
         let base_rid = self.base;
         let retire = ctx.kernel == SimKernel::Engine;
         let all_live =
@@ -2500,7 +2659,8 @@ impl ShardView<'_> {
         let ShardView {
             scratch,
             routers,
-            source_queues,
+            lanes: lane_slab,
+            source_queue,
             credits,
             idle_run,
             fsm,
@@ -2517,10 +2677,7 @@ impl ShardView<'_> {
             rings,
             ..
         } = &mut **scratch;
-        let at = |rid: usize| {
-            let (x, y) = xy[rid];
-            (x as usize, y as usize)
-        };
+        let at = |rid: usize| xy_at(xy, rid);
         transfers.clear();
 
         let mut visit = Cursor::new(visit_reversed);
@@ -2557,8 +2714,9 @@ impl ShardView<'_> {
                 d => credits[lane_base + d.index() * v + vc] > 0,
             };
             let lane = PortLane {
+                lanes: &mut lane_slab[lane_base..lane_base + lanes],
                 idle_run: &mut idle_run[lane_base..lane_base + lanes],
-                fsm: &mut fsm[lane_base..lane_base + lanes],
+                fsm: &mut fsm[lr * fl..(lr + 1) * fl],
                 counters: &mut counters[lr],
                 settled: &mut settled[lane_base..lane_base + lanes],
                 rings: &mut *rings,
@@ -2566,27 +2724,28 @@ impl ShardView<'_> {
             let mut departed = 0u64;
             let mut link_departed = 0u64;
             let mut histograms = stats.as_mut().map(|s| &mut s.idle_histograms);
-            let arbitrations = routers[lr].step(cycle, all_live, route, ready, lane, |dep| {
-                departed += 1;
-                if dep.output != Direction::Local {
-                    link_departed += 1;
-                }
-                // The only idle runs a step ends are those of the
-                // lanes it sends on.
-                if let Some(h) = histograms.as_mut() {
-                    if dep.idle_run > 0 {
-                        let l = dep.output.index() * v + dep.flit.vc as usize;
-                        h.lane_mut(lr, l).record(dep.idle_run);
+            let arbitrations =
+                routers[lr].step(&geom, cycle, all_live, route, ready, lane, |dep| {
+                    departed += 1;
+                    if dep.output != Direction::Local {
+                        link_departed += 1;
                     }
-                }
-                transfers.push(Transfer {
-                    from: rid as u32,
-                    input: dep.input,
-                    input_vc: dep.input_vc,
-                    output: dep.output,
-                    flit: dep.flit,
+                    // The only idle runs a step ends are those of the
+                    // lanes it sends on.
+                    if let Some(h) = histograms.as_mut() {
+                        if dep.idle_run > 0 {
+                            let l = dep.output.index() * v + dep.flit.vc as usize;
+                            h.lane_mut(lr, l).record(dep.idle_run);
+                        }
+                    }
+                    transfers.push(Transfer {
+                        from: rid as u32,
+                        input: dep.input,
+                        input_vc: dep.input_vc,
+                        output: dep.output,
+                        flit: dep.flit,
+                    });
                 });
-            });
             *routers_stepped += 1;
 
             if stats.is_some() {
@@ -2605,7 +2764,7 @@ impl ShardView<'_> {
             // reactivation or at close-out, whatever state their
             // FSMs are in. (The reference refills its worklist
             // every cycle, so retiring is moot there.)
-            if retire && routers[lr].is_quiet() && source_queues[lr].is_empty() {
+            if retire && routers[lr].is_quiet() && source_queue[lr] == NO_QUEUE {
                 active.remove(lr);
                 last_stepped[lr] = cycle;
             }
@@ -2635,8 +2794,7 @@ impl ShardView<'_> {
             // Local input has no credit counter).
             if maintain && t.input != Direction::Local {
                 let up = ctx
-                    .neighbors
-                    .get(from, t.input)
+                    .neighbor(from, t.input)
                     .expect("buffered flits arrived over an existing link");
                 let lane = up * lanes + t.input.opposite().index() * v + t.input_vc as usize;
                 if self.contains(up) {
@@ -2648,6 +2806,7 @@ impl ShardView<'_> {
             match t.output {
                 Direction::Local => {
                     self.scratch.buffered_flits -= 1;
+                    self.scratch.flits_delivered += 1;
                     self.check_ejection(ctx, from, &t.flit);
                     if let Some(s) = stats.as_mut() {
                         s.flits_delivered += 1;
@@ -2669,8 +2828,7 @@ impl ShardView<'_> {
                 }
                 d => {
                     let next = ctx
-                        .neighbors
-                        .get(from, d)
+                        .neighbor(from, d)
                         .expect("departures only target existing neighbours");
                     if maintain {
                         // Consume the credit for the slot just filled.
@@ -2678,11 +2836,7 @@ impl ShardView<'_> {
                             [(from - self.base) * lanes + d.index() * v + t.flit.vc as usize] -= 1;
                     }
                     if self.contains(next) {
-                        self.routers[next - self.base].accept(
-                            &mut self.scratch.rings,
-                            d.opposite(),
-                            t.flit,
-                        );
+                        self.accept(ctx, next - self.base, d.opposite(), t.flit);
                         if maintain {
                             // The receiver was already accounted idle
                             // for this whole cycle; it steps from the
@@ -2714,6 +2868,13 @@ impl ShardView<'_> {
         staged
     }
 
+    /// Pushes a flit arriving on input port `port` into local router
+    /// `lr`'s buffers.
+    fn accept(&mut self, ctx: &RunCtx<'_>, lr: usize, port: Direction, flit: Flit) {
+        let block = &mut self.lanes[lr * ctx.lanes..(lr + 1) * ctx.lanes];
+        self.routers[lr].accept(&ctx.geom, block, &mut self.scratch.rings, port, flit);
+    }
+
     /// Stages a boundary message for the shard owning `target_rid`.
     fn stage(&mut self, ctx: &RunCtx<'_>, target_rid: usize, msg: BoundaryMsg) {
         let me = self.scratch.shard;
@@ -2736,7 +2897,8 @@ impl ShardView<'_> {
         let lanes = ctx.lanes;
         let base = lr * lanes;
         self.idle_run[base..base + lanes].fill(0);
-        for f in &mut self.fsm[base..base + lanes] {
+        let fl = ctx.fsm_lanes;
+        for f in &mut self.fsm[lr * fl..(lr + 1) * fl] {
             f.reset();
         }
         self.counters[lr] = GatingCounters::default();
@@ -2784,7 +2946,7 @@ impl ShardView<'_> {
     }
 
     /// Settles every lane of router `lr` through cycle `through`, each
-    /// from its own watermark ([`Router::settle_lanes`]) — exactly what
+    /// from its own watermark ([`settle_lanes`]) — exactly what
     /// the dense loop would have done: idle runs grow, awake lanes
     /// arbitrate, and sleep FSMs replay their closed-form future,
     /// including a threshold walk that asserts sleep partway through
@@ -2807,10 +2969,13 @@ impl ShardView<'_> {
         };
         let lanes = ctx.lanes;
         let base = lr * lanes;
-        let arbitrations = self.routers[lr].settle_lanes(
+        let fl = ctx.fsm_lanes;
+        let arbitrations = settle_lanes(
+            &ctx.geom,
             &mut PortLane {
+                lanes: &mut self.lanes[base..base + lanes],
                 idle_run: &mut self.idle_run[base..base + lanes],
-                fsm: &mut self.fsm[base..base + lanes],
+                fsm: &mut self.fsm[lr * fl..(lr + 1) * fl],
                 counters: &mut self.counters[lr],
                 settled: &mut self.settled[base..base + lanes],
                 rings: &mut self.scratch.rings,
@@ -2843,11 +3008,11 @@ impl ShardView<'_> {
         let mut report = String::new();
         let mut shown = 0usize;
         let mut blocked = 0usize;
-        for (lr, r) in self.routers.iter().enumerate() {
+        for (lr, block) in self.lanes.chunks(lanes).enumerate() {
             let rid = self.base + lr;
             for d in Direction::ALL {
                 for vc in 0..v {
-                    let occ = r.occupancy(d, vc);
+                    let occ = occupancy(block, v, d, vc);
                     if occ == 0 {
                         continue;
                     }
@@ -2869,7 +3034,8 @@ impl ShardView<'_> {
                 let mut stranded = 0u64;
                 for (lr, r) in self.routers.iter().enumerate() {
                     let rid = self.base + lr;
-                    r.for_each_flit(&self.scratch.rings, |f| {
+                    let block = &self.lanes[lr * lanes..(lr + 1) * lanes];
+                    r.for_each_flit(&ctx.geom, block, &self.scratch.rings, |f| {
                         if fm.reachable(rid, f.dst as usize) {
                             routable += 1;
                         } else {
@@ -2909,35 +3075,34 @@ impl ShardView<'_> {
     fn check_ejection(&mut self, ctx: &RunCtx<'_>, rid: usize, flit: &Flit) {
         assert_eq!(flit.dst as usize, rid, "flit ejected at the wrong router");
         let progress = &mut self.eject[rid - self.base];
-        match progress.current {
-            None => {
-                assert!(
-                    flit.is_head,
-                    "packet {} ejected body flit before its head at router {rid}",
-                    flit.packet_id
-                );
-                if flit.is_tail {
-                    assert_eq!(ctx.cfg.packet_len_flits, 1);
-                } else {
-                    progress.current = Some((flit.packet_id, 1));
-                }
+        if *progress == EjectProgress::IDLE {
+            assert!(
+                flit.is_head,
+                "packet {} ejected body flit before its head at router {rid}",
+                flit.packet_id
+            );
+            if flit.is_tail {
+                assert_eq!(ctx.cfg.packet_len_flits, 1);
+            } else {
+                *progress = EjectProgress {
+                    packet: flit.packet_id,
+                    seen: 1,
+                };
             }
-            Some((pkt, seen)) => {
+        } else {
+            let pkt = progress.packet;
+            assert_eq!(
+                flit.packet_id, pkt,
+                "packet interleaving at router {rid} ejection port"
+            );
+            assert!(!flit.is_head, "duplicate head flit in packet {pkt}");
+            progress.seen += 1;
+            if flit.is_tail {
                 assert_eq!(
-                    flit.packet_id, pkt,
-                    "packet interleaving at router {rid} ejection port"
+                    progress.seen as usize, ctx.cfg.packet_len_flits,
+                    "packet {pkt} delivered with the wrong flit count"
                 );
-                assert!(!flit.is_head, "duplicate head flit in packet {pkt}");
-                let seen = seen + 1;
-                if flit.is_tail {
-                    assert_eq!(
-                        seen, ctx.cfg.packet_len_flits,
-                        "packet {pkt} delivered with the wrong flit count"
-                    );
-                    progress.current = None;
-                } else {
-                    progress.current = Some((pkt, seen));
-                }
+                *progress = EjectProgress::IDLE;
             }
         }
     }
@@ -3174,6 +3339,16 @@ mod tests {
         });
     }
 
+    /// One flit past 16-bit lane cursors and credits.
+    #[test]
+    #[should_panic(expected = "buffer depths are capped at 65535 flits per VC")]
+    fn oversized_buffer_depth_rejected() {
+        let _ = Simulation::new(MeshConfig {
+            buffer_depth: MAX_BUFFER_DEPTH + 1,
+            ..base_cfg()
+        });
+    }
+
     #[test]
     #[should_panic(expected = "vcs must be in")]
     fn zero_vcs_rejected() {
@@ -3342,7 +3517,8 @@ mod tests {
             "dropped packets contribute no flits"
         );
         // The source queues themselves respect the cap.
-        assert!(sim.source_queues.iter().all(|q| q.len() <= 2));
+        let queues = &sim.scratch[0].queues;
+        assert!(sim.source_queue.iter().all(|&q| queues.len(q) <= 2));
     }
 
     #[test]
@@ -3898,9 +4074,19 @@ mod tests {
     /// Routers of tile `s` that buffer at least one flit.
     fn buffering(sim: &Simulation, s: usize) -> usize {
         let sc = &sim.scratch[s];
-        sim.routers[sc.base..sc.base + sc.len]
+        let lanes = sim.lanes();
+        sim.lanes[sc.base * lanes..(sc.base + sc.len) * lanes]
+            .chunks(lanes)
+            .filter(|block| total_occupancy(block) > 0)
+            .count()
+    }
+
+    /// Routers of tile `s` that hold a source queue.
+    fn queueing(sim: &Simulation, s: usize) -> usize {
+        let sc = &sim.scratch[s];
+        sim.source_queue[sc.base..sc.base + sc.len]
             .iter()
-            .filter(|r| r.total_occupancy() > 0)
+            .filter(|&&q| q != NO_QUEUE)
             .count()
     }
 
@@ -3909,15 +4095,18 @@ mod tests {
     fn script_packet(sim: &mut Simulation, src: usize, dst: usize) {
         let id = packet_id(src, sim.next_seq[src]);
         sim.next_seq[src] += 1;
-        sim.source_queues[src].push_back(SourcePacket {
-            packet_id: id,
-            dst: dst as u32,
-            injected_at: sim.cycle,
-            sent: 0,
-            vc: sim.mesh.injection_vc(id, sim.cfg.vcs),
-        });
-        let len = sim.cfg.packet_len_flits as u64;
         let sc = &mut sim.scratch[sim.tiles.shard_of(src)];
+        sc.queues.push_back(
+            &mut sim.source_queue[src],
+            SourcePacket {
+                packet_id: id,
+                dst: dst as u32,
+                injected_at: sim.cycle,
+                sent: 0,
+                vc: sim.mesh.injection_vc(id, sim.cfg.vcs),
+            },
+        );
+        let len = sim.cfg.packet_len_flits as u64;
         let l = src - sc.base;
         sc.flits_injected += len;
         sc.queued_flits += len;
@@ -4016,5 +4205,123 @@ mod tests {
         assert_eq!(sim.flits_dropped_by_fault_total(), 4);
         assert_eq!(sim.in_flight_flits(), 0);
         assert_eq!(sim.scratch[0].rings.in_use(), 0);
+    }
+
+    #[test]
+    fn source_queues_follow_the_routers_queueing_at_once() {
+        // Nothing offered: no queue is ever taken.
+        let mut idle = Simulation::new(MeshConfig {
+            injection_rate: 0.0,
+            ..base_cfg()
+        });
+        idle.run(100, 1_000);
+        assert_eq!(idle.scratch[0].queues.high_water(), 0);
+
+        // Nothing is offered after the scripted packets, so the count
+        // of routers holding a queue only falls within a round. Two
+        // packets per source keep queues alive for several cycles
+        // (the second waits for the first's flits to leave the local
+        // buffer). The second round takes back the first round's
+        // returned queues before making new ones: the high-water mark
+        // is the most sources queueing at once, not the total.
+        let mut sim = Simulation::new(MeshConfig {
+            width: 6,
+            height: 6,
+            injection_rate: 0.0,
+            buffer_depth: 2,
+            shards: 1,
+            ..base_cfg()
+        });
+        let rounds: [&[(usize, usize)]; 2] = [
+            &[(0, 35), (5, 30), (12, 17)],
+            &[(20, 2), (33, 8), (14, 15), (7, 28), (1, 6)],
+        ];
+        let mut peak = 0;
+        for sources in rounds {
+            for &(src, dst) in sources {
+                script_packet(&mut sim, src, dst);
+                script_packet(&mut sim, src, dst);
+            }
+            peak = peak.max(sources.len());
+            assert_eq!(sim.scratch[0].queues.in_use(), sources.len());
+            let mut cycles = 0;
+            while sim.in_flight_flits() > 0 {
+                sim.run(0, 1);
+                assert_eq!(
+                    sim.scratch[0].queues.in_use(),
+                    queueing(&sim, 0),
+                    "cycle {cycles}"
+                );
+                cycles += 1;
+                assert!(cycles < 200, "scripted packets must drain");
+            }
+            assert_eq!(sim.scratch[0].queues.in_use(), 0);
+            assert_eq!(sim.scratch[0].queues.high_water(), peak);
+        }
+
+        // Loaded and tiled: every tile holds exactly one queue per
+        // router with packets waiting, at every cycle's end.
+        let mut tiled = Simulation::new(MeshConfig {
+            width: 8,
+            height: 8,
+            vcs: 2,
+            injection_rate: 0.3,
+            shards: 2,
+            threads: 2,
+            ..base_cfg()
+        });
+        let mut seen = [0; 2];
+        for cycle in 0..300 {
+            tiled.run(0, 1);
+            for (s, most) in seen.iter_mut().enumerate() {
+                let queues = &tiled.scratch[s].queues;
+                let now = queueing(&tiled, s);
+                assert_eq!(queues.in_use(), now, "cycle {cycle}");
+                *most = (*most).max(now);
+                assert!(queues.high_water() >= *most);
+                assert!(queues.high_water() <= tiled.scratch[s].len);
+            }
+        }
+        assert!(seen.iter().all(|&s| s > 1), "the load must queue packets");
+    }
+
+    #[test]
+    fn fault_purge_returns_the_source_queues_it_empties() {
+        // Router 5 dies at cycle 4. Sources 0 and 30 hold packets for
+        // it — a partially sent front (two-flit buffers take a
+        // four-flit packet over two cycles) and whole ones behind it —
+        // and the purge discards them all, giving both queues back.
+        // Source 35's packets, bound for router 0, survive.
+        let mut sim = Simulation::new(MeshConfig {
+            width: 6,
+            height: 6,
+            injection_rate: 0.0,
+            buffer_depth: 2,
+            shards: 1,
+            faults: Some(FaultPlan {
+                link_faults: 0,
+                events: vec![crate::FaultEvent {
+                    at: 4,
+                    kind: crate::FaultKind::RouterDown { router: 5 },
+                }],
+                ..FaultPlan::default()
+            }),
+            ..base_cfg()
+        });
+        for _ in 0..3 {
+            script_packet(&mut sim, 0, 5);
+            script_packet(&mut sim, 30, 5);
+            script_packet(&mut sim, 35, 0);
+        }
+        sim.run(0, 3);
+        assert_eq!(queueing(&sim, 0), 3);
+        assert_eq!(sim.scratch[0].queues.in_use(), 3);
+        sim.run(0, 1);
+        assert_eq!(sim.source_queue[0], NO_QUEUE);
+        assert_eq!(sim.source_queue[30], NO_QUEUE);
+        assert_ne!(sim.source_queue[35], NO_QUEUE);
+        assert_eq!(sim.scratch[0].queues.in_use(), 1);
+        assert!(sim.flits_dropped_by_fault_total() > 0);
+        sim.check_flit_conservation();
     }
 }

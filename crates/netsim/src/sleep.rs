@@ -82,20 +82,52 @@ pub enum SleepState {
     },
 }
 
-/// One port's sleep controller.
+/// [`SleepFsm::tag`] values, one per [`SleepState`] variant.
+const ACTIVE: u8 = 0;
+const DROWSY: u8 = 1;
+const ASLEEP: u8 = 2;
+const WAKING: u8 = 3;
+
+/// One port's sleep controller: 8 bytes, since the simulation keeps
+/// one per output VC lane of every router. The state is stored packed
+/// — a variant tag beside the waking countdown, which stays 0 outside
+/// `Waking` so that equal states compare equal — and read back as a
+/// [`SleepState`] through [`SleepFsm::state`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SleepFsm {
-    state: SleepState,
+    /// Which [`SleepState`] variant the lane is in.
+    tag: u8,
     /// Set while the current idle interval has already slept once;
     /// suppresses sleep/wake thrash when a woken port is back-pressured
     /// before its flit can depart.
     slept_this_interval: bool,
+    /// Stall cycles left while `Waking`; 0 in every other state.
+    remaining: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<SleepFsm>() == 8);
 
 impl SleepFsm {
     /// Current state (for diagnostics and tests).
     pub fn state(&self) -> SleepState {
-        self.state
+        match self.tag {
+            ACTIVE => SleepState::Active,
+            DROWSY => SleepState::DrowsyCountdown,
+            ASLEEP => SleepState::Asleep,
+            _ => SleepState::Waking {
+                remaining: self.remaining,
+            },
+        }
+    }
+
+    /// Moves the controller to `state`.
+    fn set(&mut self, state: SleepState) {
+        (self.tag, self.remaining) = match state {
+            SleepState::Active => (ACTIVE, 0),
+            SleepState::DrowsyCountdown => (DROWSY, 0),
+            SleepState::Asleep => (ASLEEP, 0),
+            SleepState::Waking { remaining } => (WAKING, remaining),
+        };
     }
 
     /// Start-of-cycle gate: advances the wake countdown and triggers
@@ -103,17 +135,17 @@ impl SleepFsm {
     /// flit is queued for this output *and* downstream can accept it).
     /// Returns whether the port may transmit this cycle.
     pub fn gate(&mut self, wants: bool, wake_latency: u32) -> bool {
-        match self.state {
+        match self.state() {
             SleepState::Active | SleepState::DrowsyCountdown => true,
             SleepState::Asleep => {
                 if wants {
                     if wake_latency == 0 {
-                        self.state = SleepState::Active;
+                        self.set(SleepState::Active);
                         true
                     } else {
-                        self.state = SleepState::Waking {
+                        self.set(SleepState::Waking {
                             remaining: wake_latency,
-                        };
+                        });
                         false
                     }
                 } else {
@@ -122,12 +154,12 @@ impl SleepFsm {
             }
             SleepState::Waking { remaining } => {
                 if remaining <= 1 {
-                    self.state = SleepState::Active;
+                    self.set(SleepState::Active);
                     true
                 } else {
-                    self.state = SleepState::Waking {
+                    self.set(SleepState::Waking {
                         remaining: remaining - 1,
-                    };
+                    });
                     false
                 }
             }
@@ -155,7 +187,7 @@ impl SleepFsm {
         counters: &mut GatingCounters,
     ) {
         // Account the cycle by the state it was spent in.
-        match self.state {
+        match self.state() {
             SleepState::Active | SleepState::DrowsyCountdown => {
                 if sent {
                     counters.cycles_busy += 1;
@@ -184,25 +216,28 @@ impl SleepFsm {
             // completes with nothing queued behind it, so whole idle
             // intervals are spent in standby.
             if threshold == Some(0) && !wants_after {
-                self.state = SleepState::Asleep;
+                self.set(SleepState::Asleep);
                 self.slept_this_interval = true;
                 counters.sleep_entries += 1;
             } else {
-                self.state = SleepState::Active;
+                self.set(SleepState::Active);
             }
             return;
         }
 
         // Idle cycle: drowsy countdown / sleep entry, from awake states
         // only, at most once per interval.
-        if matches!(self.state, SleepState::Active | SleepState::DrowsyCountdown) {
+        if matches!(
+            self.state(),
+            SleepState::Active | SleepState::DrowsyCountdown
+        ) {
             if let Some(th) = threshold {
                 if !self.slept_this_interval && idle_run >= th as u64 {
-                    self.state = SleepState::Asleep;
+                    self.set(SleepState::Asleep);
                     self.slept_this_interval = true;
                     counters.sleep_entries += 1;
                 } else {
-                    self.state = SleepState::DrowsyCountdown;
+                    self.set(SleepState::DrowsyCountdown);
                 }
             }
         }
@@ -248,7 +283,7 @@ impl SleepFsm {
         if k == 0 {
             return 0;
         }
-        match self.state {
+        match self.state() {
             SleepState::Asleep => {
                 counters.cycles_asleep += k;
                 0
@@ -268,7 +303,7 @@ impl SleepFsm {
                         counters.cycles_idle_awake += until_sleep;
                         counters.cycles_asleep += k - until_sleep;
                         counters.sleep_entries += 1;
-                        self.state = SleepState::Asleep;
+                        self.set(SleepState::Asleep);
                         self.slept_this_interval = true;
                         until_sleep
                     }
@@ -279,7 +314,7 @@ impl SleepFsm {
                         // policy is armed; mirror that so the state
                         // after the bulk matches the dense loop.
                         if threshold.is_some() {
-                            self.state = SleepState::DrowsyCountdown;
+                            self.set(SleepState::DrowsyCountdown);
                         }
                         k
                     }
@@ -292,12 +327,12 @@ impl SleepFsm {
                 let waking = k.min(remaining as u64 - 1);
                 counters.cycles_waking += waking;
                 if waking == k {
-                    self.state = SleepState::Waking {
+                    self.set(SleepState::Waking {
                         remaining: remaining - k as u32,
-                    };
+                    });
                     return 0;
                 }
-                self.state = SleepState::Active;
+                self.set(SleepState::Active);
                 self.settle_idle_bulk(k - waking, idle_run_before + waking, threshold, counters)
             }
         }
@@ -514,6 +549,38 @@ mod tests {
                 assert_eq!(arbs, bulk_arbs, "awake cycles diverged for {c:?} k={k}");
             }
         }
+    }
+
+    #[test]
+    fn packed_state_round_trips_every_sleep_state() {
+        // Every variant, with the interval flag either way, reads back
+        // unchanged, keeps the flag, and compares equal only to itself.
+        let states = [
+            SleepState::Active,
+            SleepState::DrowsyCountdown,
+            SleepState::Asleep,
+            SleepState::Waking { remaining: 1 },
+            SleepState::Waking { remaining: 7 },
+            SleepState::Waking {
+                remaining: u32::MAX,
+            },
+        ];
+        let mut seen = Vec::new();
+        for state in states {
+            for slept in [false, true] {
+                let mut f = SleepFsm {
+                    slept_this_interval: slept,
+                    ..SleepFsm::default()
+                };
+                f.set(SleepState::Waking { remaining: 3 });
+                f.set(state);
+                assert_eq!(f.state(), state);
+                assert_eq!(f.slept_this_interval, slept);
+                assert!(!seen.contains(&f), "{state:?} aliases another state");
+                seen.push(f);
+            }
+        }
+        assert_eq!(SleepFsm::default().state(), SleepState::Active);
     }
 
     #[test]

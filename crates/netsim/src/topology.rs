@@ -134,7 +134,14 @@ impl Mesh {
     /// The neighbour of `id` in `dir`, if it exists. On a torus every
     /// non-Local direction has a neighbour (wrapping around the edge).
     pub fn neighbor(&self, id: usize, dir: Direction) -> Option<usize> {
-        let (x, y) = self.coords(id);
+        self.neighbor_at(self.coords(id), dir)
+    }
+
+    /// [`Mesh::neighbor`] of the router at `(x, y)` — identical result
+    /// by construction. The simulation kernels cache every router's
+    /// coordinates, so neighbour lookup never divides a router id and
+    /// needs no per-router table.
+    pub fn neighbor_at(&self, (x, y): (usize, usize), dir: Direction) -> Option<usize> {
         let wrap_y = self.wrap && self.height > 1;
         let wrap_x = self.wrap && self.width > 1;
         match dir {
@@ -341,46 +348,6 @@ impl Mesh {
             return (packet_id % vcs as u64) as u8;
         }
         (packet_id % vcs.div_ceil(2) as u64) as u8
-    }
-}
-
-/// Flat, cache-linear neighbour lookup: `ids[router * 4 + dir]` holds
-/// the neighbour in each cardinal direction (`u32::MAX` when the edge
-/// has no link). The engine's hot downstream-readiness check
-/// reads this instead of recomputing coordinates through
-/// [`Mesh::neighbor`] every cycle.
-#[derive(Debug, Clone)]
-pub struct NeighborTable {
-    ids: Vec<u32>,
-}
-
-/// Sentinel for "no neighbour on this edge".
-const NO_NEIGHBOR: u32 = u32::MAX;
-
-impl NeighborTable {
-    /// Precomputes the table for a mesh/torus.
-    pub fn new(mesh: &Mesh) -> Self {
-        let n = mesh.len();
-        let mut ids = vec![NO_NEIGHBOR; n * 4];
-        for rid in 0..n {
-            for d in &Direction::ALL[..4] {
-                if let Some(next) = mesh.neighbor(rid, *d) {
-                    ids[rid * 4 + d.index()] = next as u32;
-                }
-            }
-        }
-        NeighborTable { ids }
-    }
-
-    /// The neighbour of `rid` in cardinal direction `dir`, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug) when `dir` is [`Direction::Local`].
-    pub fn get(&self, rid: usize, dir: Direction) -> Option<usize> {
-        debug_assert!(dir != Direction::Local);
-        let id = self.ids[rid * 4 + dir.index()];
-        (id != NO_NEIGHBOR).then_some(id as usize)
     }
 }
 
@@ -854,18 +821,6 @@ mod tests {
     fn from_index_roundtrips() {
         for d in Direction::ALL {
             assert_eq!(Direction::from_index(d.index()), d);
-        }
-    }
-
-    #[test]
-    fn neighbor_table_matches_mesh() {
-        for m in [Mesh::new(5, 3), Mesh::torus(5, 3), Mesh::new(2, 2)] {
-            let t = NeighborTable::new(&m);
-            for rid in 0..m.len() {
-                for d in &Direction::ALL[..4] {
-                    assert_eq!(t.get(rid, *d), m.neighbor(rid, *d), "{m:?} {rid} {d}");
-                }
-            }
         }
     }
 

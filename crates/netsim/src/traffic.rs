@@ -4,6 +4,7 @@ use crate::topology::Mesh;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// The classic synthetic destination patterns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -381,6 +382,111 @@ impl SourcePacket {
     /// Flits of this packet still waiting in the source queue.
     pub fn remaining_flits(&self, len: usize) -> u64 {
         (len as u64).saturating_sub(self.sent as u64)
+    }
+}
+
+/// Queue id of a source that holds no queue in its tile's
+/// [`QueuePool`].
+pub(crate) const NO_QUEUE: u32 = u32::MAX;
+
+/// One tile's source queues. A source holds a queue — named by a `u32`
+/// id in the simulation's per-router slab, [`NO_QUEUE`] otherwise —
+/// only while it has packets waiting: the enqueue onto an empty source
+/// takes one, and the pop or purge that empties it gives it back. Queue
+/// memory therefore follows the most sources of the tile with packets
+/// queued at once, not the tile's size.
+///
+/// Queues are made only when none is free and are never dropped; a
+/// returned queue goes on a last-in first-out free list and keeps its
+/// buffer for its next holder.
+#[derive(Debug, Default)]
+pub(crate) struct QueuePool {
+    /// Queue `id` is `queues[id]`; `queues.len()` is also the most
+    /// queues ever held at once.
+    queues: Vec<VecDeque<SourcePacket>>,
+    /// Returned queue ids, reused last-in first-out.
+    free: Vec<u32>,
+}
+
+impl QueuePool {
+    /// The most queues that were ever held at once.
+    #[cfg(test)]
+    pub(crate) fn high_water(&self) -> usize {
+        self.queues.len()
+    }
+
+    /// Queues held now.
+    pub(crate) fn in_use(&self) -> usize {
+        self.queues.len() - self.free.len()
+    }
+
+    /// The packets of queue `id`, front first (none for [`NO_QUEUE`]).
+    pub(crate) fn packets(&self, id: u32) -> impl Iterator<Item = &SourcePacket> {
+        self.queues.get(id as usize).into_iter().flatten()
+    }
+
+    /// Packets waiting in queue `id` (0 for [`NO_QUEUE`]).
+    pub(crate) fn len(&self, id: u32) -> usize {
+        self.queues.get(id as usize).map_or(0, VecDeque::len)
+    }
+
+    /// The front packet of queue `id`.
+    pub(crate) fn front(&self, id: u32) -> Option<&SourcePacket> {
+        self.queues.get(id as usize)?.front()
+    }
+
+    /// The front packet of queue `id`, writable.
+    pub(crate) fn front_mut(&mut self, id: u32) -> Option<&mut SourcePacket> {
+        self.queues.get_mut(id as usize)?.front_mut()
+    }
+
+    /// Appends `pkt` to the queue `*id` names, first taking a queue —
+    /// the last one returned, else a new one — when it names none.
+    pub(crate) fn push_back(&mut self, id: &mut u32, pkt: SourcePacket) {
+        if *id == NO_QUEUE {
+            *id = match self.free.pop() {
+                Some(free) => free,
+                None => {
+                    self.queues.push(VecDeque::new());
+                    u32::try_from(self.queues.len() - 1).expect("queue count fits u32")
+                }
+            };
+        }
+        self.queues[*id as usize].push_back(pkt);
+    }
+
+    /// Pops the front packet of the queue `*id` names, giving the queue
+    /// back when that empties it.
+    pub(crate) fn pop_front(&mut self, id: &mut u32) -> Option<SourcePacket> {
+        let pkt = self.queues.get_mut(*id as usize)?.pop_front();
+        self.release_if_empty(id);
+        pkt
+    }
+
+    /// Keeps only the packets of the queue `*id` names that `keep`
+    /// accepts, in order, giving the queue back when that empties it.
+    /// Returns the packets removed.
+    pub(crate) fn retain(
+        &mut self,
+        id: &mut u32,
+        keep: impl FnMut(&SourcePacket) -> bool,
+    ) -> usize {
+        let Some(q) = self.queues.get_mut(*id as usize) else {
+            return 0;
+        };
+        let before = q.len();
+        q.retain(keep);
+        let removed = before - q.len();
+        self.release_if_empty(id);
+        removed
+    }
+
+    /// Gives queue `*id` back once it holds nothing.
+    fn release_if_empty(&mut self, id: &mut u32) {
+        if self.queues[*id as usize].is_empty() {
+            self.free.push(*id);
+            *id = NO_QUEUE;
+        }
     }
 }
 
