@@ -14,7 +14,7 @@
 //! The simulation applies each epoch at a cycle boundary (between the
 //! exchange phase of one cycle and the compute phase of the next), so
 //! shard mailboxes are empty and credit conservation stays exact; see
-//! the fault section in `sim.rs` for the reaping protocol.
+//! the engine's `reap` module for the reaping protocol.
 
 use crate::topology::{Direction, FaultMap, Mesh};
 use rand::rngs::StdRng;

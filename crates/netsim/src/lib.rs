@@ -82,10 +82,10 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 
+pub mod engine;
 pub mod fault;
 pub mod router;
 mod shard;
-pub mod sim;
 pub mod sleep;
 pub mod stats;
 pub mod sync;
@@ -94,10 +94,13 @@ pub mod traffic;
 mod wheel;
 mod worklist;
 
+/// The engine under its earlier module name, so `lnoc_netsim::sim::…`
+/// paths keep resolving.
+pub use engine as sim;
+pub use engine::{MeshConfig, SimAbort, SimKernel, Simulation};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use lnoc_power::gating::GatingPolicy;
 pub use router::{RouteTarget, MAX_BUFFER_DEPTH, MAX_VCS};
-pub use sim::{MeshConfig, SimAbort, SimKernel, Simulation};
 pub use sleep::{SleepConfig, SleepState};
 pub use stats::{IdleBank, NetworkStats};
 pub use topology::FaultMap;

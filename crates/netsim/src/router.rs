@@ -46,9 +46,10 @@
 //! ring-block id and switch round-robin pointers. Its per-lane records
 //! ([`Lane`]: ring cursors, cached routes, output-lane owners), idle-run
 //! counters, [`SleepFsm`] sleep controllers and [`GatingCounters`] are
-//! **not** stored inside the router. The simulation owns them as flat
-//! network-wide SoA arrays (indexed `router * 5 * V + port * V + vc`)
-//! and lends this router's lane block to [`Router::step`] as a
+//! **not** stored inside the router. The router's tile owns them as
+//! flat SoA arrays over its routers (indexed `router * 5 * V + port *
+//! V + vc`, with the router's index within the tile) and lends this
+//! router's lane block to [`Router::step`] as a
 //! [`PortLane`]; what every router shares — buffer depth, VC count,
 //! sleep configuration — is one [`RouterGeometry`] passed alongside.
 //! Gating is therefore per **VC lane**: an empty VC bank can sleep
@@ -194,8 +195,8 @@ const LANE_BITS: u8 = 0x3f;
 /// 16-byte record: the *input* VC buffer's ring cursor and its front
 /// flit's cached route (unrouted, or the requested output lane and
 /// whether the flit is a head), and the *output* VC lane's
-/// allocation state. The simulation keeps every router's lanes in one
-/// network-wide slab, `5 * V` consecutive records per router, and
+/// allocation state. Each tile of the simulation keeps its routers'
+/// lanes in one slab, `5 * V` consecutive records per router, and
 /// lends a router its block with each call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lane {
@@ -406,8 +407,8 @@ impl RingPool {
     }
 }
 
-/// One wormhole router's live state: 32 bytes. Its lanes live in the
-/// simulation's lane slab and its geometry in one [`RouterGeometry`]
+/// One wormhole router's live state: 32 bytes. Its lanes live in its
+/// tile's lane slab and its geometry in one [`RouterGeometry`]
 /// shared by the network; both are passed to every call.
 #[derive(Debug, Clone)]
 pub struct Router {

@@ -2,7 +2,7 @@
 //! a tile edge, and how the per-edge mailboxes are wired up.
 //!
 //! A sharded cycle has exactly two phases per shard (see the module
-//! docs of [`crate::sim`] for the full determinism argument):
+//! docs of [`crate::engine`] for the full determinism argument):
 //!
 //! 1. **compute** — inject, step the tile's active set, apply every
 //!    tile-local transfer, and *stage* each cross-tile effect (a flit

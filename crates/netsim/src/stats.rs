@@ -14,7 +14,7 @@ pub struct NetworkStats {
     pub packets_injected: u64,
     /// Packets the traffic pattern offered during measurement that were
     /// rejected because the node's source queue was at
-    /// [`crate::sim::MeshConfig::source_queue_cap`]. Dropped packets
+    /// [`crate::MeshConfig::source_queue_cap`]. Dropped packets
     /// never enter the network, so flit conservation stays exact.
     pub packets_dropped_at_source: u64,
     /// Packets fully delivered during measurement.

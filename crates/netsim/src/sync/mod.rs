@@ -24,7 +24,7 @@
 //!
 //! The primitives themselves are documented where they are used: the
 //! compute→exchange cycle protocol in `crate::shard` and the
-//! determinism argument in [`crate::sim`].
+//! determinism argument in [`crate::engine`].
 
 pub mod real;
 

@@ -600,9 +600,9 @@ impl FaultMap {
 /// kernel simple *and* fast:
 ///
 /// * router ids are row-major, so each tile is a **contiguous id
-///   range** — every per-router SoA slab (lanes, credits, RNG streams,
-///   source queues) splits into per-shard slices with zero index
-///   translation;
+///   range** — a tile's per-router records (lanes, credits, RNG
+///   streams, source queues) address its routers as `rid − base`, with
+///   no index table;
 /// * East/West links never cross a tile boundary, so the only halo is
 ///   the North/South boundary rows (plus, on a torus, the wrap edge
 ///   between the first and last band) — at most two neighbour shards

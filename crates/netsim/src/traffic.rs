@@ -390,7 +390,7 @@ impl SourcePacket {
 pub(crate) const NO_QUEUE: u32 = u32::MAX;
 
 /// One tile's source queues. A source holds a queue — named by a `u32`
-/// id in the simulation's per-router slab, [`NO_QUEUE`] otherwise —
+/// id in the tile's per-router slab, [`NO_QUEUE`] otherwise —
 /// only while it has packets waiting: the enqueue onto an empty source
 /// takes one, and the pop or purge that empties it gives it back. Queue
 /// memory therefore follows the most sources of the tile with packets

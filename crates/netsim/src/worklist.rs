@@ -78,6 +78,7 @@ impl Worklist {
     }
 
     /// Whether the worklist has no member.
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.summary.iter().all(|&s| s == 0)
     }
