@@ -8,7 +8,7 @@ use crate::sleep::SleepFsm;
 use crate::topology::{Direction, FaultMap, Mesh, TileMap};
 use crate::traffic::{GapSampler, InjectionProcess, QueuePool, MAX_ROUTERS, NO_QUEUE};
 use crate::worklist::Worklist;
-use lnoc_power::gating::{GatingCounters, GatingPolicy};
+use lnoc_power::gating::GatingPolicy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -221,7 +221,6 @@ impl Tile {
             rngs,
             next_seq: vec![0; len],
             eject: vec![EjectProgress::IDLE; len],
-            counters: vec![GatingCounters::default(); len],
             last_stepped: vec![0; len],
             lanes: vec![Lane::EMPTY; len * lanes],
             credits,

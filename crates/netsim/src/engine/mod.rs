@@ -212,6 +212,8 @@ pub struct Simulation {
 /// queues come from the tile's pools — a [`RingPool`] block per router
 /// that buffers a flit, a queue per router with packets waiting — so
 /// they cost what is buffered or queued, not a fixed amount per router.
+/// Gating counters are not the tile's: every FSM settle writes straight
+/// into its router's row of the run's [`Window`].
 #[derive(Debug)]
 struct Tile {
     /// Shard index.
@@ -240,8 +242,6 @@ struct Tile {
     next_seq: Vec<u64>,
     /// Ejection progress, for the in-order delivery check.
     eject: Vec<EjectProgress>,
-    /// Gating counters (all lanes summed).
-    counters: Vec<GatingCounters>,
     /// Last cycle a (now quiescent) router was stepped or accounted
     /// through; the gap to the current cycle is its pending bulk-idle
     /// accounting, and it anchors its lanes' watermarks.
@@ -261,7 +261,7 @@ struct Tile {
     fsm: Vec<SleepFsm>,
     /// Settlement watermark per output VC lane
     /// ([`crate::router::PortLane::settled`]): the low 32 bits of the
-    /// last cycle the lane's idle run, FSM and counters account for. A
+    /// last cycle the lane's idle run, FSM and gating row account for. A
     /// router step visits only live lanes; the rest catch up from here.
     settled: Vec<u32>,
 
@@ -320,7 +320,7 @@ struct Tile {
     /// means the window opened at cycle `w` under *deferred
     /// settlement*: routers whose `last_stepped ≤ w` and whose active
     /// bit is clear still owe the boundary reset of their idle runs,
-    /// sleep FSMs and gating counters (their *settlement debt*), paid
+    /// sleep FSMs and gating rows (their *settlement debt*), paid
     /// on first touch ([`Tile::activate`]), at close-out
     /// ([`Tile::close_run`]) or when an abort freezes the run.
     /// `None` during warmup, on the reference and under
@@ -426,7 +426,12 @@ struct Window<'a> {
     stats: Option<NetworkStats>,
     /// Per-router activity, written only while `stats` is `Some`.
     activity: &'a mut [RouterActivity],
-    /// Per-router gating counters of the window, filled at close-out.
+    /// Per-router gating counters: every FSM settle of the run adds
+    /// into its router's row. The measurement boundary zeroes a row
+    /// (eagerly, on a debtor's first touch, or as the close-out
+    /// template overwrites it), so a completed run's rows hold the
+    /// window's counters only, and a run whose window never opens
+    /// reports them all-zero ([`Tile::close_run`]).
     gating: &'a mut [GatingCounters],
 }
 
@@ -944,7 +949,7 @@ fn run_worker(group: &mut [Tile], windows: &mut [Window<'_>], ctx: &RunCtx<'_>) 
         if completed {
             t.close_run(ctx, ctx.start_cycle + total, w);
         } else {
-            t.freeze(ctx);
+            t.freeze(ctx, w);
         }
     }
 }

@@ -34,11 +34,11 @@ impl Tile {
             self.boundary = Some(boundary_cycle);
             let mut visit = Cursor::new(false);
             while let Some(lr) = visit.next(&self.active) {
-                self.reset_router_gating(ctx, lr, boundary_cycle);
+                self.reset_router_gating(ctx, lr, boundary_cycle, win);
             }
         } else {
             for lr in 0..self.len {
-                self.reset_router_gating(ctx, lr, boundary_cycle);
+                self.reset_router_gating(ctx, lr, boundary_cycle, win);
             }
         }
         // The reset re-arms threshold sleeping (`slept_this_interval`
@@ -52,10 +52,12 @@ impl Tile {
         win.stats = Some(tile_stats(self.len, ctx.cfg.vcs));
     }
 
-    /// End of run: settle all quiescent routers up to the final cycle,
-    /// close out open idle runs and collect gating counters. Under
-    /// deferred settlement this is the once-per-run walk that pays
-    /// every remaining debtor ([`Tile::close_run_deferred`]).
+    /// End of run: settle all quiescent routers up to the final cycle
+    /// and close out open idle runs. Under deferred settlement this is
+    /// the once-per-run walk that pays every remaining debtor
+    /// ([`Tile::close_run_deferred`]). The gating rows already hold the
+    /// window's counters (the boundary reset zeroed them); a run whose
+    /// window never opened reports them all-zero.
     pub(super) fn close_run(&mut self, ctx: &RunCtx<'_>, end_cycle: u64, win: &mut Window<'_>) {
         if let Some(w) = self.boundary.take() {
             self.close_run_deferred(ctx, end_cycle, w, win);
@@ -64,16 +66,18 @@ impl Tile {
         for lr in 0..self.len {
             self.settle_router(ctx, lr, end_cycle, win);
         }
-        if let Some(s) = &mut win.stats {
-            s.measured_cycles = ctx.measure;
-            let lanes = ctx.geom.lanes();
-            for lr in 0..self.len {
-                for lane in 0..lanes {
-                    let run = std::mem::take(&mut self.idle_run[lr * lanes + lane]);
-                    s.idle_histograms.lane_mut(lr, lane).record_open(run);
+        match &mut win.stats {
+            Some(s) => {
+                s.measured_cycles = ctx.measure;
+                let lanes = ctx.geom.lanes();
+                for lr in 0..self.len {
+                    for lane in 0..lanes {
+                        let run = std::mem::take(&mut self.idle_run[lr * lanes + lane]);
+                        s.idle_histograms.lane_mut(lr, lane).record_open(run);
+                    }
                 }
-                win.gating[lr] = self.counters[lr];
             }
+            None => win.gating.fill(GatingCounters::default()),
         }
     }
 
@@ -82,15 +86,16 @@ impl Tile {
     /// so the frozen slabs are bit-identical to an eager run cut short
     /// at the same cycle. A debtor settles exactly the *partial* span
     /// it owes: nothing since the watermark ever touched it, so the
-    /// boundary reset is its entire settlement.
-    pub(super) fn freeze(&mut self, ctx: &RunCtx<'_>) {
+    /// boundary reset is its entire settlement. (The window, and with it
+    /// every gating row, is dropped with the aborted run.)
+    pub(super) fn freeze(&mut self, ctx: &RunCtx<'_>, win: &mut Window<'_>) {
         let Some(w) = self.boundary.take() else {
             return;
         };
         for lr in 0..self.len {
             let active = self.active.contains(lr);
             if !active && self.last_stepped[lr] <= w {
-                self.reset_router_gating(ctx, lr, w);
+                self.reset_router_gating(ctx, lr, w, win);
                 self.routers_settled += 1;
             }
         }
@@ -103,11 +108,12 @@ impl Tile {
     /// compute per router — boundary reset, one `settle_router` over
     /// the span, one open-run record per lane — is computed **once**
     /// into a template (FSM end state, gating counters, arbitration
-    /// count) and copied into each debtor's slabs. Debtor histograms
-    /// are not even materialized: one `record_open` per lane lands on
-    /// the [`IdleBank`] shared default row after every touched lane
-    /// that needs its own histogram has claimed it (ordering matters —
-    /// see [`IdleBank::record_open_untouched`]). A touched router's
+    /// count) and copied into each debtor's FSM slab and gating row;
+    /// every touched router's row already holds its window counters.
+    /// Debtor histograms are not even materialized: one `record_open`
+    /// per lane lands on the [`IdleBank`] shared default row after
+    /// every touched lane that needs its own histogram has claimed it
+    /// (ordering matters — see [`IdleBank::record_open_untouched`]). A touched router's
     /// lane is left on the default too when it was never materialized
     /// and its trailing run spans the whole window: its content is
     /// then `{open: span}`, exactly what the default receives.
@@ -146,17 +152,16 @@ impl Tile {
         for lr in 0..self.len {
             let active = self.active.contains(lr);
             if !active && self.last_stepped[lr] <= w {
-                // Debtor: stale warmup slabs become the template.
-                self.reset_router_gating(ctx, lr, end_cycle);
+                // Debtor: stale warmup slabs and row become the template.
+                self.reset_router_gating(ctx, lr, end_cycle, win);
                 let fl = ctx.fsm_lanes;
                 self.fsm[lr * fl..(lr + 1) * fl].fill(tmpl_fsm);
-                self.counters[lr] = tmpl_counters;
+                win.gating[lr] = tmpl_counters;
                 debtors += 1;
                 if win.stats.is_some() {
                     let a = &mut win.activity[lr];
                     a.cycles += span;
                     a.arbitrations += tmpl_arbs;
-                    win.gating[lr] = tmpl_counters;
                 }
                 continue;
             }
@@ -175,7 +180,6 @@ impl Tile {
                         bank.lane_mut(lr, lane).record_open(run);
                     }
                 }
-                win.gating[lr] = self.counters[lr];
             }
         }
         self.routers_settled += debtors;
@@ -190,12 +194,13 @@ impl Tile {
         }
     }
 
-    /// Resets one router's gating slabs to their measurement-boundary
+    /// Resets one router's gating state to its measurement-boundary
     /// state at cycle `at`: idle runs cleared, every lane FSM re-armed
-    /// ([`SleepFsm::reset`]), gating counters zeroed, and the router
-    /// and every lane settled through `at`. The shared tail of the eager
-    /// boundary fill, lazy debt payment and the close-out template.
-    fn reset_router_gating(&mut self, ctx: &RunCtx<'_>, lr: usize, at: u64) {
+    /// ([`SleepFsm::reset`]), its gating row in `win` zeroed, and the
+    /// router and every lane settled through `at`. The shared tail of
+    /// the eager boundary fill, lazy debt payment and the close-out
+    /// template.
+    fn reset_router_gating(&mut self, ctx: &RunCtx<'_>, lr: usize, at: u64, win: &mut Window<'_>) {
         let lanes = ctx.geom.lanes();
         let base = lr * lanes;
         self.idle_run[base..base + lanes].fill(0);
@@ -203,7 +208,7 @@ impl Tile {
         for f in &mut self.fsm[lr * fl..(lr + 1) * fl] {
             f.reset();
         }
-        self.counters[lr] = GatingCounters::default();
+        win.gating[lr] = GatingCounters::default();
         self.settled[base..base + lanes].fill(at as u32);
         self.last_stepped[lr] = at;
     }
@@ -213,8 +218,8 @@ impl Tile {
     /// caller's normal pre-boundary→now accounting becomes the correct
     /// `w`→now span. `now` is only used for the `max_debt_span`
     /// telemetry.
-    fn settle_debt(&mut self, ctx: &RunCtx<'_>, lr: usize, w: u64, now: u64) {
-        self.reset_router_gating(ctx, lr, w);
+    fn settle_debt(&mut self, ctx: &RunCtx<'_>, lr: usize, w: u64, now: u64, win: &mut Window<'_>) {
+        self.reset_router_gating(ctx, lr, w, win);
         self.routers_settled += 1;
         self.settle_ops += 1;
         self.max_debt_span = self.max_debt_span.max(now - w);
@@ -240,7 +245,7 @@ impl Tile {
         // boundary reset before accounting the post-boundary idle span.
         if let Some(w) = self.boundary {
             if self.last_stepped[lr] <= w {
-                self.settle_debt(ctx, lr, w, through);
+                self.settle_debt(ctx, lr, w, through, win);
             }
         }
         self.settle_router(ctx, lr, through, win);
@@ -272,7 +277,7 @@ impl Tile {
                 lanes: &mut self.lanes[base..base + lanes],
                 idle_run: &mut self.idle_run[base..base + lanes],
                 fsm: &mut self.fsm[lr * fl..(lr + 1) * fl],
-                counters: &mut self.counters[lr],
+                counters: &mut win.gating[lr],
                 settled: &mut self.settled[base..base + lanes],
                 rings: &mut self.rings,
             },

@@ -146,7 +146,6 @@ impl Tile {
             credits,
             idle_run,
             fsm,
-            counters,
             settled,
             last_stepped,
             active,
@@ -195,7 +194,7 @@ impl Tile {
                 lanes: &mut lane_slab[lane_base..lane_base + lanes],
                 idle_run: &mut idle_run[lane_base..lane_base + lanes],
                 fsm: &mut fsm[lr * fl..(lr + 1) * fl],
-                counters: &mut counters[lr],
+                counters: &mut win.gating[lr],
                 settled: &mut settled[lane_base..lane_base + lanes],
                 rings: &mut *rings,
             };

@@ -792,6 +792,59 @@ fn cycle_budget_aborts_identically_across_kernels() {
 }
 
 #[test]
+fn gating_rows_hold_the_measurement_window_only() {
+    // Every FSM settle writes straight into the run's gating rows,
+    // warmup included, so the boundary reset must clear what warmup
+    // left there. A run whose window never opens reports all-zero
+    // rows. A run resumed after an abort reports its own window only:
+    // every measured cycle of every gated lane in exactly one bucket,
+    // and the same rows whatever the kernel, tiling or settlement.
+    let cfg = |kernel, shards, eager_settlement| MeshConfig {
+        vcs: 2,
+        injection_rate: 0.02,
+        gating: Some(SleepConfig {
+            policy: GatingPolicy::IdleThreshold(4),
+            wake_latency: 2,
+        }),
+        kernel,
+        shards,
+        threads: 1,
+        eager_settlement,
+        cycle_budget: 500,
+        ..base_cfg()
+    };
+    let lanes = 5 * 2;
+    let mut resumed = Vec::new();
+    for (kernel, shards, eager) in [
+        (SimKernel::Reference, 0, false),
+        (SimKernel::Engine, 1, false),
+        (SimKernel::Engine, 4, false),
+        (SimKernel::Engine, 1, true),
+    ] {
+        let mut sim = Simulation::new(cfg(kernel, shards, eager));
+        let warm = sim.run(300, 0);
+        assert!(warm.packets_injected == 0 && sim.flits_injected_total() > 0);
+        assert!(
+            warm.gating.iter().all(|g| *g == GatingCounters::default()),
+            "{kernel:?}/{shards}/{eager}: a window that never opens reports zero rows"
+        );
+        sim.try_run(100, 900)
+            .expect_err("budget below warmup+measure must abort");
+        let s = sim.run(50, 400);
+        for (r, g) in s.gating.iter().enumerate() {
+            assert_eq!(
+                g.cycles_busy + g.idle_cycles(),
+                lanes * 400,
+                "{kernel:?}/{shards}/{eager}: router {r} {g:?}"
+            );
+        }
+        assert!(s.total_gating_counters().sleep_entries > 0);
+        resumed.push(s.gating);
+    }
+    assert!(resumed.windows(2).all(|w| w[0] == w[1]));
+}
+
+#[test]
 fn sufficient_cycle_budget_changes_nothing() {
     let baseline = Simulation::new(base_cfg()).run(100, 900);
     let budgeted = Simulation::new(MeshConfig {

@@ -45,13 +45,14 @@
 //! A [`Router`] holds only its live state: 32 bytes of lane masks, a
 //! ring-block id and switch round-robin pointers. Its per-lane records
 //! ([`Lane`]: ring cursors, cached routes, output-lane owners), idle-run
-//! counters, [`SleepFsm`] sleep controllers and [`GatingCounters`] are
-//! **not** stored inside the router. The router's tile owns them as
-//! flat SoA arrays over its routers (indexed `router * 5 * V + port *
-//! V + vc`, with the router's index within the tile) and lends this
-//! router's lane block to [`Router::step`] as a
-//! [`PortLane`]; what every router shares — buffer depth, VC count,
-//! sleep configuration — is one [`RouterGeometry`] passed alongside.
+//! counters and [`SleepFsm`] sleep controllers are **not** stored
+//! inside the router. The router's tile owns them as flat SoA arrays
+//! over its routers (indexed `router * 5 * V + port * V + vc`, with the
+//! router's index within the tile) and lends this router's lane block
+//! to [`Router::step`] as a [`PortLane`], together with the router's
+//! [`GatingCounters`] row of the running measurement; what every router
+//! shares — buffer depth, VC count, sleep configuration — is one
+//! [`RouterGeometry`] passed alongside.
 //! Gating is therefore per **VC lane**: an empty VC bank can sleep
 //! while a sibling VC of the same port carries a worm.
 //!
@@ -280,6 +281,8 @@ pub struct PortLane<'a> {
     /// Sleep controller per output VC lane (empty when ungated).
     pub fsm: &'a mut [SleepFsm],
     /// This router's accumulated gating counters (all lanes summed).
+    /// The engine lends the router's row of the run's result here, so
+    /// no counters are kept between runs.
     pub counters: &'a mut GatingCounters,
     /// Settlement watermark per output VC lane: the low 32 bits of the
     /// last cycle the lane is settled through. Lags are recovered

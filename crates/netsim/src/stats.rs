@@ -224,7 +224,11 @@ impl NetworkStats {
 /// on the lane's first `lane_mut`. Construction is O(routers × lanes)
 /// words of index, allocated zeroed, and the run's histogram memory is
 /// proportional to the lanes actually written, not to the routers
-/// touched. Materialized histograms live one per slot in fixed blocks
+/// touched: a written lane costs its 80-byte [`IdleHistogram`] plus
+/// 2-byte bins up to the longest short length it recorded (a bin
+/// carries its count past `u16::MAX` exactly into the histogram's
+/// sorted list) and one entry per distinct longer length. Materialized
+/// histograms live one per slot in fixed blocks
 /// of 256 slots, allocated at full size: the bank grows a block at a
 /// time, never doubling and copying one array of every slot, so a run
 /// leaves no freed doubling-sized buffers behind in the heap.

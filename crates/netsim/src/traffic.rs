@@ -292,13 +292,26 @@ impl GapSampler {
     /// (a gap of billions of cycles — harmlessly "never" at any rate
     /// worth simulating), and `p = 1` returns 1 every time.
     pub fn sample(&self, rng: &mut StdRng) -> u64 {
-        let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        self.gap_for(rng.next_u64())
+    }
+
+    /// The gap [`GapSampler::sample`] draws for the raw variate `bits`.
+    ///
+    /// The descent starts at the first `q^(2^j)` not above `u`, not at
+    /// `j = 62`: `pows` is nonincreasing, and an entry `pw <= u` can
+    /// never set a bit (the running product is at most 1, so the
+    /// rounded `prod * pw <= pw <= u`). Skipping those entries leaves
+    /// every gap bit-identical to the full 63-step walk and cuts the
+    /// dependent multiply chain to the bits that can be set.
+    fn gap_for(&self, bits: u64) -> u64 {
+        let u = (bits >> 11) as f64 / (1u64 << 53) as f64;
         if self.q <= u {
             return 1;
         }
+        let live = self.pows.partition_point(|&pw| pw > u);
         let mut m = 0u64;
         let mut prod = 1.0f64;
-        for (j, &pw) in self.pows.iter().enumerate().rev() {
+        for (j, &pw) in self.pows[..live].iter().enumerate().rev() {
             let cand = prod * pw;
             if cand > u {
                 m |= 1 << j;
@@ -985,6 +998,59 @@ mod tests {
         }
         let never = GapSampler::new(0.0);
         assert!(never.sample(&mut rng) > 1 << 62);
+    }
+
+    /// The 63-step descent [`GapSampler::gap_for`] shortens: every
+    /// entry from `j = 62` down.
+    fn gap_full_walk(gap: &GapSampler, bits: u64) -> u64 {
+        let u = (bits >> 11) as f64 / (1u64 << 53) as f64;
+        if gap.q <= u {
+            return 1;
+        }
+        let mut m = 0u64;
+        let mut prod = 1.0f64;
+        for (j, &pw) in gap.pows.iter().enumerate().rev() {
+            let cand = prod * pw;
+            if cand > u {
+                m |= 1 << j;
+                prod = cand;
+            }
+        }
+        m + 1
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+        #[test]
+        fn skipped_descent_matches_the_full_walk(
+            p_sel in 0u32..8,
+            p_any in 0.0f64..1.0,
+            u_sel in 0u32..6,
+            raw in 0u64..u64::MAX,
+        ) {
+            // Rates: 0, 1, anywhere in between, and the tiny ones whose
+            // gaps need the high bits.
+            let p = match p_sel {
+                0 => 0.0,
+                1 => 1.0,
+                2 => p_any * 1e-12,
+                3 => p_any * 1e-6,
+                _ => p_any,
+            };
+            let gap = GapSampler::new(p);
+            // Variates: raw draws, u = 0 (only the low 11 bits set),
+            // the largest u, and u right at or beside `q`.
+            let q_bits = (gap.q * (1u64 << 53) as f64) as u64;
+            let bits = match u_sel {
+                0 => raw & 0x7ff,
+                1 => u64::MAX,
+                2 => q_bits.saturating_sub(1 + (raw & 3)) << 11,
+                3 => q_bits.saturating_add(raw & 3).min((1 << 53) - 1) << 11,
+                _ => raw,
+            };
+            let (got, want) = (gap.gap_for(bits), gap_full_walk(&gap, bits));
+            proptest::prop_assert!(got == want, "p {p} bits {bits}: {got} vs {want}");
+        }
     }
 
     #[test]

@@ -85,34 +85,35 @@ impl fmt::Display for GatingPolicy {
 /// [`IdleHistogram::record_open`] for trailing open ones.
 ///
 /// The record is sized to what was recorded. Lengths below
-/// [`IdleHistogram::DENSE_BINS`] are counted in 4-byte dense bins
+/// [`IdleHistogram::DENSE_BINS`] are counted in 2-byte dense bins
 /// indexed by length, which grow amortized (doubling, clamped at that
 /// bound) to the longest such length recorded, so recording one stays
-/// an O(1) indexed add; a bin keeps its count modulo 2³², and the
-/// multiple of 2³² above that is carried exactly in the sorted list
-/// below. The rarer lengths from that bound up to the cap are kept as
-/// a sorted list with one `(length, count)` entry per distinct length,
-/// and open intervals are stored inline while there is at most one. A
-/// network simulation keeps `5 × vcs` histograms per router, and at the
-/// injection rates the leakage study sweeps most lanes record nothing,
-/// only a trailing open run, or a few intervals; a lane that
-/// records only long or overflow intervals and at most one open run
-/// holds no dense bins and no open-run heap block.
+/// an O(1) indexed add; a bin keeps its count modulo 2¹⁶, and the
+/// multiple of 2¹⁶ above that (everything past `u16::MAX`) is carried
+/// exactly in the sorted list below (a lane's bins rarely pass a few
+/// hundred, so the carry is cold). The rarer lengths from that bound up
+/// to the cap are kept as a sorted list with one `(length, count)` entry
+/// per distinct length, and open intervals are stored inline while
+/// there is at most one. A network simulation keeps `5 × vcs`
+/// histograms per router, and at the injection rates the leakage study
+/// sweeps most lanes record nothing, only a trailing open run, or a few
+/// intervals; a lane that records only long or overflow intervals and
+/// at most one open run holds no dense bins and no open-run heap block.
 /// Equality compares *contents*, so histograms that differ only in how
 /// many trailing zero bins they hold are equal.
 #[derive(Debug, Clone, Eq, Serialize, Deserialize)]
 pub struct IdleHistogram {
     /// Configured cap: lengths below it are counted exactly.
     cap: usize,
-    /// Bin `k` counts intervals of exactly `k` cycles, modulo 2³²;
+    /// Bin `k` counts intervals of exactly `k` cycles, modulo 2¹⁶;
     /// empty until the first interval shorter than
     /// `min(cap, DENSE_BINS)` is recorded, and never longer than that
     /// bound.
-    dense: Box<[u32]>,
+    dense: Box<[u16]>,
     /// `(length, count)`, ascending by length, every count nonzero: the
     /// closed intervals from `DENSE_BINS` up to the cap, preceded by a
-    /// *carry* entry for each dense length whose count reached 2³²,
-    /// holding the count minus its bin (a multiple of 2³²).
+    /// *carry* entry for each dense length whose count reached 2¹⁶,
+    /// holding the count minus its bin (a multiple of 2¹⁶).
     long: Box<[(u64, u64)]>,
     /// Number of closed intervals of `cap` cycles or more.
     overflow_n: u64,
@@ -183,7 +184,7 @@ impl IdleHistogram {
     /// Lengths below this bound (and below the cap) are counted in
     /// dense bins indexed by length, longer ones in a sorted list. Short
     /// intervals, the common case on a loaded lane, stay an indexed add,
-    /// while a lane's dense bins never exceed 256 bytes however long the
+    /// while a lane's dense bins never exceed 128 bytes however long the
     /// intervals it records.
     pub const DENSE_BINS: usize = 64;
 
@@ -222,12 +223,12 @@ impl IdleHistogram {
     }
 
     /// Adds `count` intervals of dense length `k` (the bins already
-    /// reach it): the bin keeps the sum modulo 2³², and any multiple of
-    /// 2³² it passes joins the length's carry entry in the long list.
+    /// reach it): the bin keeps the sum modulo 2¹⁶, and any multiple of
+    /// 2¹⁶ it passes joins the length's carry entry in the long list.
     fn add_dense(&mut self, k: usize, count: u64) {
         let sum = self.dense[k] as u64 + count;
-        self.dense[k] = sum as u32;
-        let carry = sum & !(u32::MAX as u64);
+        self.dense[k] = sum as u16;
+        let carry = sum & !(u16::MAX as u64);
         if carry != 0 {
             self.add_long(k as u64, carry);
         }
@@ -830,6 +831,178 @@ mod tests {
         a.merge(&b);
         let got: Vec<_> = a.iter_lengths().collect();
         assert_eq!(got, vec![(64, 3), (65, 2), (900, 3), (3000, 1), (4095, 2)]);
+    }
+
+    /// The carry entry of dense length `len`, if it has one.
+    fn carry(h: &IdleHistogram, len: u64) -> Option<u64> {
+        h.long.iter().find(|&&(l, _)| l == len).map(|&(_, c)| c)
+    }
+
+    const BIN: u64 = 1 << 16;
+
+    #[test]
+    fn a_full_bin_plus_one_carries_exactly() {
+        let mut h = IdleHistogram::new(4096);
+        h.record_n(7, BIN - 1);
+        assert_eq!(h.dense[7], u16::MAX);
+        assert!(h.long.is_empty());
+        h.record(7);
+        assert_eq!(h.dense[7], 0);
+        assert_eq!(carry(&h, 7), Some(BIN));
+        h.record(7);
+        assert_eq!((h.dense[7], carry(&h, 7)), (1, Some(BIN)));
+        assert_eq!(h.iter_lengths().collect::<Vec<_>>(), vec![(7, BIN + 1)]);
+        assert_eq!(h.interval_count(), BIN + 1);
+        assert_eq!(h.total_idle_cycles(), 7 * (BIN + 1));
+    }
+
+    #[test]
+    fn record_n_past_a_bin_carries_the_multiple() {
+        let mut h = IdleHistogram::new(4096);
+        h.record(2);
+        h.record_n(5, BIN + 3);
+        h.record(63);
+        h.record(64);
+        h.record_open(9);
+        assert_eq!((h.dense[5], carry(&h, 5)), (3, Some(BIN)));
+        // Carries sort below the long lengths and report with their
+        // bins, in ascending length.
+        assert_eq!(h.long.to_vec(), vec![(5, BIN), (64, 1)]);
+        assert_eq!(
+            h.iter_lengths().collect::<Vec<_>>(),
+            vec![(2, 1), (5, BIN + 3), (63, 1), (64, 1)]
+        );
+        assert_eq!(h.interval_count(), 1 + BIN + 3 + 1 + 1 + 1);
+        assert_eq!(h.total_idle_cycles(), 2 + 5 * (BIN + 3) + 63 + 64 + 9);
+        // A count of several bins carries them all in one entry.
+        h.record_n(5, 3 * BIN - 3);
+        assert_eq!((h.dense[5], carry(&h, 5)), (0, Some(4 * BIN)));
+        assert_eq!(h.iter_lengths().nth(1), Some((5, 4 * BIN)));
+    }
+
+    #[test]
+    fn merges_whose_sums_cross_a_bin_carry_exactly() {
+        let mut a = IdleHistogram::new(4096);
+        a.record_n(3, BIN - 10);
+        a.record_n(40, 40_000);
+        let mut b = IdleHistogram::new(4096);
+        b.record_n(3, 25);
+        b.record_n(40, 40_000);
+        let mut want = IdleHistogram::new(4096);
+        want.record_n(3, BIN + 15);
+        want.record_n(40, 80_000);
+
+        let mut merged = a.clone();
+        merged.merge(&b);
+        assert_eq!((merged.dense[3], carry(&merged, 3)), (15, Some(BIN)));
+        assert_eq!(
+            (merged.dense[40] as u64, carry(&merged, 40)),
+            (80_000 - BIN, Some(BIN))
+        );
+        assert_eq!(merged, want);
+        assert_eq!(merged.interval_count(), BIN + 15 + 80_000);
+        assert_eq!(merged.total_idle_cycles(), 3 * (BIN + 15) + 40 * 80_000);
+
+        // Re-binning into a smaller cap keeps length 3 dense (with its
+        // carry) and moves length 40 to the overflow count.
+        let mut small = IdleHistogram::new(32);
+        small.record_n(3, 20);
+        small.merge_rebinned(&merged);
+        assert_eq!((small.dense[3], carry(&small, 3)), (35, Some(BIN)));
+        assert_eq!(
+            small.iter_lengths().collect::<Vec<_>>(),
+            vec![(3, BIN + 35), (40, 80_000)]
+        );
+        assert_eq!(small.interval_count(), BIN + 35 + 80_000);
+        assert_eq!(small.total_idle_cycles(), 3 * (BIN + 35) + 40 * 80_000);
+        // And into a larger cap, where both lengths stay dense.
+        let mut large = IdleHistogram::new(8192);
+        large.merge_rebinned(&a);
+        large.merge_rebinned(&b);
+        assert_eq!(
+            large.iter_lengths().collect::<Vec<_>>(),
+            vec![(3, BIN + 15), (40, 80_000)]
+        );
+    }
+
+    #[test]
+    fn equal_content_compares_equal_however_it_was_split() {
+        // The same 2·2¹⁶ + 5 intervals of length 9 (plus one each of 16
+        // and 30) reached by one `record_n`, by single records across
+        // the boundary, and by merging pieces that each stay below a
+        // full bin — each in an order that leaves a different number of
+        // trailing zero bins.
+        let mut one = IdleHistogram::new(64);
+        one.record_n(9, 2 * BIN + 5);
+        one.record(16);
+        one.record(30);
+        let mut steps = IdleHistogram::new(64);
+        steps.record(30);
+        steps.record_n(9, 2 * BIN - 2);
+        for _ in 0..7 {
+            steps.record(9);
+        }
+        steps.record(16);
+        let mut pieces = IdleHistogram::new(64);
+        pieces.record(16);
+        for _ in 0..4 {
+            let mut p = IdleHistogram::new(64);
+            p.record_n(9, BIN / 2);
+            pieces.merge(&p);
+        }
+        pieces.record_n(9, 5);
+        pieces.record(30);
+        let lens = [one.dense.len(), steps.dense.len(), pieces.dense.len()];
+        assert_eq!(lens, [40, 31, 34]);
+        for h in [&one, &steps, &pieces] {
+            assert_eq!((h.dense[9], carry(h, 9)), (5, Some(2 * BIN)));
+            assert_eq!(h, &one);
+            assert_eq!(&one, h);
+        }
+        // A bin emptied by its carry (count an exact multiple of 2¹⁶)
+        // equals the same content with the bin never grown past it.
+        let mut exact = IdleHistogram::new(64);
+        exact.record_n(2, BIN);
+        exact.record(40);
+        let mut short = IdleHistogram::new(64);
+        short.record(40);
+        short.record_n(2, BIN);
+        assert_eq!(exact.dense[2], 0);
+        assert_eq!(exact, short);
+        short.record(2);
+        assert_ne!(exact, short);
+        assert_ne!(short, exact);
+    }
+
+    #[test]
+    fn a_carried_histogram_round_trips_through_its_content() {
+        // The vendored `serde` derives are markers with no data format,
+        // so the round trip goes through what a serializer would write:
+        // the cap, `iter_lengths` and `open_runs`. Rebuilding from them
+        // restores the bins and carries exactly.
+        let mut h = IdleHistogram::new(4096);
+        h.record_n(1, 3 * BIN + 7);
+        h.record_n(63, BIN);
+        h.record_n(64, 2 * BIN);
+        // Overflow lengths are reported at their average, so keep it
+        // exact.
+        h.record_n(5000, 4);
+        h.record_open(12);
+        h.record_open(70);
+        let mut back = IdleHistogram::new(h.max_len());
+        for (len, n) in h.iter_lengths() {
+            back.record_n(len, n);
+        }
+        for &len in h.open_runs() {
+            back.record_open(len);
+        }
+        assert_eq!(back, h);
+        assert_eq!(back.long, h.long);
+        assert_eq!((back.dense[1], carry(&back, 1)), (7, Some(3 * BIN)));
+        assert_eq!((back.dense[63], carry(&back, 63)), (0, Some(BIN)));
+        assert_eq!(back.interval_count(), h.interval_count());
+        assert_eq!(back.total_idle_cycles(), h.total_idle_cycles());
+        assert_eq!(h.clone(), h);
     }
 
     #[test]

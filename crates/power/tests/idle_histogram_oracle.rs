@@ -6,8 +6,8 @@
 //! `merge_rebinned` run on three compact histograms and, op for op, on
 //! a dense model that allocates one `u64` bin per length below the cap
 //! plus an overflow bin up front. Caps and lengths straddle both the
-//! dense bound and the cap, repeat counts straddle 2³² (the compact
-//! dense bins hold 32 bits and carry the rest), each case limits the
+//! dense bound and the cap, repeat counts straddle 2¹⁶ (the compact
+//! dense bins hold 16 bits and carry the rest) and 2³², each case limits the
 //! open runs per histogram to
 //! none, one or any number, and the merges combine histograms of
 //! different shapes and (re-binning) different caps. Every
@@ -215,13 +215,15 @@ fn length(cap: usize, w: u64) -> u64 {
 }
 
 /// Decodes a repeat count from op bits: 0, 1, up to a million, or
-/// within 2 048 of 2³² on either side, so a few records or merges take
-/// a dense bin to `u32::MAX` and past it.
+/// within 2 048 of 2¹⁶ or of 2³² on either side, so a few records or
+/// merges take a dense bin to `u16::MAX` and past it, and its carry
+/// past `u32::MAX`.
 fn count(w: u64) -> u64 {
     match (w >> 40) % 6 {
         0 => 0,
         1 => 1,
         2 | 3 => 1 + (w >> 44) % 1_000_000,
+        4 => (1 << 16) - 2048 + (w >> 44) % 4096,
         _ => (1 << 32) - 2048 + (w >> 44) % 4096,
     }
 }
